@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::term::{Term, TermRef};
+use crate::term::{Prim, Term, TermRef};
 
 /// Precedence levels, loosest to tightest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -27,169 +27,166 @@ enum Prec {
     Atom,
 }
 
-/// A displayable wrapper for terms; `Term` itself implements [`fmt::Display`]
-/// through it.
-pub struct TermDisplay<'a>(pub &'a Term);
-
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_term(f, self, Prec::Lowest)
+        f.write_str(&pretty(self))
     }
 }
 
-fn write_paren(
-    f: &mut fmt::Formatter<'_>,
-    cond: bool,
-    inner: impl FnOnce(&mut fmt::Formatter<'_>) -> fmt::Result,
-) -> fmt::Result {
+fn write_paren(out: &mut String, cond: bool, inner: impl FnOnce(&mut String)) {
     if cond {
-        f.write_str("(")?;
-        inner(f)?;
-        f.write_str(")")
+        out.push('(');
+        inner(out);
+        out.push(')');
     } else {
-        inner(f)
+        inner(out);
     }
 }
 
 /// Renders a variable name, spelling canonical binder names (the reserved
 /// `'\u{1}'` prefix the arena extraction uses; unreachable from source
 /// programs) as `%%N` so extracted terms print readably.
-fn write_var(f: &mut fmt::Formatter<'_>, x: &str) -> fmt::Result {
+fn write_var(out: &mut String, x: &str) {
     match x.strip_prefix('\u{1}') {
-        Some(rest) => write!(f, "%%{rest}"),
-        None => write!(f, "{x}"),
+        Some(rest) => {
+            out.push_str("%%");
+            out.push_str(rest);
+        }
+        None => out.push_str(x),
     }
 }
 
-fn write_term(f: &mut fmt::Formatter<'_>, t: &Term, prec: Prec) -> fmt::Result {
+/// Writes `items` separated by `", "`.
+fn write_list(out: &mut String, items: &[TermRef]) {
+    for (i, e) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        write_term(out, e, Prec::Lowest);
+    }
+}
+
+/// `open a, b)` — pairs and the call-style binary forms.
+fn write_call(out: &mut String, open: &str, a: &Term, b: &Term) {
+    out.push_str(open);
+    write_term(out, a, Prec::Lowest);
+    out.push_str(", ");
+    write_term(out, b, Prec::Lowest);
+    out.push(')');
+}
+
+/// `kw x sep e in b` — the binding forms whose bound expression sits at
+/// join precedence and whose body extends to the right.
+fn write_binder(out: &mut String, prec: Prec, kw: &str, x: &str, sep: &str, e: &Term, b: &Term) {
+    write_paren(out, prec > Prec::Lowest, |out| {
+        out.push_str(kw);
+        write_var(out, x);
+        out.push_str(sep);
+        write_term(out, e, Prec::Join);
+        out.push_str(" in ");
+        write_term(out, b, Prec::Lowest);
+    });
+}
+
+/// Appends the surface syntax of `t`, parenthesised for context `prec`,
+/// to `out`. This is the one renderer: [`fmt::Display`] and [`pretty`]
+/// both go through it.
+fn write_term(out: &mut String, t: &Term, prec: Prec) {
     match t {
-        Term::Bot => f.write_str("bot"),
-        Term::Top => f.write_str("top"),
-        Term::BotV => f.write_str("botv"),
-        Term::Var(x) => write_var(f, x),
-        Term::Sym(s) => write!(f, "{s}"),
-        Term::Lam(x, b) => write_paren(f, prec > Prec::Lowest, |f| {
-            f.write_str("\\")?;
-            write_var(f, x)?;
-            f.write_str(". ")?;
-            write_term(f, b, Prec::Lowest)
-        }),
-        Term::Pair(a, b) => {
-            f.write_str("(")?;
-            write_term(f, a, Prec::Lowest)?;
-            f.write_str(", ")?;
-            write_term(f, b, Prec::Lowest)?;
-            f.write_str(")")
+        Term::Bot => out.push_str("bot"),
+        Term::Top => out.push_str("top"),
+        Term::BotV => out.push_str("botv"),
+        Term::Var(x) => write_var(out, x),
+        Term::Sym(s) => {
+            let _ = s.write_to(out);
         }
+        Term::Lam(x, b) => write_paren(out, prec > Prec::Lowest, |out| {
+            out.push('\\');
+            write_var(out, x);
+            out.push_str(". ");
+            write_term(out, b, Prec::Lowest);
+        }),
+        Term::Pair(a, b) => write_call(out, "(", a, b),
         Term::Set(es) => {
-            f.write_str("{")?;
-            for (i, e) in es.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(", ")?;
-                }
-                write_term(f, e, Prec::Lowest)?;
-            }
-            f.write_str("}")
+            out.push('{');
+            write_list(out, es);
+            out.push('}');
         }
-        Term::App(a, b) => write_paren(f, prec > Prec::App, |f| {
-            write_term(f, a, Prec::App)?;
-            f.write_str(" ")?;
-            write_term(f, b, Prec::Atom)
+        Term::App(a, b) => write_paren(out, prec > Prec::App, |out| {
+            write_term(out, a, Prec::App);
+            out.push(' ');
+            write_term(out, b, Prec::Atom);
         }),
-        Term::LetPair(x1, x2, e, b) => write_paren(f, prec > Prec::Lowest, |f| {
-            f.write_str("let (")?;
-            write_var(f, x1)?;
-            f.write_str(", ")?;
-            write_var(f, x2)?;
-            f.write_str(") = ")?;
-            write_term(f, e, Prec::Join)?;
-            f.write_str(" in ")?;
-            write_term(f, b, Prec::Lowest)
+        Term::LetPair(x1, x2, e, b) => write_paren(out, prec > Prec::Lowest, |out| {
+            out.push_str("let (");
+            write_var(out, x1);
+            out.push_str(", ");
+            write_var(out, x2);
+            out.push_str(") = ");
+            write_term(out, e, Prec::Join);
+            out.push_str(" in ");
+            write_term(out, b, Prec::Lowest);
         }),
-        Term::LetSym(s, e, b) => write_paren(f, prec > Prec::Lowest, |f| {
-            write!(f, "let {s} = ")?;
-            write_term(f, e, Prec::Join)?;
-            f.write_str(" in ")?;
-            write_term(f, b, Prec::Lowest)
+        Term::LetSym(s, e, b) => write_paren(out, prec > Prec::Lowest, |out| {
+            out.push_str("let ");
+            let _ = s.write_to(out);
+            out.push_str(" = ");
+            write_term(out, e, Prec::Join);
+            out.push_str(" in ");
+            write_term(out, b, Prec::Lowest);
         }),
-        Term::BigJoin(x, e, b) => write_paren(f, prec > Prec::Lowest, |f| {
-            f.write_str("for ")?;
-            write_var(f, x)?;
-            f.write_str(" in ")?;
-            write_term(f, e, Prec::Join)?;
-            f.write_str(". ")?;
-            write_term(f, b, Prec::Lowest)
+        Term::BigJoin(x, e, b) => write_paren(out, prec > Prec::Lowest, |out| {
+            out.push_str("for ");
+            write_var(out, x);
+            out.push_str(" in ");
+            write_term(out, e, Prec::Join);
+            out.push_str(". ");
+            write_term(out, b, Prec::Lowest);
         }),
-        Term::Join(a, b) => write_paren(f, prec > Prec::Join, |f| {
-            write_term(f, a, Prec::Cmp)?;
-            f.write_str(" \\/ ")?;
-            write_term(f, b, Prec::Join)
+        Term::Join(a, b) => write_paren(out, prec > Prec::Join, |out| {
+            write_term(out, a, Prec::Cmp);
+            out.push_str(" \\/ ");
+            write_term(out, b, Prec::Join);
         }),
         Term::Prim(op, es) => {
-            use crate::term::Prim;
             let (my, left, right) = match op {
                 Prim::Add | Prim::Sub => (Prec::Add, Prec::Add, Prec::Mul),
                 Prim::Mul => (Prec::Mul, Prec::Mul, Prec::App),
                 Prim::Le | Prim::Lt | Prim::Eq => (Prec::Cmp, Prec::Add, Prec::Add),
                 // Frozen-set queries print in call style: `member(a, b)`.
                 Prim::Member | Prim::Diff | Prim::SetSize => {
-                    write!(f, "{op}(")?;
-                    for (i, e) in es.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(", ")?;
-                        }
-                        write_term(f, e, Prec::Lowest)?;
-                    }
-                    return f.write_str(")");
+                    out.push_str(op.symbol());
+                    out.push('(');
+                    write_list(out, es);
+                    out.push(')');
+                    return;
                 }
             };
-            write_paren(f, prec > my, |f| {
-                write_term(f, &es[0], left)?;
-                write!(f, " {op} ")?;
-                write_term(f, &es[1], right)
-            })
+            write_paren(out, prec > my, |out| {
+                write_term(out, &es[0], left);
+                out.push(' ');
+                out.push_str(op.symbol());
+                out.push(' ');
+                write_term(out, &es[1], right);
+            });
         }
-        Term::Frz(e) => write_paren(f, prec > Prec::App, |f| {
-            f.write_str("frz ")?;
-            write_term(f, e, Prec::Atom)
+        Term::Frz(e) => write_paren(out, prec > Prec::App, |out| {
+            out.push_str("frz ");
+            write_term(out, e, Prec::Atom);
         }),
-        Term::LetFrz(x, e, b) => write_paren(f, prec > Prec::Lowest, |f| {
-            f.write_str("let frz ")?;
-            write_var(f, x)?;
-            f.write_str(" = ")?;
-            write_term(f, e, Prec::Join)?;
-            f.write_str(" in ")?;
-            write_term(f, b, Prec::Lowest)
-        }),
-        Term::Lex(a, b) => {
-            f.write_str("lex(")?;
-            write_term(f, a, Prec::Lowest)?;
-            f.write_str(", ")?;
-            write_term(f, b, Prec::Lowest)?;
-            f.write_str(")")
-        }
-        Term::LexBind(x, e, b) => write_paren(f, prec > Prec::Lowest, |f| {
-            f.write_str("bind ")?;
-            write_var(f, x)?;
-            f.write_str(" <- ")?;
-            write_term(f, e, Prec::Join)?;
-            f.write_str(" in ")?;
-            write_term(f, b, Prec::Lowest)
-        }),
-        Term::LexMerge(a, b) => {
-            f.write_str("lexmerge(")?;
-            write_term(f, a, Prec::Lowest)?;
-            f.write_str(", ")?;
-            write_term(f, b, Prec::Lowest)?;
-            f.write_str(")")
-        }
+        Term::LetFrz(x, e, b) => write_binder(out, prec, "let frz ", x, " = ", e, b),
+        Term::Lex(a, b) => write_call(out, "lex(", a, b),
+        Term::LexBind(x, e, b) => write_binder(out, prec, "bind ", x, " <- ", e, b),
+        Term::LexMerge(a, b) => write_call(out, "lexmerge(", a, b),
     }
 }
 
-/// Renders a term to a `String` (same as `to_string`, provided for
-/// discoverability next to the parser).
-pub fn pretty(t: &TermRef) -> String {
-    t.to_string()
+/// Renders a term to a `String` (the same text as `to_string`, without
+/// the formatter round trip).
+pub fn pretty(t: &Term) -> String {
+    let mut out = String::new();
+    write_term(&mut out, t, Prec::Lowest);
+    out
 }
 
 #[cfg(test)]

@@ -106,6 +106,8 @@ pub struct SharedInterner {
     shards: Box<[Mutex<Shard>]>,
     /// Canonical pointer cache, sharded by allocation address.
     canon_ptr: Box<[Mutex<FastMap<PtrKey, CanonPtrEntry>>]>,
+    /// Entries across all `canon_ptr` shards, kept without a lock sweep.
+    canon_ptr_len: AtomicUsize,
     /// The shared empty free-variable slice.
     no_vars: Arc<[Var]>,
 }
@@ -144,6 +146,7 @@ impl SharedInterner {
         SharedInterner {
             shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             canon_ptr: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            canon_ptr_len: AtomicUsize::new(0),
             no_vars: Arc::from(Vec::new()),
         }
     }
@@ -156,6 +159,30 @@ impl SharedInterner {
     /// Whether the arena is empty.
     pub fn is_empty(&self) -> bool {
         self.shards.iter().all(|s| s.lock().terms.is_empty())
+    }
+
+    /// The number of canonical pointer-cache entries. Each pins the tree
+    /// it was probed with, so this grows with every distinct allocation
+    /// canonicalised, even when [`len`](SharedInterner::len) does not.
+    pub fn canon_ptr_len(&self) -> usize {
+        self.canon_ptr_len.load(Ordering::Relaxed)
+    }
+
+    /// Records `id` for the allocation `t` in the canonical pointer cache.
+    fn cache_canon_ptr(&self, t: &TermRef, id: TermId, closed: bool) {
+        let pk = PtrKey::of(t);
+        let entry = CanonPtrEntry {
+            id,
+            closed,
+            _retained: t.clone(),
+        };
+        if self.canon_ptr[ptr_shard_of(pk)]
+            .lock()
+            .insert(pk, entry)
+            .is_none()
+        {
+            self.canon_ptr_len.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// The representative term of an id (α-equivalent to every term that
@@ -271,14 +298,7 @@ impl SharedInterner {
             return e.id;
         }
         let (id, closed) = self.canon_intern(t);
-        self.canon_ptr[ptr_shard_of(pk)].lock().insert(
-            pk,
-            CanonPtrEntry {
-                id,
-                closed,
-                _retained: t.clone(),
-            },
-        );
+        self.cache_canon_ptr(t, id, closed);
         id
     }
 
@@ -407,15 +427,7 @@ impl SharedInterner {
                     // subtrees, so rebuilt terms re-probe in O(changed
                     // spine) across the whole worker fleet).
                     if closed && size >= CANON_PTR_CACHE_MIN_SIZE && !jobs.is_empty() {
-                        let pk = PtrKey::of(t);
-                        self.canon_ptr[ptr_shard_of(pk)].lock().insert(
-                            pk,
-                            CanonPtrEntry {
-                                id,
-                                closed,
-                                _retained: t.clone(),
-                            },
-                        );
+                        self.cache_canon_ptr(t, id, closed);
                     }
                     ids.push(id);
                 }

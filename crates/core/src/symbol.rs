@@ -109,16 +109,26 @@ impl Symbol {
     pub fn is_name(&self, n: &str) -> bool {
         matches!(self, Symbol::Name(s) if &**s == n)
     }
+
+    /// Writes the symbol's surface syntax to `w`. This is the one
+    /// printer: `Display` and the term renderer (which writes into a
+    /// `String`, skipping the formatter for names) both use it.
+    pub fn write_to<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        match self {
+            Symbol::Name(s) => {
+                w.write_char('\'')?;
+                w.write_str(s)
+            }
+            Symbol::Str(s) => write!(w, "{s:?}"),
+            Symbol::Int(n) => write!(w, "{n}"),
+            Symbol::Level(n) => write!(w, "`{n}"),
+        }
+    }
 }
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Symbol::Name(s) => write!(f, "'{s}"),
-            Symbol::Str(s) => write!(f, "{s:?}"),
-            Symbol::Int(n) => write!(f, "{n}"),
-            Symbol::Level(n) => write!(f, "`{n}"),
-        }
+        self.write_to(f)
     }
 }
 

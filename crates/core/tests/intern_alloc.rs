@@ -4,24 +4,32 @@
 //! interned, a memo probe is one `Copy`-key map access and an idempotent
 //! re-join returns an existing id — **no tree traversal, no `canon_id`
 //! walk, and no allocation of any kind**. This binary installs a counting
-//! global allocator and pins all three down. (Kept as its own
-//! integration-test binary so the counter sees no unrelated traffic.)
+//! global allocator and pins all three down. The count is per thread:
+//! the harness runs these tests on parallel threads, and a process-wide
+//! counter would charge each test with the others' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -33,8 +41,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> usize {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

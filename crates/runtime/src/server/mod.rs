@@ -18,8 +18,8 @@
 //! 3. **Failure isolation** — each request body runs under
 //!    `catch_unwind`; a disconnecting or stalled client cancels its own
 //!    evaluation and nothing else.
-//! 4. **Memo GC under churn** — past a node watermark the shared memo is
-//!    compacted with
+//! 4. **Memo GC under churn** — past a watermark on interner nodes plus
+//!    canonical pointer-cache entries the shared memo is compacted with
 //!    [`collected`](lambda_join_core::sharded::SharedInternTable::collected),
 //!    keeping entries touched within the last N admitted requests, so the
 //!    hot working set stays warm while one-off garbage is dropped.
@@ -48,6 +48,7 @@ pub mod admission;
 pub mod protocol;
 mod session;
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -55,8 +56,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use lambda_join_core::parser;
 use lambda_join_core::pool::Crew;
 use lambda_join_core::sharded::SharedInternTable;
+use lambda_join_core::term::TermRef;
 use parking_lot::Mutex;
 
 use protocol::{ErrorCode, Obj};
@@ -93,8 +96,8 @@ pub struct ServerConfig {
     /// OS-level write timeout; a client that stops draining its socket
     /// is disconnected rather than wedging the session.
     pub write_timeout_ms: u64,
-    /// Interner size (nodes) above which a post-request compaction is
-    /// attempted.
+    /// Interner nodes plus canonical pointer-cache entries above which a
+    /// post-request compaction is attempted.
     pub gc_node_watermark: usize,
     /// How many admitted requests back an entry may last have been
     /// touched and still survive compaction.
@@ -141,6 +144,44 @@ impl Default for ServerConfig {
     }
 }
 
+/// Total source bytes the request cache may hold. Inserting past it
+/// flushes the whole cache; a single program larger than this is never
+/// cached. This bounds source text, not retained memory: a parsed tree
+/// can be many times larger than its source, and cached trees outlive
+/// GC until the next flush.
+pub(crate) const REQUEST_CACHE_BYTES: usize = 1 << 20;
+
+/// Parsed programs by their decoded source text. A program's observation
+/// at a given fuel depends only on the program and the fuel, so a
+/// repeated request can reuse the first parse. Reusing the *allocation*
+/// matters as much as skipping the parse: the engine's canonical
+/// interning finds the tree in its pointer cache instead of walking (and
+/// pinning) a fresh copy on every request.
+#[derive(Default)]
+pub(crate) struct RequestCache {
+    programs: HashMap<String, TermRef>,
+    /// Sum of the cached sources' lengths.
+    bytes: usize,
+}
+
+impl RequestCache {
+    fn get(&self, source: &str) -> Option<TermRef> {
+        self.programs.get(source).cloned()
+    }
+
+    fn insert(&mut self, source: String, term: TermRef) {
+        if source.len() > REQUEST_CACHE_BYTES || self.programs.contains_key(&source) {
+            return;
+        }
+        if self.bytes + source.len() > REQUEST_CACHE_BYTES {
+            self.programs.clear();
+            self.bytes = 0;
+        }
+        self.bytes += source.len();
+        self.programs.insert(source, term);
+    }
+}
+
 /// Shared server state: config, the warm memo, counters, and the
 /// shutdown flag (which doubles as the engine-level cancel flag of every
 /// in-flight request).
@@ -157,6 +198,10 @@ pub(crate) struct ServerState {
     memo: Mutex<SharedInternTable>,
     /// Serialises compaction; contenders skip rather than queue.
     gc_busy: Mutex<()>,
+    /// Closed, parsed programs by source text.
+    pub(crate) request_cache: Mutex<RequestCache>,
+    request_cache_hits: AtomicU64,
+    request_cache_misses: AtomicU64,
     pub(crate) requests_total: AtomicU64,
     pub(crate) rejected_total: AtomicU64,
     pub(crate) panics_total: AtomicU64,
@@ -170,13 +215,39 @@ impl ServerState {
         self.memo.lock().clone()
     }
 
-    /// Post-request GC: if the interner has grown past the watermark,
-    /// compact the memo down to generation-recent entries and publish
-    /// the fresh table. `try_lock` keeps at most one session compacting;
-    /// everyone else returns to serving immediately.
+    /// The closed program `source` denotes: the cached tree when this
+    /// text was served before, otherwise parsed, checked for free
+    /// variables, and cached. Errors carry the reply's code and message
+    /// and are never cached.
+    pub(crate) fn program(&self, source: String) -> Result<TermRef, (ErrorCode, String)> {
+        if let Some(term) = self.request_cache.lock().get(&source) {
+            self.request_cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(term);
+        }
+        self.request_cache_misses.fetch_add(1, Ordering::Relaxed);
+        let term = parser::parse(&source).map_err(|e| (ErrorCode::ParseError, e.to_string()))?;
+        let fv = term.free_vars();
+        if !fv.is_empty() {
+            let names: Vec<&str> = fv.iter().map(|v| &**v).collect();
+            let msg = format!("program has free variables: {}", names.join(", "));
+            return Err((ErrorCode::FreeVars, msg));
+        }
+        self.request_cache.lock().insert(source, term.clone());
+        Ok(term)
+    }
+
+    /// Post-request GC: if the interner's nodes plus its canonical
+    /// pointer-cache entries have grown past the watermark, compact the
+    /// memo down to generation-recent entries and publish the fresh
+    /// table. Pointer-cache entries count because each pins a request
+    /// tree: textually different programs that intern to the same nodes
+    /// grow memory without growing the node count. `try_lock` keeps at
+    /// most one session compacting; everyone else returns to serving
+    /// immediately.
     pub(crate) fn maybe_collect(&self) {
         let snapshot = self.memo_handle();
-        if snapshot.interner().len() <= self.cfg.gc_node_watermark {
+        let arena = snapshot.interner();
+        if arena.len() + arena.canon_ptr_len() <= self.cfg.gc_node_watermark {
             return;
         }
         if let Some(_busy) = self.gc_busy.try_lock() {
@@ -231,10 +302,23 @@ impl ServerState {
             .push_num("gc_runs", self.gc_runs.load(Ordering::Relaxed))
             .push_num("memo_entries", memo.len() as u64)
             .push_num("interner_nodes", memo.interner().len() as u64)
+            .push_num("canon_ptr_entries", memo.interner().canon_ptr_len() as u64)
             .push_num("memo_hits", hits as u64)
             .push_num("memo_misses", misses as u64)
             .push_num("generation", memo.generation())
-            .push_num("checkpoints", self.checkpoints.load(Ordering::Relaxed));
+            .push_num("checkpoints", self.checkpoints.load(Ordering::Relaxed))
+            .push_num(
+                "request_cache_hits",
+                self.request_cache_hits.load(Ordering::Relaxed),
+            )
+            .push_num(
+                "request_cache_misses",
+                self.request_cache_misses.load(Ordering::Relaxed),
+            )
+            .push_num(
+                "request_cache_entries",
+                self.request_cache.lock().programs.len() as u64,
+            );
         o
     }
 }
@@ -328,6 +412,9 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
         started: Instant::now(),
         memo: Mutex::new(memo),
         gc_busy: Mutex::new(()),
+        request_cache: Mutex::default(),
+        request_cache_hits: AtomicU64::new(0),
+        request_cache_misses: AtomicU64::new(0),
         requests_total: AtomicU64::new(0),
         rejected_total: AtomicU64::new(0),
         panics_total: AtomicU64::new(0),
@@ -404,8 +491,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
                 .push_str("msg", &format!("session limit {} reached", full.max))
                 .push_num("retry_after_ms", state.cfg.retry_base_ms);
             use std::io::Write;
-            let _ = stream.write_all(o.finish().as_bytes());
-            let _ = stream.write_all(b"\n");
+            let _ = stream.write_all(o.into_line().as_bytes());
         }
     }
     // Drain: sessions notice the flag at their next read tick.
@@ -425,6 +511,7 @@ mod tests {
         let conn = TcpStream::connect(handle.addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(20)))
             .unwrap();
+        conn.set_nodelay(true).unwrap();
         let reader = BufReader::new(conn.try_clone().unwrap());
         (conn, reader)
     }
@@ -434,7 +521,7 @@ mod tests {
         reader: &mut BufReader<TcpStream>,
         line: &str,
     ) -> FlatReply {
-        writeln!(conn, "{line}").unwrap();
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut reply = String::new();
         reader.read_line(&mut reply).unwrap();
         FlatReply::parse(&reply).unwrap()
@@ -668,6 +755,154 @@ mod tests {
             r#"eval fuel=8 "(\\x. {x} \\/ {x + 1}) 39""#,
         );
         assert_eq!(r.kind(), Some("ok"), "{r:?}");
+        assert!(handle.stop());
+    }
+
+    /// Sends a `watch` line and returns its reply lines verbatim, up to
+    /// and including `done`.
+    fn watch_lines(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut all = String::new();
+        loop {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            let done = FlatReply::parse(&reply).unwrap().kind() == Some("done");
+            all.push_str(&reply);
+            if done {
+                return all;
+            }
+        }
+    }
+
+    #[test]
+    fn request_cache_reuses_one_parse_across_connections() {
+        let handle = small_server();
+        let evens = r#"let rec evens _ = {0} \/ (for x in evens () . {x + 2}) in evens ()"#;
+        let line = format!("watch fuel=9 step=3 \"{}\"", evens.replace('\\', "\\\\"));
+        let (mut conn, mut reader) = connect(&handle);
+        let first = watch_lines(&mut conn, &mut reader, &line);
+        assert!(first.contains("\"kind\":\"obs\""), "{first}");
+        let after_first = round_trip(&mut conn, &mut reader, "stats");
+        let nodes = after_first.num_of("interner_nodes").unwrap();
+        let ptrs = after_first.num_of("canon_ptr_entries").unwrap();
+        assert!(ptrs > 0, "the first run canonicalises the program");
+
+        // 999 more sends of the same text, over this connection and a
+        // second one running concurrently.
+        let second = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                let (mut conn, mut reader) = connect(&handle);
+                (0..500)
+                    .map(|_| watch_lines(&mut conn, &mut reader, &line))
+                    .collect::<Vec<_>>()
+            });
+            let mut replies: Vec<String> = (0..499)
+                .map(|_| watch_lines(&mut conn, &mut reader, &line))
+                .collect();
+            replies.extend(other.join().unwrap());
+            replies
+        });
+        assert_eq!(second.len(), 999);
+        assert!(
+            second.iter().all(|r| *r == first),
+            "every reply must be byte-identical to the first"
+        );
+
+        let stats = round_trip(&mut conn, &mut reader, "stats");
+        assert!(
+            stats.num_of("request_cache_hits").unwrap() >= 999,
+            "{stats:?}"
+        );
+        assert_eq!(stats.num_of("request_cache_misses"), Some(1), "{stats:?}");
+        assert_eq!(stats.num_of("request_cache_entries"), Some(1), "{stats:?}");
+        assert_eq!(
+            stats.num_of("interner_nodes"),
+            Some(nodes),
+            "a cached program interns nothing new: {stats:?}"
+        );
+        assert_eq!(
+            stats.num_of("canon_ptr_entries"),
+            Some(ptrs),
+            "a cached program pins no new trees: {stats:?}"
+        );
+        assert!(handle.stop());
+    }
+
+    #[test]
+    fn request_cache_stays_within_its_byte_bound() {
+        let handle = small_server();
+        let (mut conn, mut reader) = connect(&handle);
+        let cached_bytes = || handle.state.request_cache.lock().bytes;
+
+        // Parse and free-variable errors are never cached.
+        for bad in [r#""let x = in""#, r#""x y""#, r#""let x = in""#] {
+            let r = round_trip(&mut conn, &mut reader, &format!("eval {bad}"));
+            assert_eq!(r.kind(), Some("err"), "{r:?}");
+        }
+        let stats = round_trip(&mut conn, &mut reader, "stats");
+        assert_eq!(stats.num_of("request_cache_entries"), Some(0), "{stats:?}");
+        assert_eq!(stats.num_of("request_cache_misses"), Some(3), "{stats:?}");
+
+        // Distinct ~2 KiB programs: well past the bound in total.
+        let pad = " ".repeat(2048);
+        let mut peak_entries = 0;
+        let mut flushed = false;
+        for i in 0..REQUEST_CACHE_BYTES / 2048 + 64 {
+            let r = round_trip(
+                &mut conn,
+                &mut reader,
+                &format!(r#"eval fuel=4 "{{{i}}}{pad}""#),
+            );
+            assert_eq!(r.str_of("result"), Some(format!("{{{i}}}").as_str()));
+            assert!(cached_bytes() <= REQUEST_CACHE_BYTES);
+            let entries = handle.state.request_cache.lock().programs.len();
+            flushed |= entries < peak_entries;
+            peak_entries = peak_entries.max(entries);
+        }
+        assert!(flushed, "passing the bound flushes the cache");
+        assert!(peak_entries * 2048 <= REQUEST_CACHE_BYTES);
+        assert!(handle.stop());
+    }
+
+    #[test]
+    fn pointer_cache_growth_forces_gc() {
+        const WATERMARK: usize = 64;
+        let cfg = ServerConfig {
+            gc_node_watermark: WATERMARK,
+            ..ServerConfig::default()
+        };
+        let handle = serve(cfg).unwrap();
+        let (mut conn, mut reader) = connect(&handle);
+        // Whitespace variants: every text misses the request cache and
+        // parses to a fresh tree, but all intern to the same nodes.
+        let variant = |i: usize| {
+            format!(
+                r#"eval fuel=8 "(\\x. {{x}} \\/ {{x + 1}}){}5""#,
+                " ".repeat(i + 1)
+            )
+        };
+        let r = round_trip(&mut conn, &mut reader, &variant(0));
+        assert_eq!(r.kind(), Some("ok"), "{r:?}");
+        let stats = round_trip(&mut conn, &mut reader, "stats");
+        let nodes = stats.num_of("interner_nodes").unwrap() as usize;
+        let ptrs = stats.num_of("canon_ptr_entries").unwrap() as usize;
+        assert!(nodes + ptrs <= WATERMARK, "{stats:?}");
+        assert_eq!(stats.num_of("gc_runs"), Some(0));
+
+        for i in 1..=WATERMARK {
+            let r = round_trip(&mut conn, &mut reader, &variant(i));
+            assert_eq!(r.kind(), Some("ok"), "{r:?}");
+            let stats = round_trip(&mut conn, &mut reader, "stats");
+            if stats.num_of("gc_runs") == Some(0) {
+                // Counting nodes alone would never collect.
+                assert_eq!(stats.num_of("interner_nodes"), Some(nodes as i64));
+            }
+        }
+        let stats = round_trip(&mut conn, &mut reader, "stats");
+        assert!(
+            stats.num_of("gc_runs").unwrap() >= 1,
+            "pinned request trees should have forced a collection: {stats:?}"
+        );
         assert!(handle.stop());
     }
 

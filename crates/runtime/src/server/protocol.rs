@@ -22,7 +22,7 @@
 //! matching client-side reader used by the load generator and the chaos
 //! suite.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Structured error categories, the `code` field of an `err` reply.
 ///
@@ -225,20 +225,37 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
 /// Escapes `s` as the *contents* of a JSON string (no surrounding quotes).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    json_escape_into(&mut out, s);
+    out
+}
+
+/// Appends the JSON-escaped contents of `s` to `out`. Runs of bytes that
+/// need no escaping are copied whole; every byte that does is ASCII, so
+/// each run ends on a `char` boundary.
+fn json_escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        if esc.is_empty() {
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(esc);
         }
     }
-    out
+    out.push_str(&s[run..]);
 }
 
 /// Parses a JSON string starting at the leading `"` of `s`; returns the
@@ -283,9 +300,21 @@ pub fn json_unquote(s: &str) -> Result<(String, &str), String> {
 }
 
 /// An incremental flat-JSON-object writer (insertion order preserved).
-#[derive(Debug, Default)]
+///
+/// Fields are escaped straight into one buffer that already holds the
+/// opening `{`, so [`Obj::into_line`] hands back the finished reply line
+/// without another copy.
+#[derive(Debug)]
 pub struct Obj {
     body: String,
+}
+
+impl Default for Obj {
+    fn default() -> Obj {
+        Obj {
+            body: String::from("{"),
+        }
+    }
 }
 
 impl Obj {
@@ -296,37 +325,53 @@ impl Obj {
         o
     }
 
-    fn sep(&mut self) {
-        if !self.body.is_empty() {
+    /// Writes the separator and `"k":`.
+    fn key(&mut self, k: &str) {
+        if self.body.len() > 1 {
             self.body.push(',');
         }
+        self.body.push('"');
+        json_escape_into(&mut self.body, k);
+        self.body.push_str("\":");
     }
 
     /// Adds a string field.
     pub fn push_str(&mut self, k: &str, v: &str) -> &mut Obj {
-        self.sep();
-        self.body
-            .push_str(&format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)));
+        self.key(k);
+        self.body.reserve(v.len() + 2);
+        self.body.push('"');
+        json_escape_into(&mut self.body, v);
+        self.body.push('"');
         self
     }
 
     /// Adds an unsigned numeric field.
     pub fn push_num(&mut self, k: &str, v: u64) -> &mut Obj {
-        self.sep();
-        self.body.push_str(&format!("\"{}\":{v}", json_escape(k)));
+        self.key(k);
+        let _ = write!(self.body, "{v}");
         self
     }
 
     /// Adds a boolean field.
     pub fn push_bool(&mut self, k: &str, v: bool) -> &mut Obj {
-        self.sep();
-        self.body.push_str(&format!("\"{}\":{v}", json_escape(k)));
+        self.key(k);
+        self.body.push_str(if v { "true" } else { "false" });
         self
     }
 
     /// Finishes the object (no trailing newline).
     pub fn finish(&self) -> String {
-        format!("{{{}}}", self.body)
+        let mut line = String::with_capacity(self.body.len() + 1);
+        line.push_str(&self.body);
+        line.push('}');
+        line
+    }
+
+    /// Finishes the object as a reply line: the JSON text and its
+    /// terminating `\n`, ready for a single write.
+    pub fn into_line(mut self) -> String {
+        self.body.push_str("}\n");
+        self.body
     }
 }
 

@@ -18,8 +18,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lambda_join_core::display::pretty;
 use lambda_join_core::engine::{self, Budget, NodeGauge, StopCause};
-use lambda_join_core::parser;
 
 use super::protocol::{parse_request, ErrorCode, Obj, Request, RequestError, Verb};
 use super::ServerState;
@@ -122,9 +122,10 @@ impl LineReader {
     }
 }
 
-fn send(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
+/// Writes one reply line — the JSON text and its `\n` — in a single
+/// `write_all`, so with `TCP_NODELAY` each reply leaves as one segment.
+fn send(stream: &mut TcpStream, reply: Obj) -> std::io::Result<()> {
+    stream.write_all(reply.into_line().as_bytes())
 }
 
 fn err_obj(code: ErrorCode, msg: &str) -> Obj {
@@ -134,7 +135,7 @@ fn err_obj(code: ErrorCode, msg: &str) -> Obj {
 }
 
 fn send_err(stream: &mut TcpStream, code: ErrorCode, msg: &str) -> std::io::Result<()> {
-    send(stream, &err_obj(code, msg).finish())
+    send(stream, err_obj(code, msg))
 }
 
 /// Runs one session to completion. Spawned on the server's `Crew`; any
@@ -207,18 +208,18 @@ fn handle_line(line: &str, stream: &mut TcpStream, state: &Arc<ServerState>) -> 
         }
     };
     let sent = match req.verb {
-        Verb::Ping => send(stream, &Obj::kind("pong").finish()),
-        Verb::Stats => send(stream, &state.stats_obj().finish()),
+        Verb::Ping => send(stream, Obj::kind("pong")),
+        Verb::Stats => send(stream, state.stats_obj()),
         Verb::Quit => {
             let mut o = Obj::kind("ok");
             o.push_str("msg", "bye");
-            let _ = send(stream, &o.finish());
+            let _ = send(stream, o);
             return Flow::Close;
         }
         Verb::Shutdown => {
             let mut o = Obj::kind("ok");
             o.push_str("msg", "shutting down");
-            let _ = send(stream, &o.finish());
+            let _ = send(stream, o);
             state.trigger_shutdown();
             return Flow::Close;
         }
@@ -274,9 +275,9 @@ fn run_step(
             if let Some(cause) = budget.stop_cause() {
                 StepOutcome::Stopped(cause)
             } else if budget.exhausted() {
-                StepOutcome::Exhausted(r.to_string())
+                StepOutcome::Exhausted(pretty(&r))
             } else {
-                StepOutcome::Done(r.to_string())
+                StepOutcome::Done(pretty(&r))
             }
         }
     }
@@ -315,22 +316,10 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
         .min(cfg.max_deadline_ms);
     let quota = req.quota.unwrap_or(cfg.default_node_quota);
     let betas = req.betas.unwrap_or(usize::MAX);
-    let source = req.source.as_deref().unwrap_or_default();
-
-    let term = match parser::parse(source) {
+    let term = match state.program(req.source.unwrap_or_default()) {
         Ok(t) => t,
-        Err(e) => return reject(stream, state, ErrorCode::ParseError, &e.to_string()),
+        Err((code, msg)) => return reject(stream, state, code, &msg),
     };
-    let fv = term.free_vars();
-    if !fv.is_empty() {
-        let names: Vec<&str> = fv.iter().map(|v| &**v).collect();
-        return reject(
-            stream,
-            state,
-            ErrorCode::FreeVars,
-            &format!("program has free variables: {}", names.join(", ")),
-        );
-    }
 
     // Admission: reserve fuel credits for the whole request before any
     // engine work happens.
@@ -340,7 +329,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
             state.rejected_total.fetch_add(1, Ordering::Relaxed);
             let mut o = err_obj(ErrorCode::Overloaded, "fuel credits exhausted, retry later");
             o.push_num("retry_after_ms", retry_after_ms);
-            return match send(stream, &o.finish()) {
+            return match send(stream, o) {
                 Ok(()) => Flow::Continue,
                 Err(_) => Flow::Close,
             };
@@ -383,7 +372,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
                     err_obj(ErrorCode::InternalPanic, "evaluation panicked; contained")
                 }
             };
-            match send(stream, &obj.finish()) {
+            match send(stream, obj) {
                 Ok(()) => Flow::Continue,
                 Err(_) => Flow::Close,
             }
@@ -423,7 +412,7 @@ fn watch_loop(
                 if last.as_deref() != Some(&r) {
                     let mut o = Obj::kind("obs");
                     o.push_num("fuel", f as u64).push_str("result", &r);
-                    if send(stream, &o.finish()).is_err() {
+                    if send(stream, o).is_err() {
                         // Disconnect mid-stream: stop evaluating.
                         return Flow::Close;
                     }
@@ -432,7 +421,7 @@ fn watch_loop(
                 steps += 1;
             }
             StepOutcome::Stopped(cause) => {
-                let _ = send(stream, &stop_reply(cause).finish());
+                let _ = send(stream, stop_reply(cause));
                 return Flow::Continue;
             }
             StepOutcome::Panicked => {
@@ -451,7 +440,7 @@ fn watch_loop(
     }
     let mut o = Obj::kind("done");
     o.push_num("fuel", fuel as u64).push_num("steps", steps);
-    match send(stream, &o.finish()) {
+    match send(stream, o) {
         Ok(()) => Flow::Continue,
         Err(_) => Flow::Close,
     }
