@@ -50,23 +50,13 @@ fn bench_interp(c: &mut Criterion) {
                 b.iter(|| std::hint::black_box(diagonal_table(&encodings::head(), &arg, stages)))
             },
         );
-        // Substitution vs. environment machines at a single fuel level.
+        // One plain evaluation at a single fuel level.
         group.bench_with_input(
             BenchmarkId::new("subst_eval_evens", stages),
             &stages,
             |b, &stages| {
                 let e = encodings::evens();
                 b.iter(|| std::hint::black_box(eval_fuel(&e, stages)))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("closure_eval_evens", stages),
-            &stages,
-            |b, &stages| {
-                let e = encodings::evens();
-                b.iter(|| {
-                    std::hint::black_box(lambda_join_runtime::closure::eval_closure(&e, stages))
-                })
             },
         );
     }

@@ -202,6 +202,8 @@ fn perf_fig() {
     }
 
     let mut results: Vec<(&str, u64)> = Vec::new();
+    let mut ratios: Vec<(&str, f64)> = Vec::new();
+    let mut gate_failure: Option<String> = None;
 
     // Memoised (tabled) reaches on a cycle — cache probes dominate.
     let g = Graph::cycle(6);
@@ -289,30 +291,6 @@ fn perf_fig() {
         }),
     ));
 
-    // Parallel seminaive reaches on the same dense graph, across worker
-    // counts (the DESIGN.md §4 speedup curve; flat on a single-core host).
-    let step = dense.neighbors_fn();
-    for workers in [1usize, 2, 4] {
-        let step = step.clone();
-        let name: &'static str = match workers {
-            1 => "par_seminaive_dense32_w1",
-            2 => "par_seminaive_dense32_w2",
-            _ => "par_seminaive_dense32_w4",
-        };
-        results.push((
-            name,
-            time_ns(move || {
-                let mut e = lambda_join_runtime::par_seminaive::ParSeminaiveEngine::new(
-                    step.clone(),
-                    64,
-                    workers,
-                );
-                e.push(vec![int(0)]);
-                let _ = e.run(10_000);
-            }),
-        ));
-    }
-
     // Datalog seminaive transitive closure — planned joins over the flat
     // interned store, decoded to a tree Database at the boundary.
     let edges: Vec<(i64, i64)> = (0..48).map(|i| (i, i + 1)).collect();
@@ -323,24 +301,6 @@ fn perf_fig() {
             let _ = datalog_eval(&tc, Strategy::Seminaive);
         }),
     ));
-
-    // Parallel Datalog TC rounds across worker counts — the scaling curve
-    // lands in the artifact next to the detected core count (`_meta`), so
-    // a flat curve on a single-core runner is self-explaining. w1 goes
-    // through the public entry and so records the effective-parallelism
-    // short-circuit (sequential loop, no pool spawn).
-    for (name, workers) in [
-        ("par_datalog_tc_48_w1", 1usize),
-        ("par_datalog_tc_48_w2", 2),
-        ("par_datalog_tc_48_w4", 4),
-    ] {
-        results.push((
-            name,
-            time_ns(|| {
-                let _ = lambda_join_datalog::eval::eval_seminaive_par(&tc, workers);
-            }),
-        ));
-    }
 
     // --- Datalog at scale (DESIGN.md §6): the id-native engine on the
     // 10⁵–10⁶-edge generator families, via `eval_ids` (no tree decode —
@@ -623,33 +583,21 @@ fn perf_fig() {
             gc_keep_generations: 1024,
             ..ServerConfig::default()
         };
-        let handle = serve(cfg.clone()).expect("bind perf server");
-        let addr = handle.addr().to_string();
-
-        // Warm-vs-cold reach: the first request pays parsing plus a cold
-        // memo; repeats of the same request hit the shared table.
         let reaches = encodings::reaches(&Graph::cycle(6), 0).to_string();
         let line = format!("eval fuel={} {}", 24 * 6, wire_quote(&reaches));
+
+        // Warm reach: the first request fills the shared memo; repeats of
+        // the same request hit the shared table.
+        let handle = serve(cfg.clone()).expect("bind perf server");
+        let addr = handle.addr().to_string();
         let mut client = Client::connect(addr.as_str()).expect("connect perf client");
-        let t0 = Instant::now();
-        let first = client.round_trip(&line).expect("cold reach reply");
-        let cold_ns = t0.elapsed().as_nanos() as u64;
-        assert!(
-            matches!(first.kind(), Some("ok") | Some("err")),
-            "cold reach got a non-reply: {first:?}"
-        );
+        client.round_trip(&line).expect("cold reach reply");
         let mut warm_ns = u64::MAX;
         for _ in 0..20 {
             let t = Instant::now();
             client.round_trip(&line).expect("warm reach reply");
             warm_ns = warm_ns.min(t.elapsed().as_nanos() as u64);
         }
-        results.push(("server_cold_reach", cold_ns));
-        results.push(("server_warm_reach", warm_ns));
-        results.push((
-            "server_warm_vs_cold_reach",
-            (cold_ns / warm_ns.max(1)).max(1),
-        ));
 
         // Fixed-seed mixed load: 4 clients x 25 requests. A healthy
         // server completes every request with zero protocol errors.
@@ -659,62 +607,97 @@ fn perf_fig() {
             "perf load run saw protocol errors: {:?}",
             report.error_samples
         );
-        results.push(("server_throughput_rps", report.throughput_rps()));
-        results.push(("server_latency_p50", report.percentile_ns(50.0)));
-        results.push(("server_latency_p95", report.percentile_ns(95.0)));
-        results.push(("server_latency_p99", report.percentile_ns(99.0)));
         assert!(handle.stop(), "perf server failed to drain");
-
-        // Warm boot: a second server loads the shutdown checkpoint, so
-        // its *first* reach request hits the memo the first server paid
-        // for. The ≥5× cold-vs-snapshot-boot ratio is the headline
-        // warm-start claim and is asserted.
         assert!(
             snap_path.exists(),
             "server shutdown should have checkpointed"
         );
-        let handle = serve(cfg).expect("bind warm-boot server");
-        let addr = handle.addr().to_string();
-        let mut client = Client::connect(addr.as_str()).expect("connect warm-boot client");
-        let t0 = Instant::now();
-        let first = client.round_trip(&line).expect("warm-boot reach reply");
-        let boot_ns = t0.elapsed().as_nanos() as u64;
-        assert!(
-            matches!(first.kind(), Some("ok") | Some("err")),
-            "warm-boot reach got a non-reply: {first:?}"
-        );
-        results.push(("server_snapshot_boot_reach", boot_ns));
-        results.push((
-            "server_cold_vs_snapshot_boot",
-            (cold_ns / boot_ns.max(1)).max(1),
-        ));
-        assert!(
-            cold_ns / boot_ns.max(1) >= 5,
-            "snapshot boot lost its edge: cold {cold_ns} ns vs boot {boot_ns} ns"
-        );
-        assert!(handle.stop(), "warm-boot server failed to drain");
+
+        // Cold vs. snapshot boot. Each boot is a fresh server timed on its
+        // first reach request: a cold boot has no checkpoint, so it pays
+        // parsing plus a cold memo; a snapshot boot loads the checkpoint
+        // the server above wrote on shutdown, so its first request hits
+        // that memo. The timed request includes the session setup a fresh
+        // server pays on its first request. Boots alternate cold/snapshot
+        // so both sides sample the same host phases, and each side keeps
+        // its minimum, the noise-robust cost. The ≥5× ratio is the
+        // headline warm-start claim; it is reported with its margin over 5
+        // and fails the run (after BENCH_perf.json is written) only when
+        // the margin is negative.
+        const BOOTS: usize = 20;
+        let first_request_ns = |cfg: ServerConfig| {
+            let handle = serve(cfg).expect("bind boot-timing server");
+            let addr = handle.addr().to_string();
+            let mut client = Client::connect(addr.as_str()).expect("connect boot-timing client");
+            let t0 = Instant::now();
+            let first = client.round_trip(&line).expect("first reach reply");
+            let ns = t0.elapsed().as_nanos() as u64;
+            assert!(
+                matches!(first.kind(), Some("ok") | Some("err")),
+                "first reach got a non-reply: {first:?}"
+            );
+            assert!(handle.stop(), "boot-timing server failed to drain");
+            ns
+        };
+        let (mut cold_ns, mut boot_ns) = (u64::MAX, u64::MAX);
+        for _ in 0..BOOTS {
+            cold_ns = cold_ns.min(first_request_ns(ServerConfig {
+                snapshot_path: None,
+                ..cfg.clone()
+            }));
+            boot_ns = boot_ns.min(first_request_ns(cfg.clone()));
+        }
         let _ = std::fs::remove_file(&snap_path);
+
+        results.push(("server_cold_reach", cold_ns));
+        results.push(("server_warm_reach", warm_ns));
+        results.push((
+            "server_warm_vs_cold_reach",
+            (cold_ns / warm_ns.max(1)).max(1),
+        ));
+        results.push(("server_throughput_rps", report.throughput_rps()));
+        results.push(("server_latency_p50", report.percentile_ns(50.0)));
+        results.push(("server_latency_p95", report.percentile_ns(95.0)));
+        results.push(("server_latency_p99", report.percentile_ns(99.0)));
+        results.push(("server_snapshot_boot_reach", boot_ns));
+        let ratio = cold_ns as f64 / boot_ns.max(1) as f64;
+        let margin = ratio - 5.0;
+        println!(
+            "  server_cold_vs_snapshot_boot = {ratio:.2} (min of {BOOTS} cold boots \
+             {cold_ns} ns / min of {BOOTS} snapshot boots {boot_ns} ns), margin over 5: {margin:+.2}"
+        );
+        ratios.push(("server_cold_vs_snapshot_boot", ratio));
+        if margin < 0.0 {
+            gate_failure = Some(format!(
+                "snapshot boot lost its edge: cold {cold_ns} ns vs boot {boot_ns} ns ({ratio:.2}×)"
+            ));
+        }
     }
 
     // `_meta` records the machine context the numbers were taken in: the
-    // detected core count (so the par_* scaling keys can be read — a flat
-    // curve on one core is expected, not a regression) and which worker
-    // counts the sweep covers. Every workload key stays a bare number at
-    // the top level, so existing consumers are unaffected.
+    // detected core count. Every workload key stays a bare number at the
+    // top level, so existing consumers are unaffected; ratio gates are
+    // written as decimals after the integer keys.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("  (detected cores: {cores})");
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"_meta\": {{ \"cores\": {cores}, \"par_worker_counts\": [1, 2, 4] }},\n"
-    ));
-    for (i, (name, ns)) in results.iter().enumerate() {
+    let mut entries: Vec<String> = Vec::new();
+    for (name, ns) in &results {
         println!("  {name:<26} {ns:>12} ns/iter");
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        json.push_str(&format!("  \"{name}\": {ns}{comma}\n"));
+        entries.push(format!("  \"{name}\": {ns}"));
     }
-    json.push_str("}\n");
+    for (name, ratio) in &ratios {
+        println!("  {name:<26} {ratio:>12.2} ×");
+        entries.push(format!("  \"{name}\": {ratio:.2}"));
+    }
+    let json = format!(
+        "{{\n  \"_meta\": {{ \"cores\": {cores} }},\n{}\n}}\n",
+        entries.join(",\n")
+    );
     std::fs::write("BENCH_perf.json", json).expect("write BENCH_perf.json");
     println!("  (written to BENCH_perf.json)");
+    if let Some(msg) = gate_failure {
+        panic!("{msg}");
+    }
 }
 
 fn header(title: &str) {
@@ -1026,15 +1009,15 @@ fn deep_fig() {
     let _ = v; // deep value: display would be enormous; drop iteratively
 }
 
-/// `dl` — the Datalog scale generators at smoke sizes: every strategy
-/// (naive, seminaive, parallel×4) must agree on every graph family, and
+/// `dl` — the Datalog scale generators at smoke sizes: both strategies
+/// (naive, seminaive) must agree on every graph family, and
 /// the families with closed-form oracles must hit them exactly. This is
 /// the CI gate that keeps `bench::workloads`' generators and the scale
 /// benchmarks from rotting.
 fn dl_fig() {
     use lambda_join_datalog::ast::{cst, var};
     use lambda_join_datalog::eval::{
-        eval_ids, eval_seminaive_par_ids, reaches_program as dl_reaches, same_generation_program,
+        eval_ids, reaches_program as dl_reaches, same_generation_program,
         transitive_closure_program, triangle_program,
     };
     use lambda_join_datalog::Atom;
@@ -1106,11 +1089,8 @@ fn dl_fig() {
         let edges = p.rules.iter().filter(|r| r.body.is_empty()).count();
         let (semi, stats) = eval_ids(&p, Strategy::Seminaive);
         let (naive, _) = eval_ids(&p, Strategy::Naive);
-        let (par, par_stats) = eval_seminaive_par_ids(&p, 4);
         let out = p.rules.last().expect("nonempty program").head.pred.clone();
         assert_eq!(semi.rows(&out), naive.rows(&out), "{name}: naive diverges");
-        assert_eq!(semi.rows(&out), par.rows(&out), "{name}: parallel diverges");
-        assert_eq!(stats, par_stats, "{name}: parallel stats diverge");
         if let Some(want) = oracle {
             assert_eq!(semi.fact_count(&out), want, "{name}: oracle missed");
         }
@@ -1121,7 +1101,7 @@ fn dl_fig() {
             stats.derivations
         );
     }
-    println!("(naive ≡ seminaive ≡ parallel on every family; oracles exact)");
+    println!("(naive ≡ seminaive on every family; oracles exact)");
 }
 
 /// `cluster` — the replicated lattice store under fault injection, at

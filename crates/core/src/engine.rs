@@ -33,9 +33,8 @@
 //!   probing the `(function, argument, fuel)` ids already in hand
 //!   (tabled evaluation, §5.1);
 //! * the tree machine ([`run`]) survives for the shared-table concurrent
-//!   path (`SharedInternTable` fans one memo out across worker threads);
-//! * the runtime's closure evaluator mirrors the same frame discipline over
-//!   semantic values and environments.
+//!   path (`SharedInternTable` shares one memo across `lambdav serve`'s
+//!   session threads).
 //!
 //! The recursive evaluator is retained as [`crate::bigstep::spec`] — the
 //! executable specification both machines are property-tested against

@@ -34,8 +34,8 @@
 //!   directly over arena nodes (tree allocations: zero);
 //! * [`sharded`] — the thread-shared counterpart: a sharded hash-consing
 //!   interner and memo table usable concurrently from worker threads;
-//! * [`pool`] — bounded fork–join worker helpers shared by every parallel
-//!   fixpoint path in the workspace;
+//! * [`pool`] — bounded worker helpers: the fork–join map behind
+//!   `runtime::parallel::join_all` and the server's session crew;
 //! * [`snap`] — persistent arena snapshots: a versioned, checksummed
 //!   binary format that saves/loads the interner and memo tables so a
 //!   fresh process warm-starts instead of re-deriving;

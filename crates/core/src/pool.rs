@@ -1,22 +1,20 @@
-//! Bounded fork–join worker helpers for the parallel fixpoint engines.
+//! Bounded worker helpers: a fork–join map and the server's session crew.
 //!
 //! The paper's thesis is that monotone computation over join semilattices
-//! is deterministic under *any* interleaving, so the runtime layers are
-//! free to fan work out across OS threads. Every parallel hot path in this
-//! workspace — the parallel seminaive engine, the parallel Datalog rounds,
-//! the parallel diagonal table, `runtime::parallel::join_all` — shares the
-//! same shape: split a work list into contiguous chunks, evaluate the
-//! chunks on a bounded set of scoped worker threads, and merge the results
-//! **in chunk order** so the merge is schedule-independent.
-//!
-//! This module is that shape, once. Threads are spawned per call via
-//! crossbeam's scoped API (a fork–join round, not a persistent pool):
-//! fixpoint rounds are few and long relative to thread spawn cost, and
+//! is deterministic under *any* interleaving, so work can fan out across
+//! OS threads without changing a result. [`map_items`] is the fork–join
+//! shape `runtime::parallel::join_all` uses: split a work list into
+//! contiguous chunks, evaluate the chunks on a bounded set of scoped
+//! worker threads, and return the results **in item order** so any merge
+//! is schedule-independent. Threads are spawned per call with
+//! [`std::thread::scope`] (a fork–join round, not a persistent pool), and
 //! scoped borrows keep the API free of `'static` bounds. The worker count
 //! is always bounded — by the caller's request and by the chunk count —
 //! so no call path can spawn one thread per task item.
+//!
+//! [`Crew`] is the long-lived counterpart: a bounded set of session
+//! threads for `lambdav serve`.
 
-use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,84 +48,21 @@ fn chunk_ranges(len: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Applies `f` to contiguous chunks of `items` on at most `workers` scoped
-/// threads, returning the per-chunk results **in chunk order**.
+/// Consumes `items` and applies `f` to each one on at most `workers`
+/// scoped threads, returning per-item results **in item order**. Used
+/// where the work items are themselves one-shot closures
+/// (`runtime::parallel::join_all`).
 ///
 /// Deterministic scheduling contract: the chunk decomposition depends only
-/// on `items.len()` and `workers`, and results are joined in chunk order,
-/// so any merge the caller performs over the output is independent of how
-/// the OS interleaves the workers. With `workers <= 1` (or a single chunk)
-/// everything runs inline on the caller's thread — the zero-overhead
-/// sequential mode the determinism property tests compare against.
+/// on `items.len()` and `workers`, and results are joined in chunk order.
+/// With `workers <= 1` (or a single chunk) everything runs inline on the
+/// caller's thread.
 ///
 /// # Panics
 ///
 /// If one or more worker closures panic, re-raises exactly one panic with
 /// the payload of the **lowest-index chunk** that panicked — deterministic
-/// no matter how the OS interleaved the workers (the same chunk-order
-/// discipline the results obey).
-pub fn map_chunks<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    let ranges = chunk_ranges(items.len(), workers);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(|r| f(&items[r])).collect();
-    }
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(ranges.len(), || None);
-    let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
-    let scope_result = crossbeam::scope(|s| {
-        // First chunk runs inline; the rest go to scoped workers. Every
-        // chunk — inline included — runs under `catch_unwind` so all
-        // workers finish and the panic re-raised below is the lowest
-        // chunk index's, not whatever join order surfaces first.
-        let mut handles = Vec::with_capacity(ranges.len() - 1);
-        let mut it = ranges.iter().cloned().enumerate();
-        let (_, first) = it.next().expect("ranges checked non-empty");
-        for (i, range) in it {
-            let f = &f;
-            handles.push((
-                i,
-                s.spawn(move |_| catch_unwind(AssertUnwindSafe(|| f(&items[range])))),
-            ));
-        }
-        match catch_unwind(AssertUnwindSafe(|| f(&items[first]))) {
-            Ok(r) => slots[0] = Some(r),
-            Err(payload) => first_panic = Some((0, payload)),
-        }
-        for (i, h) in handles {
-            match h.join().expect("caught worker must not re-panic") {
-                Ok(r) => slots[i] = Some(r),
-                Err(payload) => {
-                    if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_panic = Some((i, payload));
-                    }
-                }
-            }
-        }
-    });
-    scope_result.expect("scope thread must not panic outside catch_unwind");
-    if let Some((_, payload)) = first_panic {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every chunk produced a result"))
-        .collect()
-}
-
-/// Like [`map_chunks`], but consumes the items and applies `f` to each one,
-/// returning per-item results in item order. Used where the work items are
-/// themselves one-shot closures (`runtime::parallel::join_all`).
-///
-/// # Panics
-///
-/// If one or more worker closures panic, re-raises exactly one panic with
-/// the payload of the **lowest-index chunk** that panicked (see
-/// [`map_chunks`]).
+/// no matter how the OS interleaved the workers.
 pub fn map_items<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -146,52 +81,27 @@ where
         chunks.push(rest.split_off(range.start));
     }
     chunks.reverse();
-    let mut slots: Vec<Option<Vec<R>>> = Vec::new();
-    slots.resize_with(chunks.len(), || None);
-    let mut first_panic: Option<(usize, Box<dyn Any + Send>)> = None;
-    let scope_result = crossbeam::scope(|s| {
-        let mut handles = Vec::with_capacity(chunks.len());
-        let mut first: Option<(usize, Vec<T>)> = None;
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            if first.is_none() {
-                first = Some((i, chunk));
-                continue;
-            }
-            let f = &f;
-            handles.push((i, {
-                s.spawn(move |_| {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        chunk.into_iter().map(f).collect::<Vec<R>>()
-                    }))
-                })
-            }));
-        }
-        let (i0, chunk0) = first.expect("ranges checked non-empty");
-        match catch_unwind(AssertUnwindSafe(|| {
-            chunk0.into_iter().map(&f).collect::<Vec<R>>()
-        })) {
-            Ok(r) => slots[i0] = Some(r),
-            Err(payload) => first_panic = Some((i0, payload)),
-        }
-        for (i, h) in handles {
-            match h.join().expect("caught worker must not re-panic") {
-                Ok(r) => slots[i] = Some(r),
-                Err(payload) => {
-                    if first_panic.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_panic = Some((i, payload));
-                    }
-                }
+    // The first chunk runs inline; the rest go to scoped workers, joined in
+    // chunk order. A worker's panic is re-raised when its handle is
+    // joined, so the first one raised is the lowest panicking chunk's; if
+    // the inline chunk itself panics, `scope` waits for every worker and
+    // then re-raises that (lowest-index) panic.
+    std::thread::scope(|s| {
+        let mut chunks = chunks.into_iter();
+        let first = chunks.next().expect("ranges checked non-empty");
+        let f = &f;
+        let handles: Vec<_> = chunks
+            .map(|chunk| s.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out: Vec<R> = first.into_iter().map(f).collect();
+        for h in handles {
+            match h.join() {
+                Ok(results) => out.extend(results),
+                Err(payload) => resume_unwind(payload),
             }
         }
-    });
-    scope_result.expect("scope thread must not panic outside catch_unwind");
-    if let Some((_, payload)) = first_panic {
-        resume_unwind(payload);
-    }
-    slots
-        .into_iter()
-        .flat_map(|r| r.expect("every chunk produced a result"))
-        .collect()
+        out
+    })
 }
 
 /// Returned by [`Crew::try_spawn`] when the crew is at its session bound:
@@ -212,7 +122,7 @@ impl std::fmt::Display for CrewFull {
 impl std::error::Error for CrewFull {}
 
 /// A bounded set of long-lived worker threads — the session substrate of
-/// `lambdav serve`. Where [`map_chunks`] is a fork–join *round* (spawn,
+/// `lambdav serve`. Where [`map_items`] is a fork–join *round* (spawn,
 /// compute, join, return), a `Crew` hosts open-ended tasks (one per client
 /// connection) that come and go independently:
 ///
@@ -334,16 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_matches_sequential() {
-        let items: Vec<i64> = (0..100).collect();
-        let seq: i64 = items.iter().sum();
-        for workers in [1, 2, 3, 7, 200] {
-            let sums = map_chunks(&items, workers, |chunk| chunk.iter().sum::<i64>());
-            assert_eq!(sums.iter().sum::<i64>(), seq, "with {workers} workers");
-        }
-    }
-
-    #[test]
     fn map_items_preserves_order() {
         let items: Vec<i64> = (0..37).collect();
         for workers in [1, 2, 5, 100] {
@@ -356,32 +256,32 @@ mod tests {
     #[should_panic(expected = "boom")]
     fn worker_panics_propagate() {
         let items: Vec<i64> = (0..8).collect();
-        map_chunks(&items, 4, |chunk| {
-            if chunk.contains(&5) {
+        map_items(items, 4, |x| {
+            if x == 5 {
                 panic!("boom");
             }
-            0
+            x
         });
     }
 
-    /// Pins the deterministic propagation contract: when several chunks
-    /// panic, the payload that escapes is the lowest chunk index's — not
-    /// whatever the OS's join order happens to surface.
+    /// Pins the deterministic propagation contract: when several worker
+    /// chunks panic, the payload that escapes is the lowest chunk index's
+    /// — not whatever the OS's join order happens to surface.
     #[test]
-    fn first_chunk_panic_payload_wins_map_chunks() {
+    fn first_chunk_panic_payload_wins_among_workers() {
         let items: Vec<i64> = (0..8).collect();
         for _ in 0..20 {
             let payload = catch_unwind(AssertUnwindSafe(|| {
                 // 4 workers → chunks [0,1] [2,3] [4,5] [6,7]; chunks 1 and
                 // 3 both panic, with different payloads.
-                map_chunks(&items, 4, |chunk| {
-                    if chunk.contains(&2) {
+                map_items(items.clone(), 4, |x| {
+                    if x == 2 {
                         panic!("chunk-1 payload");
                     }
-                    if chunk.contains(&6) {
+                    if x == 6 {
                         panic!("chunk-3 payload");
                     }
-                    0
+                    x
                 });
             }))
             .expect_err("a worker panicked");
@@ -420,15 +320,15 @@ mod tests {
     #[test]
     fn inline_chunk_panic_still_joins_workers_before_raising() {
         // The inline chunk (index 0) panics; the workers must still be
-        // joined (scoped threads make leaks impossible, but the panic must
-        // surface as chunk 0's payload, not a scope teardown error).
+        // joined, and the panic must surface as chunk 0's payload, not a
+        // scope teardown error.
         let items: Vec<i64> = (0..8).collect();
         let payload = catch_unwind(AssertUnwindSafe(|| {
-            map_chunks(&items, 4, |chunk| {
-                if chunk.contains(&0) {
+            map_items(items, 4, |x| {
+                if x == 0 {
                     panic!("inline payload");
                 }
-                chunk.len()
+                x
             });
         }))
         .expect_err("inline chunk panicked");

@@ -2,10 +2,9 @@
 //! handle, usable concurrently from worker threads.
 //!
 //! [`crate::intern::Interner`] is the owned, single-threaded arena. The
-//! parallel fixpoint engines need the *same* service — canonical
-//! [`TermId`]s deciding α-equivalence by `u32` comparison — but probed
-//! concurrently from every worker of a round. [`SharedInterner`] provides
-//! it by sharding:
+//! evaluation service needs the *same* service — canonical [`TermId`]s
+//! deciding α-equivalence by `u32` comparison — but probed concurrently
+//! from every session thread. [`SharedInterner`] provides it by sharding:
 //!
 //! * the hash-cons map is split into [`SHARDS`] shards **keyed by the
 //!   structural hash of the node key**, each a `parking_lot::Mutex` around
@@ -284,7 +283,7 @@ impl SharedInterner {
 
     /// Interns the canonical form of a term: the id is the same for all
     /// α-equivalent terms, **across all threads of the process**. This is
-    /// the id the parallel engines key their accumulators and caches on.
+    /// the id the shared memo keys its cache on.
     ///
     /// Amortised O(1) per repeated handle via the sharded pointer cache;
     /// the walk itself is the owned arena's fused de Bruijn-index pass
@@ -474,8 +473,8 @@ fn unpack(id: TermId) -> (usize, usize) {
 ///
 /// Cloning the handle is cheap (`Arc`); every clone shares the same arena
 /// and cache, so β-results computed by one worker are replayed by all
-/// others — the property that lets the parallel diagonal table share one
-/// memo across grid cells. Keys are canonical `(TermId, TermId, fuel)`
+/// others — the property that lets `lambdav serve`'s sessions share one
+/// warm memo. Keys are canonical `(TermId, TermId, fuel)`
 /// triples; the cache itself is sharded by key hash, so concurrent probes
 /// contend only per-shard.
 ///

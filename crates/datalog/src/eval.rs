@@ -1,6 +1,6 @@
-//! Bottom-up evaluation of Datalog programs: naive, seminaive, parallel.
+//! Bottom-up evaluation of Datalog programs: naive and seminaive.
 //!
-//! All three compute the least model — for stratified programs, the
+//! Both compute the least model — for stratified programs, the
 //! perfect model: one monotone fixpoint per stratum, in stratum order, so
 //! every negated premise is fully derived before any rule reads its
 //! absence. Naive evaluation re-joins every rule against the whole
@@ -33,19 +33,6 @@
 //! 10⁵–10⁶-fact benchmarks run. DESIGN.md §6–§7 document the layout, the
 //! planner, the triejoin, and the measured speedups.
 //!
-//! [`eval_seminaive_par`] runs the same seminaive rounds with the delta
-//! **partitioned across a persistent worker set**: each delta join touches
-//! exactly one delta tuple per instantiation, so splitting the delta
-//! partitions the instantiation space exactly. Workers fire rules against
-//! the read-shared database and the coordinator merges their derivations
-//! in chunk order. Database, delta evolution, round count, and derivation
-//! count are all identical to the sequential engine at every worker count
-//! (tested). When *effective* parallelism is 1 — requested workers or
-//! detected cores, whichever is smaller — it short-circuits to the
-//! sequential engine, since a one-lane worker pool is pure overhead;
-//! [`eval_seminaive_par_pinned`] keeps the pool regardless, for testing
-//! the exchange itself.
-
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Atom, Const, Program};
@@ -971,32 +958,6 @@ fn stratum_round0(
     delta
 }
 
-fn delta_nonempty(delta: &[DeltaRel]) -> bool {
-    delta.iter().any(|d| d.rows > 0)
-}
-
-/// Fires every seminaive plan of the given rules against `delta`,
-/// skipping plans whose delta relation is empty this round.
-fn fire_delta_plans(
-    cx: &Cx<'_>,
-    rule_idxs: &[usize],
-    bindings: &mut [u32],
-    scratch: &mut Vec<u32>,
-    out: &mut [DeltaRel],
-    stats: &mut EvalStats,
-) {
-    let delta = cx.delta.expect("seminaive rounds carry a delta");
-    for &ri in rule_idxs {
-        let rule = &cx.prog.rules[ri];
-        for plan in &rule.delta_plans {
-            let dr = plan.delta_rel().expect("delta plans read a delta") as usize;
-            if delta[dr].rows > 0 {
-                run_plan(cx, rule, plan, bindings, scratch, out, stats);
-            }
-        }
-    }
-}
-
 fn eval_seminaive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
     let mut stats = EvalStats::default();
@@ -1004,19 +965,30 @@ fn eval_seminaive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
     let mut scratch = Vec::new();
     for (si, stratum) in cp.strata.iter().enumerate() {
         let mut delta = stratum_round0(cp, si, &mut db, &mut stats, &mut bindings, &mut scratch);
-        while delta_nonempty(&delta) {
+        while delta.iter().any(|d| d.rows > 0) {
             stats.rounds += 1;
             refresh_all_tries(&mut db);
             let mut out = cp.fresh_delta();
             let cx = Cx::new(cp, &db, Some(&delta));
-            fire_delta_plans(
-                &cx,
-                stratum,
-                &mut bindings,
-                &mut scratch,
-                &mut out,
-                &mut stats,
-            );
+            // Fire every seminaive plan whose delta relation is non-empty
+            // this round.
+            for &ri in stratum {
+                let rule = &cp.rules[ri];
+                for plan in &rule.delta_plans {
+                    let dr = plan.delta_rel().expect("delta plans read a delta") as usize;
+                    if delta[dr].rows > 0 {
+                        run_plan(
+                            &cx,
+                            rule,
+                            plan,
+                            &mut bindings,
+                            &mut scratch,
+                            &mut out,
+                            &mut stats,
+                        );
+                    }
+                }
+            }
             let mut next = cp.fresh_delta();
             merge_out(cp, &mut db, &out, Some(&mut next));
             delta = next;
@@ -1025,177 +997,11 @@ fn eval_seminaive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
     (db, stats)
 }
 
-/// One worker's round report: chunk index, derivation buffers, derivations.
-type WorkerBatch = (usize, Vec<DeltaRel>, usize);
-
-/// Evaluates the program to its least (perfect) model with seminaive
-/// rounds whose delta joins fan out over at most `workers` threads.
-/// Exactly equal to `eval(program, Strategy::Seminaive)` — database,
-/// stats, and per-round deltas — at every worker count. When effective
-/// parallelism (`workers` capped at the detected core count) is 1, runs
-/// the sequential engine directly: a one-lane pool is pure exchange
-/// overhead.
-///
-/// # Panics
-///
-/// Panics when the program is not stratifiable.
-pub fn eval_seminaive_par(program: &Program, workers: usize) -> (Database, EvalStats) {
-    let (idb, stats) = eval_seminaive_par_ids(program, workers);
-    (idb.to_database(), stats)
-}
-
-/// [`eval_seminaive_par`] without the tree-shaped boundary: returns the
-/// flat [`IdDatabase`].
-///
-/// # Panics
-///
-/// Panics when the program is not stratifiable.
-pub fn eval_seminaive_par_ids(program: &Program, workers: usize) -> (IdDatabase, EvalStats) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    eval_par_impl(program, workers.min(cores))
-}
-
-/// [`eval_seminaive_par`] **without** the effective-parallelism
-/// short-circuit: spawns the worker pool whenever `workers > 1`, even on
-/// a single-core host. This is what the equality test-suites and the
-/// `figures` smoke harness call, so the exchange machinery stays
-/// exercised on any machine.
-///
-/// # Panics
-///
-/// Panics when the program is not stratifiable.
-pub fn eval_seminaive_par_pinned(program: &Program, workers: usize) -> (Database, EvalStats) {
-    let (idb, stats) = eval_seminaive_par_pinned_ids(program, workers);
-    (idb.to_database(), stats)
-}
-
-/// [`eval_seminaive_par_pinned`] returning the flat [`IdDatabase`].
-///
-/// # Panics
-///
-/// Panics when the program is not stratifiable.
-pub fn eval_seminaive_par_pinned_ids(program: &Program, workers: usize) -> (IdDatabase, EvalStats) {
-    eval_par_impl(program, workers)
-}
-
-fn eval_par_impl(program: &Program, workers: usize) -> (IdDatabase, EvalStats) {
-    let workers = workers.max(1);
-    let cp = compile_or_panic(program, JoinMode::Auto);
-    if workers == 1 {
-        let (rels, stats) = eval_seminaive_ids(&cp);
-        return (seal(cp, rels), stats);
-    }
-    let mut stats = EvalStats::default();
-    // Workers are spawned ONCE and fed one (chunk, sub-delta, stratum)
-    // job per round over channels — fixpoints run tens of rounds with
-    // small deltas, and a per-round thread spawn would dwarf the join
-    // work. The database is behind an RwLock: read-shared by all workers
-    // during a round, write-locked by the coordinator for round-0 seeds,
-    // trie refreshes, and the merge between rounds.
-    let db = std::sync::RwLock::new(cp.fresh_store());
-    let cp_ref = &cp;
-    let result = crossbeam::scope(|s| {
-        let (res_tx, res_rx) = std::sync::mpsc::channel::<WorkerBatch>();
-        let mut job_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<DeltaRel>, usize)>();
-            job_txs.push(tx);
-            let res_tx = res_tx.clone();
-            let db = &db;
-            s.spawn(move |_| {
-                let mut bindings = binding_frame(cp_ref);
-                let mut scratch = Vec::new();
-                while let Ok((chunk_idx, sub, stratum)) = rx.recv() {
-                    let guard = db.read().expect("db lock poisoned");
-                    let mut local = EvalStats::default();
-                    let mut out = cp_ref.fresh_delta();
-                    let cx = Cx::new(cp_ref, &guard, Some(&sub));
-                    fire_delta_plans(
-                        &cx,
-                        &cp_ref.strata[stratum],
-                        &mut bindings,
-                        &mut scratch,
-                        &mut out,
-                        &mut local,
-                    );
-                    drop(guard);
-                    if res_tx.send((chunk_idx, out, local.derivations)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        let mut bindings = binding_frame(cp_ref);
-        let mut scratch = Vec::new();
-        for si in 0..cp_ref.strata.len() {
-            let mut delta = {
-                let mut guard = db.write().expect("db lock poisoned");
-                stratum_round0(
-                    cp_ref,
-                    si,
-                    &mut guard,
-                    &mut stats,
-                    &mut bindings,
-                    &mut scratch,
-                )
-            };
-            // Rounds: partition the delta tuples (relation id ascending,
-            // rows in derivation order) into per-worker sub-deltas,
-            // dispatch, and merge the batches in chunk order.
-            while delta_nonempty(&delta) {
-                stats.rounds += 1;
-                {
-                    // Tries the workers are about to read must be current.
-                    let mut guard = db.write().expect("db lock poisoned");
-                    refresh_all_tries(&mut guard);
-                }
-                let tuples: Vec<(usize, usize)> = delta
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(rel, d)| (0..d.rows).map(move |i| (rel, i)))
-                    .collect();
-                let k = workers.min(tuples.len());
-                let (base, extra) = (tuples.len() / k, tuples.len() % k);
-                let mut start = 0;
-                for (chunk_idx, tx) in job_txs.iter().take(k).enumerate() {
-                    let size = base + usize::from(chunk_idx < extra);
-                    let mut sub = cp.fresh_delta();
-                    for &(rel, i) in &tuples[start..start + size] {
-                        sub[rel].push(delta[rel].row(i, cp.arities[rel]));
-                    }
-                    start += size;
-                    tx.send((chunk_idx, sub, si)).expect("worker hung up");
-                }
-                let mut batches: Vec<Option<WorkerBatch>> = vec![None; k];
-                for _ in 0..k {
-                    let batch = res_rx.recv().expect("worker hung up");
-                    let slot = batch.0;
-                    batches[slot] = Some(batch);
-                }
-                let mut next_delta = cp.fresh_delta();
-                let mut guard = db.write().expect("db lock poisoned");
-                for batch in batches {
-                    let (_, out, derivations) = batch.expect("every chunk reports");
-                    stats.derivations += derivations;
-                    merge_out(&cp, &mut guard, &out, Some(&mut next_delta));
-                }
-                drop(guard);
-                delta = next_delta;
-            }
-        }
-        drop(job_txs); // workers drain and exit before the scope closes
-        stats
-    })
-    .expect("datalog worker panicked");
-    let rels = db.into_inner().expect("db lock poisoned");
-    (seal(cp, rels), result)
-}
-
 /// Convenience: the tuples of a predicate, or empty.
 ///
 /// The order is **deterministic and strategy-independent**: tuples come
 /// back sorted ascending (by [`Const`]'s derived order), whichever of the
-/// naive, seminaive, or parallel engines produced the database and in
+/// naive or seminaive engine produced the database and in
 /// whatever order they derived the facts. Pinned by the
 /// `rows_order_is_deterministic` tests.
 pub fn rows<'a>(db: &'a Database, pred: &str) -> Vec<&'a Vec<Const>> {
@@ -1332,29 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rounds_equal_sequential() {
-        for edges in [
-            (0..30).map(|i| (i, i + 1)).collect::<Vec<_>>(),
-            vec![(0, 1), (1, 2), (2, 0), (2, 3), (3, 1)],
-            vec![(0, 0)],
-            vec![],
-        ] {
-            let p = transitive_closure_program(&edges);
-            let (want_db, want_stats) = eval(&p, Strategy::Seminaive);
-            for workers in [1, 2, 3, 4, 9] {
-                // Pinned: actually spawn the pool even on one core.
-                let (db, stats) = eval_seminaive_par_pinned(&p, workers);
-                assert_eq!(db, want_db, "db diverges at {workers} workers");
-                assert_eq!(stats, want_stats, "stats diverge at {workers} workers");
-            }
-            // The public entry may short-circuit to sequential; either way
-            // the result is identical.
-            let (db, stats) = eval_seminaive_par(&p, 4);
-            assert_eq!((db, stats), (want_db, want_stats));
-        }
-    }
-
-    #[test]
     fn seminaive_does_less_work() {
         let edges: Vec<(i64, i64)> = (0..30).map(|i| (i, i + 1)).collect();
         let p = transitive_closure_program(&edges);
@@ -1485,17 +1268,15 @@ mod tests {
     #[test]
     fn rows_order_is_deterministic_across_strategies() {
         // `rows` (and `IdDatabase::rows`) must not leak derivation order:
-        // naive, seminaive, and parallel runs derive facts in different
+        // naive and seminaive runs derive facts in different
         // orders but must report identical, sorted tuples.
         let edges = vec![(2, 0), (0, 1), (1, 2), (2, 3), (3, 1), (0, 3)];
         let p = transitive_closure_program(&edges);
         let (naive, _) = eval(&p, Strategy::Naive);
         let (semi, _) = eval(&p, Strategy::Seminaive);
-        let (par, _) = eval_seminaive_par_pinned(&p, 3);
         let want: Vec<&Vec<Const>> = rows(&naive, "path");
         assert!(want.windows(2).all(|w| w[0] < w[1]), "rows must be sorted");
         assert_eq!(rows(&semi, "path"), want);
-        assert_eq!(rows(&par, "path"), want);
         let (idb_n, _) = eval_ids(&p, Strategy::Naive);
         let (idb_s, _) = eval_ids(&p, Strategy::Seminaive);
         assert_eq!(idb_n.rows("path"), idb_s.rows("path"));
@@ -1537,9 +1318,6 @@ mod tests {
         assert_eq!(auto_stats, bin_stats);
         let (naive_db, _) = eval_ids(&p, Strategy::Naive);
         assert_eq!(naive_db.rows("triangle"), auto_db.rows("triangle"));
-        let (par_db, par_stats) = eval_seminaive_par_pinned_ids(&p, 3);
-        assert_eq!(par_db.rows("triangle"), auto_db.rows("triangle"));
-        assert_eq!(par_stats, auto_stats);
     }
 
     #[test]
@@ -1561,9 +1339,6 @@ mod tests {
         // In a complete binary tree every same-depth pair is sg:
         // 2² + 4² + 8² = 84.
         assert_eq!(auto_db.fact_count("sg"), 84);
-        let (par_db, par_stats) = eval_seminaive_par_pinned_ids(&p, 4);
-        assert_eq!(par_db.rows("sg"), auto_db.rows("sg"));
-        assert_eq!(par_stats, auto_stats);
     }
 
     #[test]
@@ -1589,7 +1364,7 @@ mod tests {
             vec![Atom::new("node", vec![var("X")])],
             vec![Atom::new("reach", vec![var("X")])],
         );
-        let (semi, semi_stats) = eval(&p, Strategy::Seminaive);
+        let (semi, _) = eval(&p, Strategy::Seminaive);
         let got: Vec<i64> = semi["unreached"]
             .iter()
             .map(|t| match &t[0] {
@@ -1600,9 +1375,6 @@ mod tests {
         assert_eq!(got, vec![3, 4]);
         let (naive, _) = eval(&p, Strategy::Naive);
         assert_eq!(naive["unreached"], semi["unreached"]);
-        let (par, par_stats) = eval_seminaive_par_pinned(&p, 3);
-        assert_eq!(par["unreached"], semi["unreached"]);
-        assert_eq!(par_stats, semi_stats);
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! A Datalog engine with stratified negation — the logic-programming
 //! baseline that *Functional Meaning for Parallel Streaming* (PLDI 2025)
 //! positions λ∨ against (§2.3, §6): monotone bottom-up inference over a
-//! growing fact database, with naive, seminaive, and parallel-seminaive
-//! evaluation. Negated premises are allowed when the program is
-//! stratified (checked by [`stratify`]); evaluation then runs one
-//! monotone fixpoint per stratum.
+//! growing fact database, with naive and seminaive evaluation. Negated
+//! premises are allowed when the program is stratified (checked by
+//! [`stratify`]); evaluation then runs one monotone fixpoint per stratum.
 //!
 //! The engine is **id-native** (DESIGN.md §6): programs compile onto
 //! interned `u32` ids — constants, predicates, and variable slots — and

@@ -634,7 +634,7 @@ impl IdDatabase {
     /// The tuples of a predicate, decoded and **sorted ascending** — a
     /// deterministic order independent of the evaluation strategy that
     /// produced the database (internally rows sit in derivation order,
-    /// which differs between naive, seminaive, and parallel runs).
+    /// which differs between naive and seminaive runs).
     pub fn rows(&self, pred: &str) -> Vec<Vec<Const>> {
         let mut out: Vec<Vec<Const>> = Vec::new();
         for (rel, name) in self.rels.iter().zip(&self.names) {

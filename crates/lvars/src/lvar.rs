@@ -163,15 +163,14 @@ mod tests {
     fn racing_puts_are_deterministic() {
         for _ in 0..20 {
             let lv = LVar::new(s(&[]));
-            crossbeam::scope(|sc| {
+            std::thread::scope(|sc| {
                 for i in 0..8i64 {
                     let lv = lv.clone();
-                    sc.spawn(move |_| {
+                    sc.spawn(move || {
                         lv.put(&s(&[i])).unwrap();
                     });
                 }
-            })
-            .unwrap();
+            });
             assert_eq!(lv.peek(), (0..8).collect::<BTreeSet<i64>>());
         }
     }
@@ -218,14 +217,13 @@ mod tests {
         let lv: LVar<bool> = LVar::new(false);
         let l1 = lv.clone();
         let l2 = lv.clone();
-        crossbeam::scope(|sc| {
-            sc.spawn(move |_| l1.put(&true).unwrap());
-            sc.spawn(move |_| {
+        std::thread::scope(|sc| {
+            sc.spawn(move || l1.put(&true).unwrap());
+            sc.spawn(move || {
                 // This writer "diverges" (never writes true).
                 let _ = l2;
             });
-        })
-        .unwrap();
+        });
         assert!(lv.get(&[true]));
     }
 }

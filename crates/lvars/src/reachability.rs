@@ -66,12 +66,12 @@ pub fn reachable_par(graph: &Graph, start: i64, workers: usize) -> BTreeSet<i64>
     let seen: LVar<BTreeSet<i64>> = LVar::new([start].into_iter().collect());
     let queue: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(vec![start]));
     let active = Arc::new(Mutex::new(0usize));
-    crossbeam::scope(|sc| {
+    std::thread::scope(|sc| {
         for _ in 0..workers.max(1) {
             let seen = seen.clone();
             let queue = queue.clone();
             let active = active.clone();
-            sc.spawn(move |_| loop {
+            sc.spawn(move || loop {
                 let node = {
                     let mut q = queue.lock();
                     match q.pop() {
@@ -104,8 +104,7 @@ pub fn reachable_par(graph: &Graph, start: i64, workers: usize) -> BTreeSet<i64>
                 }
             });
         }
-    })
-    .expect("worker panicked");
+    });
     seen.freeze()
 }
 

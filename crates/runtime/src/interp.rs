@@ -15,10 +15,7 @@
 use std::cell::RefCell;
 
 use lambda_join_core::bigstep::eval_fuel;
-use lambda_join_core::engine::{self, Budget};
 use lambda_join_core::observe::result_leq;
-use lambda_join_core::pool;
-use lambda_join_core::sharded::SharedInternTable;
 use lambda_join_core::term::{Term, TermRef};
 
 use crate::memo::MemoEval;
@@ -98,54 +95,6 @@ pub fn diagonal_table(lam: &TermRef, arg: &TermRef, n: usize) -> DiagonalTable {
     }
 }
 
-/// [`diagonal_table`] with the grid rows fanned out over at most `workers`
-/// threads, **all sharing one concurrent memo**
-/// ([`lambda_join_core::sharded::SharedInternTable`]): a β-step tabled by
-/// any worker for any cell is replayed by every other worker, so the
-/// cross-row sharing that makes the sequential table cheap survives the
-/// fan-out. The table is identical to the sequential one at every worker
-/// count (cache hits change *work*, never *results* — the engine is a pure
-/// function of term and fuel; tested).
-///
-/// # Panics
-///
-/// Panics if `lam` is not a λ-abstraction.
-pub fn diagonal_table_par(lam: &TermRef, arg: &TermRef, n: usize, workers: usize) -> DiagonalTable {
-    let (x, body) = match &**lam {
-        Term::Lam(x, body) => (x.clone(), body.clone()),
-        _ => panic!("diagonal_table requires an abstraction"),
-    };
-    let memo = SharedInternTable::new();
-    let eval_shared = |e: &TermRef, fuel: usize, memo: &mut SharedInternTable| {
-        let mut budget = Budget::new(usize::MAX);
-        engine::run(e, fuel, &mut budget, memo)
-    };
-    // The input column is a dependency chain in practice (fuel i shares
-    // the work of fuel i-1 through the memo), so it stays sequential;
-    // rows are independent given the inputs and fan out.
-    let inputs: Vec<TermRef> = {
-        let mut memo = memo.clone();
-        (0..n).map(|i| eval_shared(arg, i, &mut memo)).collect()
-    };
-    let insts: Vec<TermRef> = inputs.iter().map(|v| body.subst(&x, v)).collect();
-    let rows: Vec<Vec<TermRef>> = pool::map_chunks(&insts, workers, |chunk| {
-        let mut memo = memo.clone();
-        chunk
-            .iter()
-            .map(|inst| (0..n).map(|j| eval_shared(inst, j, &mut memo)).collect())
-            .collect::<Vec<Vec<TermRef>>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let diagonal = (0..n).map(|i| rows[i][i].clone()).collect();
-    DiagonalTable {
-        inputs,
-        rows,
-        diagonal,
-    }
-}
-
 impl DiagonalTable {
     /// Checks that rows and the diagonal are monotone in the streaming
     /// order (ignoring rows containing λ-values, where the syntactic order
@@ -205,27 +154,6 @@ mod tests {
             last_diag.alpha_eq(&last_direct),
             "{last_diag} vs {last_direct}"
         );
-    }
-
-    #[test]
-    fn parallel_diagonal_equals_sequential() {
-        let arg = app(encodings::from_n(), int(0));
-        let want = diagonal_table(&encodings::head(), &arg, 10);
-        for workers in [1, 2, 3, 8] {
-            let got = diagonal_table_par(&encodings::head(), &arg, 10, workers);
-            assert!(got.is_monotone());
-            for (ri, (rw, rg)) in want.rows.iter().zip(&got.rows).enumerate() {
-                for (ci, (cw, cg)) in rw.iter().zip(rg).enumerate() {
-                    assert!(
-                        cw.alpha_eq(cg),
-                        "cell ({ri},{ci}) diverges at {workers} workers: {cw} vs {cg}"
-                    );
-                }
-            }
-            for (dw, dg) in want.diagonal.iter().zip(&got.diagonal) {
-                assert!(dw.alpha_eq(dg));
-            }
-        }
     }
 
     #[test]

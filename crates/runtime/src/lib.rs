@@ -11,9 +11,6 @@
 //!   diagonal table;
 //! * [`memo`] — memoised ("tabled") evaluation, giving termination on
 //!   cyclic `reaches` and work sharing on DAGs;
-//! * [`closure`] — an environment/closure evaluator (with joinable
-//!   closures) that agrees with the substitution semantics but runs much
-//!   faster;
 //! * [`fixpoint`] — Kleene iteration and naive/seminaive set fixpoints;
 //! * [`kpn`] — Kahn process networks, the §6 ancestor: deterministic
 //!   dataflow over stream prefixes, strictly less expressive than λ∨;
@@ -21,10 +18,6 @@
 //!   otherwise non-monotone queries with quasi-deterministic conflicts;
 //! * [`parallel`] — deterministic thread parallelism: parallel joins and
 //!   concurrent chaotic iteration with schedule-independent results;
-//! * [`par_seminaive`] — the thread-parallel seminaive engine: each
-//!   round's delta fans out over a bounded worker pool, deduplicated
-//!   through the process-shared sharded interner, with results
-//!   term-for-term equal to the sequential engine;
 //! * [`server`] — `lambdav serve`: a fault-tolerant evaluation service
 //!   with per-request budgets, admission control, failure isolation, and
 //!   generation-tracked memo GC.
@@ -41,13 +34,11 @@
 
 #![warn(missing_docs)]
 
-pub mod closure;
 pub mod fixpoint;
 pub mod freeze;
 pub mod interp;
 pub mod kpn;
 pub mod memo;
-pub mod par_seminaive;
 pub mod parallel;
 pub mod semilattice;
 pub mod seminaive;
@@ -55,6 +46,5 @@ pub mod server;
 pub mod stream;
 
 pub use memo::MemoEval;
-pub use par_seminaive::ParSeminaiveEngine;
 pub use semilattice::{BoundedJoinSemilattice, JoinSemilattice};
 pub use stream::MonoStream;

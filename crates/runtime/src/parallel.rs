@@ -90,11 +90,11 @@ where
         version: 0,
     });
     let done = AtomicBool::new(false);
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..workers.max(1) {
             let state = &state;
             let done = &done;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut pass = 0usize;
                 while !done.load(Ordering::SeqCst) && pass < max_passes {
                     pass += 1;
@@ -122,8 +122,7 @@ where
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
     state.into_inner().value
 }
 

@@ -1,14 +1,11 @@
-//! Deep-recursion regressions for the runtime substrates (closure machine,
-//! memoised engine, observation streams) — the runtime counterpart of
+//! Deep-recursion regressions for the runtime substrates (memoised
+//! engine, observation streams) — the runtime counterpart of
 //! `lambda-join-core/tests/deep_recursion.rs`. Everything must run on a
 //! 512 KiB thread.
 
-use std::sync::Arc;
-
 use lambda_join_core::builder::*;
 use lambda_join_core::parser::parse;
-use lambda_join_core::term::TermRef;
-use lambda_join_runtime::closure::{eval_closure, readback, CVal};
+use lambda_join_core::term::{Term, TermRef};
 use lambda_join_runtime::interp::term_stream_memo;
 use lambda_join_runtime::MemoEval;
 
@@ -23,11 +20,11 @@ fn on_tiny_stack(name: &str, f: impl FnOnce() + Send + 'static) {
 }
 
 #[test]
-fn closure_machine_runs_50k_nested_lets_on_tiny_stack() {
-    // The environment machine never substitutes, so syntactic nesting is
-    // limited only by heap: 50 000 nested lets, one β (and one environment
-    // node) each, all on one path.
-    on_tiny_stack("closure-deep-lets", || {
+fn memoised_engine_runs_50k_nested_lets_on_tiny_stack() {
+    // 50 000 nested lets, one β each, all on one path: the id machine
+    // holds the pending contexts on the heap, and the 50k-deep source
+    // term must drop iteratively.
+    on_tiny_stack("memo-deep-lets", || {
         let n = 50_000usize;
         let mut body: TermRef = var(&format!("a{}", n - 1));
         for i in (1..n).rev() {
@@ -38,23 +35,9 @@ fn closure_machine_runs_50k_nested_lets_on_tiny_stack() {
             );
         }
         let t = let_in("a0", int(0), body);
-        // One β per let; the environment spine (50k nodes) must also
-        // *drop* iteratively when the result goes out of scope.
-        let r = eval_closure(&t, n + 8);
-        assert!(readback(&r).alpha_eq(&int((n - 1) as i64)));
-    });
-}
-
-#[test]
-fn closure_machine_runs_deep_beta_chain_on_tiny_stack() {
-    on_tiny_stack("closure-deep-beta", || {
-        let n = 20_000usize;
-        let t = parse(&format!(
-            "let rec down n = if n <= 0 then 0 else down (n - 1) in down {n}"
-        ))
-        .unwrap();
-        let r = eval_closure(&t, 4 * n + 16);
-        assert!(readback(&r).alpha_eq(&int(0)));
+        let mut m = MemoEval::new();
+        let r = m.eval_fuel(&t, n + 8);
+        assert!(r.alpha_eq(&int((n - 1) as i64)));
     });
 }
 
@@ -73,33 +56,30 @@ fn memoised_engine_runs_deep_beta_chain_on_tiny_stack() {
 }
 
 #[test]
-fn deep_cval_and_env_drop_iteratively() {
-    on_tiny_stack("deep-cval-drop", || {
-        // A 100 000-deep pair value: the derived destructor would recurse.
-        let mut v = Arc::new(CVal::Sym(lambda_join_core::Symbol::Int(0)));
-        for _ in 0..100_000 {
-            v = Arc::new(CVal::Pair(v, Arc::new(CVal::BotV)));
-        }
-        drop(v);
-        // A 100 000-deep stream *term* value via the closure machine.
+fn memoised_engine_deep_stream_value_drops_iteratively() {
+    on_tiny_stack("memo-deep-stream-value", || {
+        // fromN at fuel 2000: a ~2000-deep cons value extracted from the
+        // arena, then dropped.
         let t = parse("let rec fromN n = (n :: fromN (n + 1)) \\/ botv in fromN 0").unwrap();
-        let r = eval_closure(&t, 2000);
-        assert!(matches!(&*r, CVal::Pair(..)));
+        let mut m = MemoEval::new();
+        let r = m.eval_fuel(&t, 2000);
+        assert!(matches!(&*r, Term::Pair(..)));
     });
 }
 
 #[test]
-fn joining_two_deep_cvals_fits_tiny_stack() {
-    // `cval_join`'s pointwise descent over two deep pair spines must be
-    // heap-bounded, like `reduce::join_results` in core.
-    on_tiny_stack("deep-cval-join", || {
+fn memoised_engine_joins_two_deep_streams_on_tiny_stack() {
+    // The id-level join's pointwise descent over two deep pair spines
+    // must be heap-bounded, like `reduce::join_results` in core.
+    on_tiny_stack("memo-deep-stream-join", || {
         let t = parse(
             "let rec fromN n = (n :: fromN (n + 1)) \\/ botv in \
              fromN 0 \\/ fromN 0",
         )
         .unwrap();
-        let r = eval_closure(&t, 4000);
-        assert!(matches!(&*r, CVal::Pair(..)));
+        let mut m = MemoEval::new();
+        let r = m.eval_fuel(&t, 4000);
+        assert!(matches!(&*r, Term::Pair(..)));
     });
 }
 

@@ -1,10 +1,10 @@
 //! Cross-crate integration for the §5.2 extensions: the same freeze /
 //! versioned-pair programs run through every evaluator (fair machine,
-//! substitution big-step, memoised big-step, closure machine), are vetted
-//! by the static ambiguity analysis, and line up with the CRDT substrate's
-//! lattice counterparts.
+//! id-machine big-step, memoised big-step, recursive big-step spec), are
+//! vetted by the static ambiguity analysis, and line up with the CRDT
+//! substrate's lattice counterparts.
 
-use lambda_join::core::bigstep::eval_fuel;
+use lambda_join::core::bigstep::{eval_fuel, spec};
 use lambda_join::core::builder::*;
 use lambda_join::core::machine::Machine;
 use lambda_join::core::observe::{result_equiv, result_leq};
@@ -12,7 +12,6 @@ use lambda_join::core::parser::parse;
 use lambda_join::core::term::TermRef;
 use lambda_join::crdt::{LBool, LMap, LMax, LexPair, MvMap};
 use lambda_join::filter::ambiguity::{check_ambiguity, Verdict};
-use lambda_join::runtime::closure::{eval_closure, readback};
 use lambda_join::runtime::semilattice::{Flat, JoinSemilattice};
 use lambda_join::runtime::seminaive::SeminaiveEngine;
 use lambda_join::runtime::MemoEval;
@@ -27,7 +26,7 @@ fn all_evaluators(src: &str) -> TermRef {
     let big = eval_fuel(&t, 64);
     let mut memo = MemoEval::new();
     let memoed = memo.eval_fuel(&t, 64);
-    let clos = readback(&eval_closure(&t, 64));
+    let spec = spec::eval_fuel_recursive(&t, 64);
     assert!(
         result_equiv(&machine, &big),
         "{src}: machine {machine} vs bigstep {big}"
@@ -37,8 +36,8 @@ fn all_evaluators(src: &str) -> TermRef {
         "{src}: bigstep {big} vs memo {memoed}"
     );
     assert!(
-        result_equiv(&big, &clos),
-        "{src}: bigstep {big} vs closure {clos}"
+        result_equiv(&big, &spec),
+        "{src}: bigstep {big} vs spec {spec}"
     );
     machine
 }

@@ -1,13 +1,13 @@
 //! Workspace smoke test: asserts the facade's re-exports compose in one
 //! program — source text goes through `core::parser`, is evaluated by the
-//! `runtime` closure machine, and the observed result agrees with the
+//! `runtime` memoised engine, and the observed result agrees with the
 //! `filter` model's formula assignment — then touches every remaining
 //! facade module (`domain`, `lvars`, `crdt`, `datalog`) so a broken
 //! re-export or crate wiring fails here first, not deep inside a suite.
 
 use std::collections::BTreeSet;
 
-use lambda_join::core::bigstep::eval_fuel;
+use lambda_join::core::bigstep::{eval_fuel, spec};
 use lambda_join::core::builder as b;
 use lambda_join::core::machine::Machine;
 use lambda_join::core::observe::result_equiv;
@@ -21,28 +21,27 @@ use lambda_join::filter::formula::build as fb;
 use lambda_join::filter::semantics::meaning_fragment;
 use lambda_join::filter::CForm;
 use lambda_join::lvars::LVar;
-use lambda_join::runtime::closure::{eval_closure, readback};
 use lambda_join::runtime::semilattice::JoinSemilattice;
 use lambda_join::runtime::MemoEval;
 
-/// The one-program pipeline the ISSUE asks for: parse → closure-machine
-/// evaluation → filter-model agreement.
+/// The one-program pipeline: parse → evaluation (the memoised engine,
+/// checked against the recursive big-step spec) → filter-model agreement.
 #[test]
-fn parser_closure_filter_agree_on_one_program() {
+fn parser_evaluators_filter_agree_on_one_program() {
     let src = "for x in {1, 2, 3} . {x * x}";
     let t = parse(src).unwrap();
     let expect = b::set(vec![b::int(1), b::int(4), b::int(9)]);
 
     // Four evaluators, one answer.
     let big = eval_fuel(&t, 64);
-    let clos = readback(&eval_closure(&t, 64));
+    let spec = spec::eval_fuel_recursive(&t, 64);
     let memoed = MemoEval::new().eval_fuel(&t, 64);
     let mut m = Machine::new(t.clone());
     m.run(1024);
     let machine = m.observe();
     for (name, got) in [
         ("bigstep", &big),
-        ("closure", &clos),
+        ("spec", &spec),
         ("memo", &memoed),
         ("machine", &machine),
     ] {
