@@ -203,7 +203,7 @@ fn perf_fig() {
 
     let mut results: Vec<(&str, u64)> = Vec::new();
     let mut ratios: Vec<(&str, f64)> = Vec::new();
-    let mut gate_failure: Option<String> = None;
+    let mut gate_failures: Vec<String> = Vec::new();
 
     // Memoised (tabled) reaches on a cycle — cache probes dominate.
     let g = Graph::cycle(6);
@@ -374,7 +374,8 @@ fn perf_fig() {
         // indexes verbatim from disk) and rebuild (derived structures
         // re-derived on load from the row data alone). The headline
         // warm-start claim — loading beats re-deriving by ≥3× — is
-        // asserted, so a snapshot-path regression fails the run. ---
+        // recorded as a decimal ratio with its margin, and a negative
+        // margin fails the run once BENCH_perf.json is written. ---
         let (idb, _) = eval_ids(&p, Strategy::Seminaive);
         let mut memo = MemoEval::new();
         let gm = Graph::cycle(6);
@@ -413,10 +414,18 @@ fn perf_fig() {
             .find(|(n, _)| *n == "datalog_tc_chains_100k")
             .expect("tc entry precedes the snapshot entries")
             .1;
-        assert!(
-            tc_ns / load_ns.max(1) >= 3,
-            "snapshot load lost its edge: {tc_ns} ns re-derive vs {load_ns} ns load"
+        let ratio = tc_ns as f64 / load_ns.max(1) as f64;
+        let margin = ratio - 3.0;
+        println!(
+            "  snapshot_load_vs_rederive = {ratio:.2} (re-derive {tc_ns} ns / load {load_ns} ns), \
+             margin over 3: {margin:+.2}"
         );
+        ratios.push(("snapshot_load_vs_rederive", ratio));
+        if margin < 0.0 {
+            gate_failures.push(format!(
+                "snapshot load lost its edge: {tc_ns} ns re-derive vs {load_ns} ns load ({ratio:.2}×)"
+            ));
+        }
         let _ = std::fs::remove_file(&dl_stored);
         let _ = std::fs::remove_file(&dl_rebuild);
         let _ = std::fs::remove_file(&memo_path);
@@ -668,7 +677,7 @@ fn perf_fig() {
         );
         ratios.push(("server_cold_vs_snapshot_boot", ratio));
         if margin < 0.0 {
-            gate_failure = Some(format!(
+            gate_failures.push(format!(
                 "snapshot boot lost its edge: cold {cold_ns} ns vs boot {boot_ns} ns ({ratio:.2}×)"
             ));
         }
@@ -695,8 +704,8 @@ fn perf_fig() {
     );
     std::fs::write("BENCH_perf.json", json).expect("write BENCH_perf.json");
     println!("  (written to BENCH_perf.json)");
-    if let Some(msg) = gate_failure {
-        panic!("{msg}");
+    if !gate_failures.is_empty() {
+        panic!("{}", gate_failures.join("; "));
     }
 }
 

@@ -6,8 +6,10 @@
 //! absence. Naive evaluation re-joins every rule against the whole
 //! database each round; seminaive joins each rule against the *delta* of
 //! the previous round, requiring exactly one delta atom per rule
-//! instantiation. They agree on the model (property-tested); the work gap
-//! is measured in the bench suite.
+//! instantiation. Only relations the current stratum derives have a
+//! delta: a stratum's facts are loaded before its first (naive) round.
+//! They agree on the model (property-tested); the work gap is measured
+//! in the bench suite.
 //!
 //! # The id-native engine
 //!
@@ -472,10 +474,11 @@ fn run_wcoj(
     if !neg_pass(cx, &plan.neg_at[0], bindings, scratch) {
         return;
     }
-    // When the round's delta IS the whole relation (round 1 of a
-    // non-recursive stratum: everything inserted at round 0), the
-    // refreshed database trie with the same spec already holds exactly
-    // the delta's projection — reuse it instead of re-sorting the world.
+    // When the round's delta IS the whole relation (round 1 for a
+    // relation whose every row was rule-derived in round 0, e.g. `sg`
+    // after its base rule), the refreshed database trie with the same
+    // spec already holds exactly the delta's projection — reuse it
+    // instead of re-sorting the world.
     let db_substitute = |a: &crate::plan::WcojAtom| {
         let d = &cx.delta.expect("delta atom outside a seminaive round")[a.rel as usize];
         let rel = &cx.db[a.rel as usize];
@@ -784,15 +787,30 @@ fn run_plan(
             .copied()
             .filter(|&c| c != usize::MAX)
             .collect();
-        let mut order: Vec<u32> = (0..d.rows as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let ra = d.row(a as usize, arity);
-            let rb = d.row(b as usize, arity);
-            key_cols
-                .iter()
-                .map(|&c| ra[c])
-                .cmp(key_cols.iter().map(|&c| rb[c]))
-        });
+        let order: Vec<u32> = if let [c] = key_cols[..] {
+            // One key column (the transitive-closure shape): sort packed
+            // `(key << 32) | row` scalars, several times faster than the
+            // indirect row comparator.
+            let mut packed: Vec<u64> = d
+                .data
+                .chunks_exact(arity)
+                .enumerate()
+                .map(|(i, row)| (u64::from(row[c]) << 32) | i as u64)
+                .collect();
+            packed.sort_unstable();
+            packed.into_iter().map(|p| p as u32).collect()
+        } else {
+            let mut order: Vec<u32> = (0..d.rows as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                let ra = d.row(a as usize, arity);
+                let rb = d.row(b as usize, arity);
+                key_cols
+                    .iter()
+                    .map(|&c| ra[c])
+                    .cmp(key_cols.iter().map(|&c| rb[c]))
+            });
+            order
+        };
         let patom = &atoms[1];
         let Access::Index { index_slot } = patom.access else {
             unreachable!("merge plans probe an index")
@@ -885,9 +903,10 @@ fn binding_frame(cp: &CompiledProgram) -> Vec<u32> {
     vec![0; cp.rules.iter().map(|r| r.nvars).max().unwrap_or(0)]
 }
 
-/// Appends the stratum's compiled fact blocks to the round's output —
+/// Appends the stratum's compiled fact blocks to a naive round's output —
 /// the fast path for ground facts, which carry no plans. Counted as one
 /// derivation per row, exactly as when each fact was a bodyless rule.
+/// (Seminaive evaluation inserts the blocks once, in `stratum_round0`.)
 fn fire_facts(cp: &CompiledProgram, si: usize, out: &mut [DeltaRel], stats: &mut EvalStats) {
     for (rel, flat) in &cp.facts[si] {
         let arity = cp.arities[*rel as usize];
@@ -930,10 +949,12 @@ fn eval_naive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
     (db, stats)
 }
 
-/// Round 0 of one stratum's seminaive fixpoint: every rule of the stratum
-/// fires naively against the database built by lower strata. For the
-/// first stratum of a negation-free program this reduces to firing the
-/// facts — body rules match nothing on an empty database.
+/// Round 0 of one stratum's seminaive fixpoint: the stratum's fact
+/// blocks are inserted into the database first, then every rule of the
+/// stratum fires naively against it. Every relation the stratum does not
+/// derive is therefore complete before any rule fires, which is what lets
+/// the planner give delta plans only to same-stratum body atoms; the
+/// returned delta holds only rule-derived rows.
 fn stratum_round0(
     cp: &CompiledProgram,
     si: usize,
@@ -943,9 +964,16 @@ fn stratum_round0(
     scratch: &mut Vec<u32>,
 ) -> Vec<DeltaRel> {
     stats.rounds += 1;
+    for (rel, flat) in &cp.facts[si] {
+        let arity = cp.arities[*rel as usize];
+        let r = &mut db[*rel as usize];
+        for row in flat.chunks_exact(arity) {
+            r.insert(row);
+        }
+        stats.derivations += flat.len() / arity;
+    }
     refresh_all_tries(db);
     let mut out = cp.fresh_delta();
-    fire_facts(cp, si, &mut out, stats);
     {
         let cx = Cx::new(cp, db, None);
         for &ri in &cp.strata[si] {
@@ -1318,6 +1346,22 @@ mod tests {
         assert_eq!(auto_stats, bin_stats);
         let (naive_db, _) = eval_ids(&p, Strategy::Naive);
         assert_eq!(naive_db.rows("triangle"), auto_db.rows("triangle"));
+    }
+
+    #[test]
+    fn each_triangle_is_derived_once() {
+        // `e` is facts-only, so the triangle rule has no delta plan: the
+        // stratum's single naive join enumerates each triangle once, and
+        // the only other derivations are the fact rows themselves.
+        let edges = vec![(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (1, 3), (3, 0)];
+        let p = triangle_program(&edges);
+        for mode in [JoinMode::Auto, JoinMode::Binary] {
+            let (db, stats) = eval_ids_mode(&p, Strategy::Seminaive, mode);
+            let triangles = db.fact_count("triangle");
+            assert_eq!(triangles, brute_triangles(&edges));
+            assert!(triangles > 0);
+            assert_eq!(stats.derivations, edges.len() + triangles, "{mode:?}");
+        }
     }
 
     #[test]

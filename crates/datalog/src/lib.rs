@@ -47,7 +47,7 @@
 //! .unwrap();
 //! let (idb, stats) = eval_ids(&p, Strategy::Seminaive);
 //! assert_eq!(idb.fact_count("path"), 3);
-//! assert_eq!(stats.rounds, 4); // facts, two growth rounds, one quiescent
+//! assert_eq!(stats.rounds, 3); // facts + naive round, one growth round, one quiescent
 //! ```
 
 #![warn(missing_docs)]

@@ -5,8 +5,13 @@
 //! stratification (negated premises must be fully derived by a lower
 //! stratum), and produces one **join plan** per evaluation mode: a naive
 //! plan (all atoms against the full database) plus one seminaive plan per
-//! body position (that atom reads the round's delta, the rest read the
-//! database).
+//! **same-stratum body position** — an atom whose relation is the head of
+//! some rule in the rule's own stratum. That atom reads the round's delta,
+//! the rest read the database. Every other relation (facts-only EDB
+//! relations, relations of lower strata) is complete before the stratum's
+//! first round — the evaluator loads a stratum's facts before its naive
+//! round — so its delta is always empty and it gets no plan, and no index
+//! or trie that only such a plan would probe.
 //!
 //! Two plan kinds exist, chosen per rule by [`JoinMode::Auto`]:
 //!
@@ -191,7 +196,9 @@ pub(crate) struct CompiledRule {
     pub(crate) nvars: usize,
     /// Plan joining every atom against the full database.
     pub(crate) naive: Plan,
-    /// Plan `j` reads the delta at original body position `j`.
+    /// One plan per same-stratum body position, in body order, each
+    /// reading the delta at that position. Empty for rules whose body
+    /// reads only relations complete before the stratum starts.
     pub(crate) delta_plans: Vec<Plan>,
 }
 
@@ -234,10 +241,13 @@ impl CompiledProgram {
 }
 
 fn intern_const(consts: &mut Vec<Const>, ids: &mut HashMap<Const, u32>, c: &Const) -> u32 {
-    *ids.entry(c.clone()).or_insert_with(|| {
-        consts.push(c.clone());
-        u32::try_from(consts.len() - 1).expect("constant table overflow")
-    })
+    if let Some(&id) = ids.get(c) {
+        return id;
+    }
+    let id = u32::try_from(consts.len()).expect("constant table overflow");
+    consts.push(c.clone());
+    ids.insert(c.clone(), id);
+    id
 }
 
 /// Greedy bound-propagation ordering: repeatedly pick the unplaced atom
@@ -498,20 +508,22 @@ fn build_wcoj(
 ///
 /// Returns the [`StratificationError`] for programs whose negation sits
 /// inside a recursive cycle.
-pub(crate) fn compile(
-    program: &Program,
+pub(crate) fn compile<'p>(
+    program: &'p Program,
     mode: JoinMode,
 ) -> Result<CompiledProgram, StratificationError> {
     let strata_assignment = stratify(program)?;
     let mut consts: Vec<Const> = Vec::new();
     let mut const_ids: HashMap<Const, u32> = HashMap::new();
-    let mut rel_ids: HashMap<(String, usize), u32> = HashMap::new();
+    // Keyed on names borrowed from the program: a name is cloned only for
+    // a new relation.
+    let mut rel_ids: HashMap<(&'p str, usize), u32> = HashMap::new();
     let mut rel_names: Vec<String> = Vec::new();
     let mut arities: Vec<usize> = Vec::new();
 
     let mut rel_of =
-        |pred: &str, arity: usize, rel_names: &mut Vec<String>, arities: &mut Vec<usize>| {
-            *rel_ids.entry((pred.to_string(), arity)).or_insert_with(|| {
+        |pred: &'p str, arity: usize, rel_names: &mut Vec<String>, arities: &mut Vec<usize>| {
+            *rel_ids.entry((pred, arity)).or_insert_with(|| {
                 rel_names.push(pred.to_string());
                 arities.push(arity);
                 u32::try_from(rel_names.len() - 1).expect("relation table overflow")
@@ -519,9 +531,13 @@ pub(crate) fn compile(
         };
 
     // Pass 0: peel off ground facts (empty body, all-constant head) into
-    // flat per-stratum row blocks; only genuine rules get plans.
+    // flat per-stratum row blocks; only genuine rules get plans. Facts
+    // usually arrive in runs of one predicate, so the previous fact's
+    // `(name, arity, stratum, block)` is remembered and a run looks its
+    // relation and stratum up once.
     let mut facts: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); strata_assignment.count];
     let mut kept: Vec<&crate::ast::Rule> = Vec::new();
+    let mut last: Option<(&str, usize, usize, usize)> = None;
     for rule in &program.rules {
         // Nullary facts stay rules: a flat row block can't count rows of
         // width zero.
@@ -537,20 +553,25 @@ pub(crate) fn compile(
             kept.push(rule);
             continue;
         }
-        let rel = rel_of(
-            &rule.head.pred,
-            rule.head.args.len(),
-            &mut rel_names,
-            &mut arities,
-        );
-        let stratum = &mut facts[strata_assignment.rule_stratum(rule)];
-        let block = match stratum.iter().position(|(r, _)| *r == rel) {
-            Some(i) => &mut stratum[i].1,
-            None => {
-                stratum.push((rel, Vec::new()));
-                &mut stratum.last_mut().expect("just pushed").1
+        let (pred, arity) = (rule.head.pred.as_str(), rule.head.args.len());
+        let (si, bi) = match last {
+            Some((p, a, si, bi)) if p == pred && a == arity => (si, bi),
+            _ => {
+                let rel = rel_of(pred, arity, &mut rel_names, &mut arities);
+                let si = strata_assignment.rule_stratum(rule);
+                let stratum = &mut facts[si];
+                let bi = match stratum.iter().position(|(r, _)| *r == rel) {
+                    Some(i) => i,
+                    None => {
+                        stratum.push((rel, Vec::new()));
+                        stratum.len() - 1
+                    }
+                };
+                last = Some((pred, arity, si, bi));
+                (si, bi)
             }
         };
+        let block = &mut facts[si][bi].1;
         for t in &rule.head.args {
             let AtomTerm::Const(c) = t else {
                 unreachable!()
@@ -570,7 +591,7 @@ pub(crate) fn compile(
     let mut raw_rules = Vec::with_capacity(kept.len());
     for rule in &kept {
         let mut slots: HashMap<String, usize> = HashMap::new();
-        let mut lower_atom = |atom: &crate::ast::Atom,
+        let mut lower_atom = |atom: &'p crate::ast::Atom,
                               slots: &mut HashMap<String, usize>,
                               rel_names: &mut Vec<String>,
                               arities: &mut Vec<usize>|
@@ -636,11 +657,27 @@ pub(crate) fn compile(
         });
     }
 
+    // Which stratum's rules derive each relation (`None`: facts only).
+    // A body atom gets a delta plan only when its relation is derived in
+    // the rule's own stratum.
+    let rule_strata: Vec<usize> = kept
+        .iter()
+        .map(|rule| strata_assignment.rule_stratum(rule))
+        .collect();
+    let mut derived_in: Vec<Option<usize>> = vec![None; rel_names.len()];
+    for (r, &si) in raw_rules.iter().zip(&rule_strata) {
+        derived_in[r.head_rel as usize] = Some(si);
+    }
+
     // Pass 2: plan each rule's modes, registering indexes on the template.
     let mut template: Vec<Relation> = arities.iter().map(|&a| Relation::new(a)).collect();
     let rules: Vec<CompiledRule> = raw_rules
         .into_iter()
-        .map(|r| {
+        .zip(&rule_strata)
+        .map(|(r, &si)| {
+            let delta_at: Vec<usize> = (0..r.body.len())
+                .filter(|&j| derived_in[r.body[j].0 as usize] == Some(si))
+                .collect();
             // WCOJ trigger: at least two join variables, each occurring in
             // at least two distinct body atoms.
             let mut occ = vec![0usize; r.nvars];
@@ -676,8 +713,9 @@ pub(crate) fn compile(
                     r.nvars,
                     &mut template,
                 );
-                let delta_plans = (0..r.body.len())
-                    .map(|j| {
+                let delta_plans = delta_at
+                    .iter()
+                    .map(|&j| {
                         build_wcoj(
                             &r.body,
                             &r.neg,
@@ -699,8 +737,9 @@ pub(crate) fn compile(
             } else {
                 let naive_order = order_atoms(&r.body, None, r.nvars);
                 let naive = build_plan(&r.body, &r.neg, &naive_order, None, r.nvars, &mut template);
-                let delta_plans = (0..r.body.len())
-                    .map(|j| {
+                let delta_plans = delta_at
+                    .iter()
+                    .map(|&j| {
                         let order = order_atoms(&r.body, Some(j), r.nvars);
                         build_plan(&r.body, &r.neg, &order, Some(j), r.nvars, &mut template)
                     })
@@ -717,8 +756,8 @@ pub(crate) fn compile(
         .collect();
 
     let mut strata: Vec<Vec<usize>> = vec![vec![]; strata_assignment.count];
-    for (i, rule) in kept.iter().enumerate() {
-        strata[strata_assignment.rule_stratum(rule)].push(i);
+    for (i, &si) in rule_strata.iter().enumerate() {
+        strata[si].push(i);
     }
 
     Ok(CompiledProgram {
@@ -730,4 +769,73 @@ pub(crate) fn compile(
         strata,
         facts,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::eval::{transitive_closure_program, triangle_program};
+    use crate::parser::parse_program;
+
+    fn rel(cp: &CompiledProgram, name: &str) -> u32 {
+        cp.rel_names
+            .iter()
+            .position(|n| n == name)
+            .expect("relation") as u32
+    }
+
+    #[test]
+    fn delta_plans_only_for_same_stratum_relations() {
+        for mode in [JoinMode::Auto, JoinMode::Binary] {
+            // Triangles read only the facts-only `e`: one naive join, no
+            // delta plan.
+            let cp = compile(&triangle_program(&[(0, 1), (1, 2), (0, 2)]), mode).unwrap();
+            assert_eq!(cp.rules.len(), 1);
+            assert!(cp.rules[0].delta_plans.is_empty(), "{mode:?}");
+
+            // Transitive closure: the base rule reads only `edge`; the
+            // recursive rule gets exactly the Δpath plan, and nothing
+            // probes `path` by column 1.
+            let cp = compile(&transitive_closure_program(&[(0, 1), (1, 2)]), mode).unwrap();
+            let path = rel(&cp, "path");
+            let base = &cp.rules[0];
+            let recursive = &cp.rules[1];
+            assert!(base.delta_plans.is_empty(), "{mode:?}");
+            assert_eq!(recursive.delta_plans.len(), 1, "{mode:?}");
+            assert_eq!(recursive.delta_plans[0].delta_rel(), Some(path));
+            assert!(
+                cp.template[path as usize]
+                    .indexes
+                    .iter()
+                    .all(|ix| ix.cols != [1]),
+                "{mode:?}: path carries a column-1 index"
+            );
+
+            // A stratum-1 rule reading only stratum-0 relations (`node`,
+            // and `reach` under negation) has no delta plan; the stratum-0
+            // recursive rule keeps its Δreach plan.
+            let cp = compile(
+                &parse_program(
+                    "node(0). node(1). edge(0, 1). start(0). \
+                     reach(X) :- start(X). \
+                     reach(Y) :- reach(X), edge(X, Y). \
+                     unreached(X) :- node(X), not reach(X).",
+                )
+                .unwrap(),
+                mode,
+            )
+            .unwrap();
+            assert_eq!(cp.strata.len(), 2);
+            let reach = rel(&cp, "reach");
+            for (ri, rule) in cp.rules.iter().enumerate() {
+                let want: Vec<Option<u32>> = match ri {
+                    1 => vec![Some(reach)],
+                    _ => vec![],
+                };
+                let got: Vec<Option<u32>> = rule.delta_plans.iter().map(Plan::delta_rel).collect();
+                assert_eq!(got, want, "{mode:?}: rule {ri}");
+            }
+            assert_eq!(cp.strata[1], vec![2]);
+        }
+    }
 }

@@ -81,26 +81,28 @@ impl Strata {
 /// dependency when no stratification exists.
 pub fn stratify(program: &Program) -> Result<Strata, StratificationError> {
     // Collect predicates and dependency edges head -> body pred.
-    let mut ids: HashMap<Pred, usize> = HashMap::new();
+    // Keyed on names borrowed from the program: a name is cloned only
+    // when its predicate is first seen, not once per atom.
+    let mut ids: HashMap<(&str, usize), usize> = HashMap::new();
     let mut preds: Vec<Pred> = Vec::new();
-    let mut id_of = |p: Pred, preds: &mut Vec<Pred>| -> usize {
-        *ids.entry(p.clone()).or_insert_with(|| {
-            preds.push(p);
+    let mut id_of = |name, arity, preds: &mut Vec<Pred>| -> usize {
+        *ids.entry((name, arity)).or_insert_with(|| {
+            preds.push((name.to_string(), arity));
             preds.len() - 1
         })
     };
     // edges[h] = (positive deps, negative deps)
     let mut edges: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
     for rule in &program.rules {
-        let h = id_of((rule.head.pred.clone(), rule.head.args.len()), &mut preds);
+        let h = id_of(&rule.head.pred, rule.head.args.len(), &mut preds);
         edges.resize(preds.len().max(edges.len()), (vec![], vec![]));
         for a in &rule.body {
-            let b = id_of((a.pred.clone(), a.args.len()), &mut preds);
+            let b = id_of(&a.pred, a.args.len(), &mut preds);
             edges.resize(preds.len().max(edges.len()), (vec![], vec![]));
             edges[h].0.push(b);
         }
         for a in &rule.neg {
-            let b = id_of((a.pred.clone(), a.args.len()), &mut preds);
+            let b = id_of(&a.pred, a.args.len(), &mut preds);
             edges.resize(preds.len().max(edges.len()), (vec![], vec![]));
             edges[h].1.push(b);
         }
