@@ -76,7 +76,8 @@ const LIMIT_CHECK_INTERVAL: u32 = 512;
 /// A callback reporting the current node count of whatever arena backs the
 /// run, for [`Budget::with_node_gauge`]. The tree machine has no arena
 /// parameter of its own, so quota enforcement there needs the caller to
-/// say what to measure (the server passes `SharedInterner::len`).
+/// say what to measure (the server passes the node count of its
+/// `SharedInternTable`'s arena).
 pub type NodeGauge = Arc<dyn Fn() -> usize + Send + Sync>;
 
 /// The global evaluation budget and approximation bookkeeping for one run.
@@ -179,9 +180,9 @@ impl Budget {
     }
 
     /// Supplies the node-count source the tree machine measures quota
-    /// growth against (e.g. `SharedInterner::len` — an over-approximation
-    /// under concurrency, since other sessions' interning counts toward
-    /// the same arena; size quotas accordingly).
+    /// growth against (e.g. the node count of `SharedInternTable::interner`
+    /// — an over-approximation under concurrency, since other sessions'
+    /// interning counts toward the same arena; size quotas accordingly).
     pub fn with_node_gauge(mut self, gauge: NodeGauge) -> Self {
         self.node_gauge = Some(gauge);
         self

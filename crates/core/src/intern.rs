@@ -138,13 +138,12 @@ impl TermId {
         self.0 as usize
     }
 
-    /// Builds an id from its raw bit pattern (the sharded interner packs a
-    /// shard tag into the low bits; see [`crate::sharded`]).
+    /// Builds an id from its raw index (snapshot decoding and sentinels).
     pub(crate) fn from_raw(raw: u32) -> TermId {
         TermId(raw)
     }
 
-    /// The raw bit pattern of the id.
+    /// The raw index of the id.
     pub(crate) fn raw(self) -> u32 {
         self.0
     }
@@ -409,6 +408,13 @@ impl Interner {
     /// Whether the arena is empty.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
+    }
+
+    /// The number of canonical pointer-cache entries. Each pins the tree
+    /// it was probed with, so this grows with every distinct allocation
+    /// canonicalised, even when [`len`](Interner::len) does not.
+    pub fn canon_ptr_len(&self) -> usize {
+        self.canon_by_ptr.len()
     }
 
     /// The cached metadata of an id.
@@ -948,8 +954,7 @@ impl Interner {
 
     /// Interns a leaf term (no children, no renaming).
     fn intern_leaf(&mut self, t: &TermRef) -> TermId {
-        let key = self.node_key(t, &[]);
-        self.intern_key(key, t)
+        self.intern_key(node_key_of(t, &[]), t)
     }
 
     /// Interns a pre-built (possibly binder-renamed) node key, with `t` as
@@ -1275,7 +1280,7 @@ impl Interner {
 /// the spelling of de Bruijn index `depth` in the fused key space. The
 /// `'\u{1}'` prefix is not producible by the surface parser, so canonical
 /// names never collide with source-program variables.
-pub(crate) fn canonical_name(depth: usize) -> Var {
+fn canonical_name(depth: usize) -> Var {
     // Per-thread cache: the free-variable shift in `compute_meta_from`
     // spells an index per shifted occurrence on every fresh node insert,
     // and allocating a string each time would reintroduce the traffic the
@@ -1299,8 +1304,8 @@ pub(crate) fn canonical_name(depth: usize) -> Var {
 /// The reserved sentinel binder name of the fused de Bruijn-index key
 /// space: every binder keys identically (occurrences carry the binding
 /// structure as indices). Distinct from every [`canonical_name`] (which
-/// always appends digits). Process-wide so all arenas (and all shards of
-/// the shared interner) alias one allocation.
+/// always appends digits). Process-wide so all arenas alias one
+/// allocation.
 static CANON_BINDER: std::sync::LazyLock<Var> = std::sync::LazyLock::new(|| Arc::from("\u{1}"));
 
 /// The shared sentinel binder name (see [`CANON_BINDER`]).
@@ -1324,7 +1329,7 @@ pub(crate) fn canon_index(x: &Var) -> Option<usize> {
 /// Minimum cached size for closed interior nodes in the canonical pointer
 /// cache (see [`Interner::canon_intern`]). Small nodes re-key cheaply;
 /// caching them would cost more memory than the probes they save.
-pub(crate) const CANON_PTR_CACHE_MIN_SIZE: usize = 16;
+const CANON_PTR_CACHE_MIN_SIZE: usize = 16;
 
 /// Rebuilds `node` with canonicalised children and binder `names`, sharing
 /// the original allocation when nothing changed.
@@ -1465,8 +1470,7 @@ fn rebuild_canon(node: &TermRef, mut children: Vec<TermRef>, names: [Option<Var>
 impl Interner {
     /// Interns one node whose children are already interned.
     fn intern_shallow(&mut self, t: &TermRef, child_ids: &[TermId]) -> TermId {
-        let key = self.node_key(t, child_ids);
-        self.intern_key(key, t)
+        self.intern_key(node_key_of(t, child_ids), t)
     }
 
     /// Allocates a fresh id for a new node key, computing the cached
@@ -1507,18 +1511,11 @@ impl Interner {
         self.nodes.insert(hash, id);
         id
     }
-
-    /// The shallow hash-consing key of `t` over `child_ids` (which are in
-    /// [`Term::children`] order).
-    fn node_key(&self, t: &TermRef, ids: &[TermId]) -> NodeKey {
-        node_key_of(t, ids)
-    }
 }
 
 /// The shallow hash-consing key of `t` over already-interned child ids (in
-/// [`Term::children`] order). Shared by the owned arena and the sharded
-/// interner.
-pub(crate) fn node_key_of(t: &Term, ids: &[TermId]) -> NodeKey {
+/// [`Term::children`] order).
+fn node_key_of(t: &Term, ids: &[TermId]) -> NodeKey {
     match t {
         Term::Bot => NodeKey::Bot,
         Term::Top => NodeKey::Top,
@@ -1543,14 +1540,8 @@ pub(crate) fn node_key_of(t: &Term, ids: &[TermId]) -> NodeKey {
 }
 
 /// Computes a node's metadata from its children's metadata (in
-/// [`Term::children`] order). Shared by the owned arena and the sharded
-/// interner; deterministic in its arguments, so racing shards that compute
-/// the same node's metadata twice agree.
-pub(crate) fn compute_meta_from(
-    key: &NodeKey,
-    children: &[&TermMeta],
-    no_vars: &Arc<[Var]>,
-) -> TermMeta {
+/// [`Term::children`] order).
+fn compute_meta_from(key: &NodeKey, children: &[&TermMeta], no_vars: &Arc<[Var]>) -> TermMeta {
     let size = 1 + children
         .iter()
         .fold(0usize, |n, m| n.saturating_add(m.size));
@@ -1680,27 +1671,6 @@ fn compute_hash(key: &NodeKey, children: &[&TermMeta]) -> u64 {
         h.write_u64(m.hash);
     }
     h.finish()
-}
-
-/// The child ids recorded in a node key, in [`Term::children`] order.
-pub(crate) fn key_children(key: &NodeKey) -> Vec<TermId> {
-    match key {
-        NodeKey::Bot | NodeKey::Top | NodeKey::BotV | NodeKey::Var(_) | NodeKey::Sym(_) => {
-            Vec::new()
-        }
-        NodeKey::Lam(_, b) | NodeKey::Frz(b) => vec![*b],
-        NodeKey::Pair(a, b)
-        | NodeKey::App(a, b)
-        | NodeKey::Join(a, b)
-        | NodeKey::Lex(a, b)
-        | NodeKey::LexMerge(a, b)
-        | NodeKey::LetSym(_, a, b)
-        | NodeKey::LetPair(_, _, a, b)
-        | NodeKey::BigJoin(_, a, b)
-        | NodeKey::LetFrz(_, a, b)
-        | NodeKey::LexBind(_, a, b) => vec![*a, *b],
-        NodeKey::Set(ids) | NodeKey::Prim(_, ids) => ids.to_vec(),
-    }
 }
 
 /// Sorted-set union of two sorted, deduplicated slices.

@@ -32,8 +32,8 @@
 //! * [`ideval`] — the id-native evaluation toolkit: substitution, result
 //!   joins, the streaming order, delta rules, and head reduction computed
 //!   directly over arena nodes (tree allocations: zero);
-//! * [`sharded`] — the thread-shared counterpart: a sharded hash-consing
-//!   interner and memo table usable concurrently from worker threads;
+//! * [`sharded`] — the thread-shared β-memo of `lambdav serve`: one
+//!   [`intern::Interner`] and its result cache behind a single lock;
 //! * [`pool`] — bounded worker helpers: the fork–join map behind
 //!   `runtime::parallel::join_all` and the server's session crew;
 //! * [`snap`] — persistent arena snapshots: a versioned, checksummed

@@ -445,19 +445,26 @@ pub fn read_interner(r: &mut Reader<'_>) -> Result<Interner, SnapError> {
     Ok(it)
 }
 
-/// Encodes an [`InternTable`]'s memo entries as a [`tag::MEMO`] section
-/// (keys are ids of the interner section written alongside). Entries are
-/// sorted by key so equal tables produce identical bytes.
-pub fn write_table(w: &mut Writer, t: &InternTable) {
-    let mut entries = t.snap_entries();
-    entries.sort_unstable_by_key(|((f, a, fuel), _)| (f.index(), a.index(), *fuel));
-    let (hits, misses) = t.stats();
-    let mut p = Vec::with_capacity(entries.len() * 8 + 24);
+/// One memo row: the `(function, argument, fuel)` key, the result id,
+/// the exhaustion flag, and the recency stamp. Ids index the interner
+/// section written alongside.
+type MemoRow = ((TermId, TermId, usize), (TermId, bool, u64));
+
+/// Encodes a memo section (`tag::MEMO` or `tag::SHARED_MEMO`, one
+/// layout): hit/miss counters, the generation clock, then the rows.
+fn write_memo_rows(
+    w: &mut Writer,
+    tag: u16,
+    (hits, misses): (usize, usize),
+    generation: u64,
+    rows: &[MemoRow],
+) {
+    let mut p = Vec::with_capacity(rows.len() * 8 + 24);
     put_v64(&mut p, hits as u64);
     put_v64(&mut p, misses as u64);
-    put_v64(&mut p, t.generation());
-    put_v64(&mut p, entries.len() as u64);
-    for ((f, a, fuel), (res, exhausted, stamp)) in entries {
+    put_v64(&mut p, generation);
+    put_v64(&mut p, rows.len() as u64);
+    for &((f, a, fuel), (res, exhausted, stamp)) in rows {
         put_v32(&mut p, f.raw());
         put_v32(&mut p, a.raw());
         put_v64(&mut p, fuel as u64);
@@ -465,20 +472,25 @@ pub fn write_table(w: &mut Writer, t: &InternTable) {
         p.push(u8::from(exhausted));
         put_v64(&mut p, stamp);
     }
-    w.section(tag::MEMO, &p);
+    w.section(tag, &p);
 }
 
-/// Decodes a [`tag::MEMO`] section against the interner it was saved
-/// with; every id is range-checked.
-pub fn read_table(r: &mut Reader<'_>, it: &Interner) -> Result<InternTable, SnapError> {
-    let mut cur = r.section(tag::MEMO)?;
+/// Decodes a memo section written by [`write_memo_rows`], passing each
+/// row to `row` in order; every id is range-checked against an interner
+/// of `arena_len` nodes. Returns `(hits, misses, generation)`.
+fn read_memo_rows(
+    r: &mut Reader<'_>,
+    tag: u16,
+    arena_len: usize,
+    mut row: impl FnMut(MemoRow),
+) -> Result<(usize, usize, u64), SnapError> {
+    let mut cur = r.section(tag)?;
     let hits = cur.vusize()?;
     let misses = cur.vusize()?;
     let generation = cur.v64()?;
     let n = cur.count(6)?;
-    let mut t = InternTable::new();
     let check = |raw: u32| -> Result<TermId, SnapError> {
-        if (raw as usize) < it.len() {
+        if (raw as usize) < arena_len {
             Ok(TermId::from_raw(raw))
         } else {
             Err(SnapError::Malformed("memo id out of range"))
@@ -495,9 +507,31 @@ pub fn read_table(r: &mut Reader<'_>, it: &Interner) -> Result<InternTable, Snap
             _ => return Err(SnapError::Malformed("bad exhausted flag")),
         };
         let stamp = cur.v64()?;
-        t.snap_insert(f, a, fuel, res, exhausted, stamp);
+        row(((f, a, fuel), (res, exhausted, stamp)));
     }
     cur.expect_end()?;
+    Ok((hits, misses, generation))
+}
+
+/// Encodes an [`InternTable`]'s memo entries as a [`tag::MEMO`] section
+/// (keys are ids of the interner section written alongside). Entries are
+/// sorted by key so equal tables produce identical bytes.
+pub fn write_table(w: &mut Writer, t: &InternTable) {
+    let mut rows = t.snap_entries();
+    rows.sort_unstable_by_key(|(key, _)| *key);
+    write_memo_rows(w, tag::MEMO, t.stats(), t.generation(), &rows);
+}
+
+/// Decodes a [`tag::MEMO`] section against the interner it was saved
+/// with; every id is range-checked.
+pub fn read_table(r: &mut Reader<'_>, it: &Interner) -> Result<InternTable, SnapError> {
+    let mut t = InternTable::new();
+    let (hits, misses, generation) = read_memo_rows(
+        r,
+        tag::MEMO,
+        it.len(),
+        |((f, a, fuel), (res, ex, stamp))| t.snap_insert(f, a, fuel, res, ex, stamp),
+    )?;
     t.snap_set_counters(hits, misses, generation);
     Ok(t)
 }
@@ -506,12 +540,17 @@ pub fn read_table(r: &mut Reader<'_>, it: &Interner) -> Result<InternTable, Snap
 // Owned memo snapshots (MemoEval)
 // ---------------------------------------------------------------------------
 
-/// Serialises an owned memo — arena plus [`InternTable`] — to bytes.
-pub fn memo_to_bytes(it: &Interner, t: &InternTable) -> Vec<u8> {
+/// An owned memo — arena plus [`InternTable`] — as snapshot sections.
+fn memo_writer(it: &Interner, t: &InternTable) -> Writer {
     let mut w = Writer::new();
     write_interner(&mut w, it);
     write_table(&mut w, t);
-    w.finish()
+    w
+}
+
+/// Serialises an owned memo — arena plus [`InternTable`] — to bytes.
+pub fn memo_to_bytes(it: &Interner, t: &InternTable) -> Vec<u8> {
+    memo_writer(it, t).finish()
 }
 
 /// Loads an owned memo from bytes. Ids — including every memo key — come
@@ -527,10 +566,7 @@ pub fn memo_from_bytes(bytes: &[u8]) -> Result<(Interner, InternTable), SnapErro
 
 /// Saves an owned memo to `path` (atomically); returns the byte size.
 pub fn save_memo(it: &Interner, t: &InternTable, path: &Path) -> Result<u64, SnapError> {
-    let mut w = Writer::new();
-    write_interner(&mut w, it);
-    write_table(&mut w, t);
-    w.save(path)
+    memo_writer(it, t).save(path)
 }
 
 /// Loads an owned memo from `path`.
@@ -542,44 +578,38 @@ pub fn load_memo(path: &Path) -> Result<(Interner, InternTable), SnapError> {
 // Shared memo snapshots (lambdav serve)
 // ---------------------------------------------------------------------------
 
-/// Serialises a [`SharedInternTable`]'s working set to bytes: the entries
-/// touched within the last `keep_last` generations (the same recency
-/// window the server GC uses — pass `u64::MAX` to keep everything).
+/// A [`SharedInternTable`]'s working set as snapshot sections: the
+/// entries touched within the last `keep_last` generations (the same
+/// recency window the server GC uses — pass `u64::MAX` to keep
+/// everything).
 ///
 /// The shared arena itself is *not* persisted wholesale: surviving
 /// entries' key and result terms are re-interned into a fresh owned
 /// arena, so a checkpoint's size tracks the hot working set, not the
 /// unbounded process-lifetime arena.
-pub fn shared_to_bytes(table: &SharedInternTable, keep_last: u64) -> Vec<u8> {
+fn shared_writer(table: &SharedInternTable, keep_last: u64) -> Writer {
     let (entries, hits, misses, generation) = table.snap_export(keep_last);
     let mut arena = Interner::new();
-    let mut encoded = Vec::with_capacity(entries.len());
-    for (f, a, fuel, res, exhausted, stamp) in &entries {
-        // Structural interning: extraction on load reproduces the exact
-        // trees (binder spellings included), so replayed replies render
-        // byte-identically to the run that was checkpointed.
-        let fe = arena.intern(f);
-        let ae = arena.intern(a);
-        let re = arena.intern(res);
-        encoded.push((fe, ae, *fuel, re, *exhausted, *stamp));
-    }
+    let rows: Vec<MemoRow> = entries
+        .iter()
+        .map(|(f, a, fuel, res, exhausted, stamp)| {
+            // Structural interning: extraction on load reproduces the
+            // exact trees (binder spellings included), so replayed replies
+            // render byte-identically to the run that was checkpointed.
+            let key = (arena.intern(f), arena.intern(a), *fuel);
+            (key, (arena.intern(res), *exhausted, *stamp))
+        })
+        .collect();
     let mut w = Writer::new();
     write_interner(&mut w, &arena);
-    let mut p = Vec::with_capacity(encoded.len() * 8 + 24);
-    put_v64(&mut p, hits as u64);
-    put_v64(&mut p, misses as u64);
-    put_v64(&mut p, generation);
-    put_v64(&mut p, encoded.len() as u64);
-    for (f, a, fuel, res, exhausted, stamp) in encoded {
-        put_v32(&mut p, f.raw());
-        put_v32(&mut p, a.raw());
-        put_v64(&mut p, fuel as u64);
-        put_v32(&mut p, res.raw());
-        p.push(u8::from(exhausted));
-        put_v64(&mut p, stamp);
-    }
-    w.section(tag::SHARED_MEMO, &p);
-    w.finish()
+    write_memo_rows(&mut w, tag::SHARED_MEMO, (hits, misses), generation, &rows);
+    w
+}
+
+/// Serialises a [`SharedInternTable`]'s working set to bytes (see
+/// [`save_shared`]).
+pub fn shared_to_bytes(table: &SharedInternTable, keep_last: u64) -> Vec<u8> {
+    shared_writer(table, keep_last).finish()
 }
 
 /// Restores a [`SharedInternTable`] from bytes: every entry's terms are
@@ -589,35 +619,16 @@ pub fn shared_to_bytes(table: &SharedInternTable, keep_last: u64) -> Vec<u8> {
 pub fn shared_from_bytes(bytes: &[u8]) -> Result<SharedInternTable, SnapError> {
     let mut r = Reader::new(bytes)?;
     let mut arena = read_interner(&mut r)?;
-    let mut cur = r.section(tag::SHARED_MEMO)?;
-    let hits = cur.vusize()?;
-    let misses = cur.vusize()?;
-    let generation = cur.v64()?;
-    let n = cur.count(6)?;
     let table = SharedInternTable::new();
-    let arena_len = arena.len();
-    let check = |raw: u32| -> Result<TermId, SnapError> {
-        if (raw as usize) < arena_len {
-            Ok(TermId::from_raw(raw))
-        } else {
-            Err(SnapError::Malformed("shared memo id out of range"))
-        }
-    };
-    for _ in 0..n {
-        let f = check(cur.v32()?)?;
-        let a = check(cur.v32()?)?;
-        let fuel = cur.vusize()?;
-        let res = check(cur.v32()?)?;
-        let exhausted = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapError::Malformed("bad exhausted flag")),
-        };
-        let stamp = cur.v64()?;
-        let (ft, at, rt) = (arena.extract(f), arena.extract(a), arena.extract(res));
-        table.snap_restore(&ft, &at, fuel, &rt, exhausted, stamp);
-    }
-    cur.expect_end()?;
+    let (hits, misses, generation) = read_memo_rows(
+        &mut r,
+        tag::SHARED_MEMO,
+        arena.len(),
+        |((f, a, fuel), (res, exhausted, stamp))| {
+            let (ft, at, rt) = (arena.extract(f), arena.extract(a), arena.extract(res));
+            table.snap_restore(&ft, &at, fuel, &rt, exhausted, stamp);
+        },
+    )?;
     r.expect_end()?;
     table.snap_set_counters(hits, misses, generation);
     Ok(table)
@@ -630,11 +641,7 @@ pub fn save_shared(
     keep_last: u64,
     path: &Path,
 ) -> Result<u64, SnapError> {
-    let bytes = shared_to_bytes(table, keep_last);
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, &bytes)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(bytes.len() as u64)
+    shared_writer(table, keep_last).save(path)
 }
 
 /// Loads a shared memo checkpoint from `path`.

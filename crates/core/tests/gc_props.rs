@@ -14,8 +14,8 @@ use lambda_join_core::term::TermRef;
 use proptest::prelude::*;
 
 /// Random terms rich in binders and shared names (same shape as the
-/// sharded-interner property suite, so compaction is exercised over the
-/// same key space the arena invariants are).
+/// shared-memo property suite, so compaction is exercised over the same
+/// key space the arena invariants are).
 fn arb_term() -> impl Strategy<Value = TermRef> {
     let name = prop_oneof![Just("x"), Just("y"), Just("z"), Just("w")];
     let leaf = prop_oneof![

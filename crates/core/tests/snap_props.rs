@@ -137,3 +137,42 @@ proptest! {
         );
     }
 }
+
+/// A shared-memo checkpoint written by `snap::save_shared` before the
+/// shared memo moved onto the owned arena (`tests/golden/shared_memo_v1.snap`:
+/// three entries over generations 1–3, one hit, one miss) still loads,
+/// answers the same α-variant probes, restores its counters, and
+/// re-serialises to the same bytes.
+#[test]
+fn shared_checkpoint_from_the_sharded_arena_still_loads() {
+    use lambda_join_core::engine::BetaTable;
+    use lambda_join_core::snap::{load_shared, shared_to_bytes};
+
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/shared_memo_v1.snap");
+    let mut table = load_shared(&path).expect("golden checkpoint loads");
+    assert_eq!(table.stats(), (1, 1));
+    assert_eq!(table.generation(), 3);
+    assert_eq!(table.len(), 3);
+    assert_eq!(
+        shared_to_bytes(&table, u64::MAX),
+        std::fs::read(&path).unwrap(),
+        "the memo rows re-encode byte-identically"
+    );
+
+    let join_one = b::lam("v", b::join(b::var("v"), b::int(1)));
+    let (r, exhausted) = table
+        .lookup(&join_one, &b::int(10), 8)
+        .expect("α-variant hits");
+    assert!(r.alpha_eq(&b::set(vec![b::int(10), b::int(1)])), "{r}");
+    assert!(!exhausted);
+    let dup = b::lam("w", b::pair(b::var("w"), b::var("w")));
+    let (r, exhausted) = table.lookup(&dup, &b::int(3), 4).expect("α-variant hits");
+    assert!(r.alpha_eq(&b::pair(b::int(3), b::int(3))), "{r}");
+    assert!(exhausted);
+    assert!(
+        table.lookup(&join_one, &b::int(10), 9).is_none(),
+        "fuel is part of the key"
+    );
+    assert_eq!(table.stats(), (3, 2));
+}

@@ -246,8 +246,12 @@ impl ServerState {
     /// immediately.
     pub(crate) fn maybe_collect(&self) {
         let snapshot = self.memo_handle();
-        let arena = snapshot.interner();
-        if arena.len() + arena.canon_ptr_len() <= self.cfg.gc_node_watermark {
+        // One scoped guard: the table's other methods lock the same memo.
+        let footprint = {
+            let arena = snapshot.interner();
+            arena.len() + arena.canon_ptr_len()
+        };
+        if footprint <= self.cfg.gc_node_watermark {
             return;
         }
         if let Some(_busy) = self.gc_busy.try_lock() {
@@ -292,6 +296,11 @@ impl ServerState {
     pub(crate) fn stats_obj(&self) -> Obj {
         let memo = self.memo_handle();
         let (hits, misses) = memo.stats();
+        // One scoped guard: the table's other methods lock the same memo.
+        let (nodes, ptrs) = {
+            let arena = memo.interner();
+            (arena.len(), arena.canon_ptr_len())
+        };
         let mut o = Obj::kind("stats");
         o.push_num("uptime_ms", self.started.elapsed().as_millis() as u64)
             .push_num("sessions", self.crew.active() as u64)
@@ -301,8 +310,8 @@ impl ServerState {
             .push_num("panics", self.panics_total.load(Ordering::Relaxed))
             .push_num("gc_runs", self.gc_runs.load(Ordering::Relaxed))
             .push_num("memo_entries", memo.len() as u64)
-            .push_num("interner_nodes", memo.interner().len() as u64)
-            .push_num("canon_ptr_entries", memo.interner().canon_ptr_len() as u64)
+            .push_num("interner_nodes", nodes as u64)
+            .push_num("canon_ptr_entries", ptrs as u64)
             .push_num("memo_hits", hits as u64)
             .push_num("memo_misses", misses as u64)
             .push_num("generation", memo.generation())

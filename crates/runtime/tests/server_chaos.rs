@@ -14,6 +14,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use lambda_join_core::encodings::{self, Graph};
@@ -22,6 +23,21 @@ use lambda_join_runtime::server::protocol::{json_escape, ErrorCode, FlatReply};
 use lambda_join_runtime::server::{serve, ServerConfig, ServerHandle};
 
 // ---------------------------------------------------------- test client --
+
+/// Tests that assert on latency hold this exclusively; every other test
+/// holds it shared. The harness runs tests side by side, and on a small
+/// host another test's client and server threads compete with the timed
+/// client for CPU, which shows up as tail latency the server under test
+/// did not cause.
+static CPU: RwLock<()> = RwLock::new(());
+
+fn shared_cpu() -> RwLockReadGuard<'static, ()> {
+    CPU.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn exclusive_cpu() -> RwLockWriteGuard<'static, ()> {
+    CPU.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Client {
     conn: TcpStream,
@@ -103,6 +119,7 @@ fn warm_reach_latency(handle: &ServerHandle, n: usize) -> Duration {
 
 #[test]
 fn malformed_frames_get_structured_errors_and_session_survives() {
+    let _cpu = shared_cpu();
     let handle = serve(ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle);
     let mut rng = XorShift64::new(0xC4A0_5001);
@@ -154,6 +171,7 @@ fn malformed_frames_get_structured_errors_and_session_survives() {
 
 #[test]
 fn deep_nesting_parser_bombs_are_rejected_not_fatal() {
+    let _cpu = shared_cpu();
     let handle = serve(ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle);
 
@@ -175,6 +193,7 @@ fn deep_nesting_parser_bombs_are_rejected_not_fatal() {
 
 #[test]
 fn fuel_bombs_are_rejected_with_bad_request_or_overloaded() {
+    let _cpu = shared_cpu();
     let cfg = ServerConfig {
         max_fuel: 1 << 12,
         max_outstanding_fuel: 1 << 10,
@@ -200,6 +219,7 @@ fn fuel_bombs_are_rejected_with_bad_request_or_overloaded() {
 
 #[test]
 fn slowloris_writer_is_cut_off_with_a_structured_error() {
+    let _cpu = shared_cpu();
     let cfg = ServerConfig {
         line_deadline_ms: 250,
         ..ServerConfig::default()
@@ -224,6 +244,7 @@ fn slowloris_writer_is_cut_off_with_a_structured_error() {
 
 #[test]
 fn oversized_frames_are_rejected_with_too_large() {
+    let _cpu = shared_cpu();
     let cfg = ServerConfig {
         max_line_bytes: 1 << 10,
         ..ServerConfig::default()
@@ -246,6 +267,7 @@ fn oversized_frames_are_rejected_with_too_large() {
 
 #[test]
 fn mid_stream_disconnects_leave_the_server_live() {
+    let _cpu = shared_cpu();
     let cfg = ServerConfig {
         // Abandoned watches hold their fuel permits until the write
         // error or deadline cancels them; give the gate room for all 8
@@ -276,6 +298,7 @@ fn mid_stream_disconnects_leave_the_server_live() {
 
 #[test]
 fn budget_storm_sheds_cleanly_and_recovers() {
+    let _cpu = shared_cpu();
     let cfg = ServerConfig {
         max_outstanding_fuel: 256,
         max_sessions: 16,
@@ -329,6 +352,88 @@ fn budget_storm_sheds_cleanly_and_recovers() {
     assert!(handle.stop());
 }
 
+/// Round-trip latencies of `n` warm `reach` requests on `client`, sorted.
+fn warm_reach_samples(client: &mut Client, n: usize) -> Vec<Duration> {
+    let line = reach_line();
+    let mut samples: Vec<Duration> = (0..n)
+        .map(|_| {
+            let t0 = Instant::now();
+            let r = client.round_trip(&line);
+            assert!(r.str_of("result").is_some(), "{r:?}");
+            t0.elapsed()
+        })
+        .collect();
+    samples.sort_unstable();
+    samples
+}
+
+/// The in-flight fuel the admission gate reports.
+fn outstanding_fuel(client: &mut Client) -> i64 {
+    let stats = client.round_trip("stats");
+    stats
+        .num_of("outstanding_fuel")
+        .expect("stats carries outstanding_fuel")
+}
+
+/// An admitted evaluation that runs for seconds shares the memo lock with
+/// warm clients: its β-probes must not starve theirs. A second connection
+/// times warm `reach` round trips while the long evaluation is provably
+/// in flight, against a baseline taken with no antagonist.
+#[test]
+fn admitted_long_evaluation_does_not_starve_warm_clients() {
+    let _cpu = exclusive_cpu();
+    const FUEL: i64 = 60_000;
+    const SAMPLES: usize = 600;
+    let cfg = ServerConfig {
+        max_fuel: 1 << 17,
+        max_outstanding_fuel: 1 << 20,
+        ..ServerConfig::default()
+    };
+    let handle = serve(cfg).unwrap();
+    let mut warm = Client::connect(&handle);
+    let _ = warm.round_trip(&reach_line()); // fill the memo
+    let base = warm_reach_samples(&mut warm, SAMPLES);
+
+    // `evens` never converges, so the evaluation runs to its deadline.
+    let mut long = Client::connect(&handle);
+    long.send(&format!(
+        "eval fuel={FUEL} deadline_ms=2000 {}",
+        quote(&encodings::evens().to_string())
+    ));
+    let admitted = Instant::now();
+    while outstanding_fuel(&mut warm) < FUEL {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(5),
+            "the long evaluation was never admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let during = warm_reach_samples(&mut warm, SAMPLES);
+    assert!(
+        outstanding_fuel(&mut warm) >= FUEL,
+        "the long evaluation ended before the warm samples did"
+    );
+
+    let r = long.recv();
+    assert!(
+        matches!(
+            assert_structured_err(&r),
+            ErrorCode::DeadlineExceeded | ErrorCode::FuelExhausted
+        ),
+        "{r:?}"
+    );
+    let pick = |s: &[Duration], q: usize| s[(s.len() - 1) * q / 100];
+    for (name, q) in [("median", 50), ("p99", 99)] {
+        let (b, d) = (pick(&base, q), pick(&during, q));
+        assert!(
+            d <= b * 2 + Duration::from_millis(2),
+            "warm {name} starved by a running evaluation: baseline {b:?}, during {d:?}"
+        );
+    }
+    drop((warm, long));
+    assert!(handle.stop());
+}
+
 // ----------------------------------------------------------- the storm --
 
 /// The full mixed chaos storm: seeded random interleaving of every fault
@@ -336,6 +441,7 @@ fn budget_storm_sheds_cleanly_and_recovers() {
 /// the liveness + degradation check.
 #[test]
 fn chaos_storm_never_wedges_and_warm_latency_survives() {
+    let _cpu = exclusive_cpu();
     let cfg = ServerConfig {
         max_fuel: 1 << 12,
         max_outstanding_fuel: 1 << 14,
