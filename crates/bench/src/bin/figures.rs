@@ -13,8 +13,8 @@
 //! generators at smoke sizes: every strategy must agree on every graph
 //! family — the CI gate that keeps the bench generators honest), and
 //! `cluster` (the fault-injected replicated lattice store at smoke sizes,
-//! with deterministic replay re-checked). The outputs are recorded
-//! against the paper in EXPERIMENTS.md.
+//! with deterministic replay re-checked). docs/BENCHMARKS.md indexes the
+//! outputs against the paper.
 //!
 //! `perf` (not part of the default run) times the hot-path workloads and
 //! writes machine-readable `BENCH_perf.json` (workload → ns/iter) so the
@@ -31,7 +31,7 @@ use lambda_join_core::bigstep::{eval_fuel, eval_fuel_counting};
 use lambda_join_core::builder::*;
 use lambda_join_core::encodings::{self, Graph};
 use lambda_join_core::machine::observation_trace;
-use lambda_join_core::observe::result_leq;
+use lambda_join_core::observe::{result_equiv, result_leq};
 use lambda_join_core::term::Term;
 use lambda_join_core::Symbol;
 use lambda_join_datalog::eval::{eval as datalog_eval, reaches_program, Strategy};
@@ -280,6 +280,46 @@ fn perf_fig() {
         }),
     ));
 
+    // §5.1 ablation: one seed arrives after a fixpoint. Two line
+    // components, 0 → … → 63 and 64 → … → 71; the big one is seeded first
+    // and the small one's seed arrives late. Recompute runs `naive_rounds`
+    // from scratch with both seeds; continue clones a fixpointed
+    // `SeminaiveEngine`, pushes the late seed and derives only the new work.
+    {
+        use lambda_join_core::term::TermRef;
+        use lambda_join_runtime::seminaive::{naive_rounds, SeminaiveEngine};
+        let n = 64i64;
+        let mut g = Graph::line(n);
+        for i in 0..8 {
+            let tgts = if i + 1 < 8 { vec![n + i + 1] } else { vec![] };
+            g.edges.push((n + i, tgts));
+        }
+        let step = g.neighbors_fn();
+        let want = (n + 8) as usize;
+        let reached = |fix: &TermRef| match &**fix {
+            Term::Set(xs) => xs.len(),
+            _ => 0,
+        };
+        results.push((
+            "seminaive_push_line64_recompute",
+            time_ns(|| {
+                let (fix, _) = naive_rounds(&step, vec![int(0), int(n)], 64, 10_000);
+                assert_eq!(reached(&fix), want);
+            }),
+        ));
+        let mut fixpointed = SeminaiveEngine::new(step.clone(), 64);
+        fixpointed.push(vec![int(0)]);
+        fixpointed.run(10_000);
+        results.push((
+            "seminaive_push_line64_continue",
+            time_ns(|| {
+                let mut e = fixpointed.clone();
+                e.push(vec![int(n)]);
+                assert_eq!(reached(&e.run(10_000)), want);
+            }),
+        ));
+    }
+
     // The naive (untabled) line-8 micro — must not regress.
     let g = Graph::line(8);
     let t = encodings::reaches(&g, 0);
@@ -290,6 +330,37 @@ fn perf_fig() {
             let _ = eval_fuel(&t, fuel);
         }),
     ));
+
+    // Figure 10 / §5.1: re-enumerating the diagonal is slow. The naive
+    // sweep evaluates `evens` from scratch at every fuel level 0..24; the
+    // memo sweep shares one `MemoEval` across the levels, so each stage
+    // reuses the β-results of the stages before it.
+    {
+        const STAGES: usize = 24;
+        let e = encodings::evens();
+        let want = eval_fuel(&e, STAGES - 1);
+        results.push((
+            "fig10_sweep_evens24_naive",
+            time_ns(|| {
+                let mut last = botv();
+                for n in 0..STAGES {
+                    last = eval_fuel(&e, n);
+                }
+                assert!(result_equiv(&last, &want));
+            }),
+        ));
+        results.push((
+            "fig10_sweep_evens24_memo",
+            time_ns(|| {
+                let mut m = MemoEval::new();
+                let mut last = botv();
+                for n in 0..STAGES {
+                    last = m.eval_fuel(&e, n);
+                }
+                assert!(result_equiv(&last, &want));
+            }),
+        ));
+    }
 
     // Datalog seminaive transitive closure — planned joins over the flat
     // interned store, decoded to a tree Database at the boundary.
@@ -351,6 +422,26 @@ fn perf_fig() {
                 assert!(idb.fact_count("reaches") > 25_000);
             }),
         ));
+    }
+
+    // §5.1's strategy gap: full transitive closure of a 50×20 chain forest
+    // (10³ edges) under naive evaluation, which re-fires every rule on the
+    // whole database each round, and under seminaive evaluation.
+    {
+        let p = lambda_join_datalog::eval::transitive_closure_program(&chain_forest_edges(50, 20));
+        let want = chain_forest_tc_size(50, 20);
+        for (name, strategy) in [
+            ("datalog_tc_chains_1k_naive", Strategy::Naive),
+            ("datalog_tc_chains_1k_seminaive", Strategy::Seminaive),
+        ] {
+            results.push((
+                name,
+                time_ns(|| {
+                    let (idb, _) = eval_ids(&p, strategy);
+                    assert_eq!(idb.fact_count("path"), want);
+                }),
+            ));
+        }
     }
 
     // Full transitive closure over a 10⁵-edge chain forest — the
@@ -469,7 +560,9 @@ fn perf_fig() {
 
     // The binary path on a graph small enough that it finishes promptly —
     // the old plan kind keeps a perf entry of its own so a planner
-    // regression (WCOJ capturing acyclic bodies, say) shows up here.
+    // regression (WCOJ capturing acyclic bodies, say) shows up here. The
+    // triejoin on the same graph keys the WCOJ gap at 10⁴ edges, next to
+    // the 10⁵-edge pair above.
     {
         let es = symmetrize_edges(&scale_free_edges(5_000, 2, 0xDA7A)); // ≈10⁴ raw edges
         let p = triangle_program(&es);
@@ -481,12 +574,20 @@ fn perf_fig() {
                 assert_eq!(idb.fact_count("triangle"), want);
             }),
         ));
+        results.push((
+            "datalog_triangles_scalefree_10k",
+            time_ns(|| {
+                let (idb, _) = eval_ids(&p, Strategy::Seminaive);
+                assert_eq!(idb.fact_count("triangle"), want);
+            }),
+        ));
     }
 
     // Same-generation on the depth-9 complete binary tree: 2_046 parent
     // edges, 349_524 sg facts (closed form asserted). The recursive rule
     // is cyclic (runs under the triejoin); the sibling base rule stays on
-    // the binary path — one fixpoint exercising both plan kinds.
+    // the binary path — one fixpoint exercising both plan kinds. The
+    // `_binary` key forces binary plans on every rule for comparison.
     {
         let p = same_generation_program(&binary_tree_parent_edges(9));
         let want = binary_tree_sg_size(9);
@@ -494,6 +595,13 @@ fn perf_fig() {
             "datalog_sg_tree_depth9",
             time_ns(|| {
                 let (idb, _) = eval_ids(&p, Strategy::Seminaive);
+                assert_eq!(idb.fact_count("sg"), want);
+            }),
+        ));
+        results.push((
+            "datalog_sg_tree_depth9_binary",
+            time_ns(|| {
+                let (idb, _) = eval_ids_mode(&p, Strategy::Seminaive, JoinMode::Binary);
                 assert_eq!(idb.fact_count("sg"), want);
             }),
         ));

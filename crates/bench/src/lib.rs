@@ -1,9 +1,10 @@
 //! # lambda-join-bench
 //!
-//! The benchmark harness of the reproduction: shared workloads for the
-//! criterion benches (one per paper table/figure — see `benches/`), and the
-//! `figures` binary which regenerates every table and figure of the paper
-//! as text (see EXPERIMENTS.md for the index and paper-vs-measured record).
+//! The measurement harness of the reproduction: shared workloads, the
+//! `serve` load client, and the `figures` binary, which regenerates every
+//! table and figure of the paper as text and, with `figures -- perf`,
+//! writes `BENCH_perf.json` (see docs/BENCHMARKS.md for what each key
+//! measures and which claim it backs).
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! Shared workload builders for benches and the `figures` binary.
+//! Shared workload builders for the `figures` binary and `perfbench`.
 //!
 //! Alongside the λ∨ term builders, this module hosts the **scalable graph
 //! generators** feeding the Datalog scaling benchmarks (10⁴–10⁶ edges):
@@ -6,24 +6,12 @@
 //! ("scale-free") digraphs, and chain forests (the family whose transitive
 //! closure size is exactly computable, so closure-heavy benchmarks stay
 //! bounded). All generators are deterministic: randomness comes from a
-//! seeded xorshift generator, so every bench run and CI smoke sees the
+//! seeded xorshift generator, so every perf pass and CI smoke sees the
 //! same graph.
 
 use lambda_join_core::builder::*;
 use lambda_join_core::encodings::Graph;
 use lambda_join_core::term::TermRef;
-
-/// Graph families used by the reachability experiments.
-pub fn graph_suite() -> Vec<(String, Graph)> {
-    vec![
-        ("line-8".into(), Graph::line(8)),
-        ("line-16".into(), Graph::line(16)),
-        ("cycle-8".into(), Graph::cycle(8)),
-        ("tree-3".into(), Graph::binary_tree(3)),
-        ("diamond-4".into(), diamond_chain(4)),
-        ("diamond-6".into(), diamond_chain(6)),
-    ]
-}
 
 /// A chain of diamonds of the given depth: the DAG with exponentially many
 /// paths that separates naive from memoised evaluation.
@@ -251,13 +239,6 @@ pub fn from_n_pipeline() -> TermRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn suite_is_nonempty_and_reachable() {
-        for (name, g) in graph_suite() {
-            assert!(!g.reachable(0).is_empty(), "{name}");
-        }
-    }
 
     #[test]
     fn diamond_counts() {

@@ -1,5 +1,5 @@
 //! Integration tests pinning down the paper's figures and tables as
-//! executable assertions (see EXPERIMENTS.md for the index).
+//! executable assertions (see docs/BENCHMARKS.md for the index).
 
 use lambda_join::core::bigstep::{eval_converged, eval_fuel, fuel_trace};
 use lambda_join::core::builder::*;
