@@ -1,12 +1,8 @@
 //! The id-native evaluation toolkit: λ∨ metafunctions computed directly
-//! over arena nodes.
+//! over arena nodes, for the id frame machine ([`crate::engine::run_id`]).
 //!
-//! PR 3 introduced the hash-consing arena ([`crate::intern`]) but only
-//! consulted it at memo-probe boundaries: every warm probe still paid a
-//! `canon_id` translation walk and every β-step paid the `Arc` refcount tax
-//! of tree substitution. This module collapses the remaining gap: each of
-//! the metafunctions the engine needs — substitution, result join, the
-//! streaming order, primitive delta rules, head reduction — has an id-level
+//! Each of the metafunctions the machine needs — substitution, result
+//! join, the streaming order, primitive delta rules — has an id-level
 //! counterpart here that pattern-matches on cached node keys, consults
 //! the per-node metadata ([`crate::intern::TermMeta`]: size, value-ness,
 //! free-variable summaries), and allocates **tree nodes never and arena
@@ -52,22 +48,6 @@ pub fn app_id(ar: &mut Interner, f: TermId, a: TermId) -> TermId {
     ar.intern_node(NodeKey::App(f, a))
 }
 
-/// Interns a pair node `(a, b)`.
-pub fn pair_id(ar: &mut Interner, a: TermId, b: TermId) -> TermId {
-    ar.intern_node(NodeKey::Pair(a, b))
-}
-
-/// Interns a set node from element ids (kept in the given order).
-pub fn set_id(ar: &mut Interner, es: Vec<TermId>) -> TermId {
-    ar.intern_node(NodeKey::Set(es.into()))
-}
-
-/// Interns a join node `a ∨ b` (the *term*, not the evaluated result —
-/// for that see [`join_results_id`]).
-pub fn join_node_id(ar: &mut Interner, a: TermId, b: TermId) -> TermId {
-    ar.intern_node(NodeKey::Join(a, b))
-}
-
 /// Interns a canonical λ-abstraction over an id body (sentinel binder:
 /// the body's bound occurrences are de Bruijn indices).
 pub fn lam_id(ar: &mut Interner, body: TermId) -> TermId {
@@ -80,11 +60,6 @@ fn is_bot(ar: &Interner, id: TermId) -> bool {
 
 fn is_top(ar: &Interner, id: TermId) -> bool {
     matches!(ar.key(id), NodeKey::Top)
-}
-
-/// Whether the id's node is a result (`⊥`, `⊤`, or a value).
-pub fn is_result_id(ar: &Interner, id: TermId) -> bool {
-    ar.meta(id).is_value || matches!(ar.key(id), NodeKey::Bot | NodeKey::Top)
 }
 
 /// Sees through a `frz` wrapper to the payload id (monotone eliminations
@@ -856,223 +831,6 @@ pub fn delta_id(ar: &mut Interner, op: Prim, args: &[TermId]) -> TermId {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Head reduction
-// ---------------------------------------------------------------------------
-
-/// The evaluation-position children of a node, as `(slot, child)` pairs —
-/// the id counterpart of `reduce::eval_children`.
-pub fn eval_children_id(ar: &Interner, t: TermId) -> Vec<(usize, TermId)> {
-    let value = |id: TermId| ar.meta(id).is_value;
-    match ar.key(t) {
-        NodeKey::Bot
-        | NodeKey::Top
-        | NodeKey::BotV
-        | NodeKey::Var(_)
-        | NodeKey::Sym(_)
-        | NodeKey::Lam(..) => vec![],
-        NodeKey::Pair(a, b) | NodeKey::Lex(a, b) | NodeKey::LexMerge(a, b) => {
-            if !value(*a) {
-                vec![(0, *a)]
-            } else if !value(*b) {
-                vec![(1, *b)]
-            } else {
-                vec![]
-            }
-        }
-        NodeKey::Frz(e) => {
-            if !value(*e) {
-                vec![(0, *e)]
-            } else {
-                vec![]
-            }
-        }
-        NodeKey::App(f, a) => {
-            if !value(*f) {
-                vec![(0, *f)]
-            } else if !value(*a) {
-                vec![(1, *a)]
-            } else {
-                vec![]
-            }
-        }
-        NodeKey::Prim(_, es) => es
-            .iter()
-            .enumerate()
-            .find(|(_, e)| !value(**e))
-            .map(|(i, e)| vec![(i, *e)])
-            .unwrap_or_default(),
-        NodeKey::LetPair(_, _, e, _)
-        | NodeKey::LetSym(_, e, _)
-        | NodeKey::BigJoin(_, e, _)
-        | NodeKey::LetFrz(_, e, _)
-        | NodeKey::LexBind(_, e, _) => {
-            if !value(*e) {
-                vec![(0, *e)]
-            } else {
-                vec![]
-            }
-        }
-        NodeKey::Join(a, b) => {
-            let mut v = Vec::new();
-            if !is_result_id(ar, *a) {
-                v.push((0, *a));
-            }
-            if !is_result_id(ar, *b) {
-                v.push((1, *b));
-            }
-            v
-        }
-        NodeKey::Set(es) => es
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !is_result_id(ar, **e))
-            .map(|(i, e)| (i, *e))
-            .collect(),
-    }
-}
-
-/// `⊤` in a direct evaluation position (the `E[⊤] ↦ ⊤` context rule, one
-/// frame at a time) — mirrors `reduce::top_in_eval_position`.
-fn top_in_eval_position_id(ar: &Interner, t: TermId) -> bool {
-    match ar.key(t) {
-        NodeKey::Set(es) => es.iter().any(|e| is_top(ar, *e)),
-        NodeKey::Join(a, b) => is_top(ar, *a) || is_top(ar, *b),
-        _ => eval_children_id(ar, t).iter().any(|(_, c)| is_top(ar, *c)),
-    }
-}
-
-/// Attempts a head step of the node — the id-native counterpart of
-/// `reduce::head_step`, property-tested against it. Returns `None` when the
-/// node is not a head redex.
-pub fn head_step_id(ar: &mut Interner, t: TermId) -> Option<TermId> {
-    if top_in_eval_position_id(ar, t) {
-        return Some(ar.top_id());
-    }
-    enum H {
-        App(TermId, TermId),
-        LetPair(TermId, TermId),
-        LetSym(Symbol, TermId, TermId),
-        BigJoin(TermId, TermId),
-        Join(TermId, TermId),
-        LetFrz(TermId, TermId),
-        LexBind(TermId, TermId),
-        LexMerge(TermId, TermId),
-        Set,
-        Prim(Prim),
-        Other,
-    }
-    let h = match ar.key(t) {
-        NodeKey::App(f, a) => H::App(*f, *a),
-        NodeKey::LetPair(_, _, e, b) => H::LetPair(*e, *b),
-        NodeKey::LetSym(s, e, b) => H::LetSym(s.clone(), *e, *b),
-        NodeKey::BigJoin(_, e, b) => H::BigJoin(*e, *b),
-        NodeKey::Join(a, b) => H::Join(*a, *b),
-        NodeKey::LetFrz(_, e, b) => H::LetFrz(*e, *b),
-        NodeKey::LexBind(_, e, b) => H::LexBind(*e, *b),
-        NodeKey::LexMerge(a, b) => H::LexMerge(*a, *b),
-        NodeKey::Set(_) => H::Set,
-        NodeKey::Prim(op, _) => H::Prim(*op),
-        _ => H::Other,
-    };
-    let value = |ar: &Interner, id: TermId| ar.meta(id).is_value;
-    match h {
-        H::App(f, a) if value(ar, a) => match ar.key(thaw_id(ar, f)) {
-            NodeKey::Lam(..) => Some(beta_subst(ar, f, a)),
-            _ => None,
-        },
-        H::LetPair(e, body) if value(ar, e) => match jkind(ar, thaw_id(ar, e)) {
-            JKind::Pair(v1, v2) => Some(subst(ar, body, &[v2, v1])),
-            _ => None,
-        },
-        H::LetSym(s, e, body) if value(ar, e) => {
-            let fires = {
-                let te = thaw_id(ar, e);
-                match ar.key(te) {
-                    NodeKey::Sym(s2) => s.leq(s2),
-                    NodeKey::Lex(ver, _) => {
-                        let ver = *ver;
-                        let s_id = sym_id(ar, s.clone());
-                        result_leq_id(ar, s_id, ver)
-                    }
-                    _ => false,
-                }
-            };
-            fires.then_some(body)
-        }
-        H::BigJoin(e, body) if value(ar, e) => {
-            let te = thaw_id(ar, e);
-            match ar.key(te) {
-                NodeKey::Set(vs) => {
-                    let vs: Vec<TermId> = vs.to_vec();
-                    let mut insts = vs.into_iter().map(|v| subst(ar, body, &[v]));
-                    match insts.next() {
-                        None => Some(ar.bot_id()),
-                        Some(first) => {
-                            let joined = insts
-                                .collect::<Vec<_>>()
-                                .into_iter()
-                                .fold(first, |acc, next| ar.intern_node(NodeKey::Join(acc, next)));
-                            Some(joined)
-                        }
-                    }
-                }
-                _ => None,
-            }
-        }
-        H::Join(a, b) if is_result_id(ar, a) && is_result_id(ar, b) => {
-            Some(join_results_id(ar, a, b))
-        }
-        H::LetFrz(e, body) if value(ar, e) => match ar.key(e) {
-            NodeKey::Frz(v) => {
-                let v = *v;
-                Some(subst(ar, body, &[v]))
-            }
-            _ => None,
-        },
-        H::LexBind(e, body) if value(ar, e) => match jkind(ar, thaw_id(ar, e)) {
-            JKind::Lex(v1, v1p) => {
-                let inst = subst(ar, body, &[v1p]);
-                Some(ar.intern_node(NodeKey::LexMerge(v1, inst)))
-            }
-            JKind::BotV => Some(ar.botv_id()),
-            _ => Some(ar.top_id()),
-        },
-        H::LexMerge(v1, e) if value(ar, e) => match jkind(ar, e) {
-            JKind::Lex(v2, v2p) => {
-                let v = join_results_id(ar, v1, v2);
-                Some(lex_lift_id(ar, v, v2p))
-            }
-            JKind::BotV => {
-                let bv = ar.botv_id();
-                Some(lex_lift_id(ar, v1, bv))
-            }
-            _ => Some(ar.top_id()),
-        },
-        H::LexMerge(v1, e) if is_bot(ar, e) => {
-            let bv = ar.botv_id();
-            Some(lex_lift_id(ar, v1, bv))
-        }
-        H::Set => {
-            let kept: Option<Vec<TermId>> = match ar.key(t) {
-                NodeKey::Set(es) if es.iter().any(|e| is_bot(ar, *e)) => {
-                    Some(es.iter().filter(|e| !is_bot(ar, **e)).copied().collect())
-                }
-                _ => None,
-            };
-            kept.map(|es| ar.intern_node(NodeKey::Set(es.into())))
-        }
-        H::Prim(op) => {
-            let args: Option<Vec<TermId>> = match ar.key(t) {
-                NodeKey::Prim(_, es) if es.iter().all(|e| value(ar, *e)) => Some(es.to_vec()),
-                _ => None,
-            };
-            args.map(|a| delta_id(ar, op, &a))
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1140,15 +898,5 @@ mod tests {
         assert_eq!(delta_id(&mut ar, Prim::Le, &[two, three]), tt_id);
         let bv = ar.canon_id(&botv());
         assert_eq!(delta_id(&mut ar, Prim::Add, &[bv, three]), bv);
-    }
-
-    #[test]
-    fn head_step_beta() {
-        let mut ar = Interner::new();
-        let t = ar.canon_id(&app(lam("x", var("x")), int(5)));
-        let five = ar.canon_id(&int(5));
-        assert_eq!(head_step_id(&mut ar, t), Some(five));
-        let stuck = ar.canon_id(&app(int(1), int(2)));
-        assert_eq!(head_step_id(&mut ar, stuck), None);
     }
 }

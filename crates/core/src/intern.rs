@@ -14,10 +14,10 @@
 //! hash — computed once, bottom-up, at interning time ([`TermMeta`]).
 //!
 //! Structural identity is not yet α-equivalence: `λx.x` and `λy.y` are
-//! distinct trees. [`Interner::canon`] closes the gap by renaming every
-//! binder to a canonical de Bruijn-*level* name (the number of enclosing
-//! binders at its introduction), so α-equivalent terms canonicalise to
-//! *identical* trees and therefore intern to the *same* id:
+//! distinct trees. [`Interner::canon_id`] closes the gap by keying every
+//! binder with one reserved sentinel and every bound occurrence with its
+//! de Bruijn *index* (the distance to its binder), so α-equivalent terms
+//! intern to the *same* id:
 //!
 //! ```text
 //! canon_id(t) == canon_id(u)  ⟺  t.alpha_eq(&u)      (property-tested)
@@ -366,9 +366,9 @@ pub struct Interner {
     /// Per-id representative term, **lazy**: ids minted from real trees
     /// ([`Interner::intern`] / [`Interner::canon_id`]) record the tree they
     /// came from; ids minted by id-native evaluation (substitution
-    /// results, joins, delta reducts) record `None` and only materialise a
-    /// tree if [`Interner::extract`] reaches them. This is what lets the
-    /// hot paths allocate arena nodes only, tree nodes never.
+    /// results, joins, delta reducts) record `None` until a tree keys to
+    /// them or [`Interner::extract`] materialises one. This is what lets
+    /// the hot paths allocate arena nodes only, tree nodes never.
     terms: Vec<Option<TermRef>>,
     /// Per-id cached metadata.
     metas: Vec<TermMeta>,
@@ -774,12 +774,12 @@ impl Interner {
     /// α-equivalent terms. **This is the id to key memo/tabling caches
     /// and fixpoint accumulators on.** Amortised O(1) per repeated handle.
     ///
-    /// Decides the same equivalence as `intern(&canon(t))`
-    /// (property-tested), but fused into one id-producing pass in a
-    /// *de Bruijn-index* key space: no canonical tree is materialised,
-    /// bound occurrences are keyed by binder *distance* (so closed
-    /// subtrees key identically at any ambient depth), and already
-    /// canonicalised closed subtrees short-circuit by pointer.
+    /// Decides α-equivalence (property-tested against
+    /// [`Term::alpha_eq`]) in one id-producing pass over a *de Bruijn-index*
+    /// key space: no canonical tree is materialised, bound occurrences are
+    /// keyed by binder *distance* (so closed subtrees key identically at
+    /// any ambient depth), and already canonicalised closed subtrees
+    /// short-circuit by pointer.
     pub fn canon_id(&mut self, t: &TermRef) -> TermId {
         if let Some(e) = self.canon_by_ptr.get(&PtrKey::of(t)) {
             // Root probes run with an empty ambient environment: root
@@ -958,145 +958,24 @@ impl Interner {
     }
 
     /// Interns a pre-built (possibly binder-renamed) node key, with `t` as
-    /// the α-equivalent representative if the node is new.
+    /// the α-equivalent representative if the node has none yet. Nodes
+    /// minted without a tree (id-native evaluation, snapshot replay) adopt
+    /// the first tree that keys to them, so a program re-interned into a
+    /// restored arena extracts with its own binder names, exactly as it
+    /// does in a fresh one.
     fn intern_key(&mut self, key: NodeKey, t: &TermRef) -> TermId {
         let hash = hash_node_key(&key);
         let (nodes, keys) = (&self.nodes, &self.keys);
         match nodes.find(hash, |id| keys[id.index()] == key) {
-            Some(id) => id,
+            Some(id) => {
+                let rep = &mut self.terms[id.index()];
+                if rep.is_none() {
+                    *rep = Some(t.clone());
+                }
+                id
+            }
             None => self.insert_node(hash, key, Some(t)),
         }
-    }
-
-    /// O(1) α-equivalence through the arena: two terms are α-equivalent
-    /// iff their canonical ids coincide (property-tested against
-    /// [`Term::alpha_eq`]).
-    pub fn alpha_eq(&mut self, t: &TermRef, u: &TermRef) -> bool {
-        Arc::ptr_eq(t, u) || self.canon_id(t) == self.canon_id(u)
-    }
-
-    /// Renames every binder to its canonical de Bruijn-level name, so that
-    /// α-equivalent terms become *identical* trees. Free variables are
-    /// untouched; unchanged subtrees are shared with the input (a term with
-    /// no binders canonicalises to itself, zero-copy).
-    ///
-    /// Iterative: canonicalising a term deeper than the OS stack is safe.
-    pub fn canon(&mut self, t: &TermRef) -> TermRef {
-        enum Job<'a> {
-            Visit(&'a TermRef),
-            Bind(&'a Var, Var),
-            Unbind(usize),
-            /// Rebuild `node` from the last `built` results; `names` are
-            /// the canonical binder names chosen at visit time.
-            Build {
-                node: &'a TermRef,
-                built: usize,
-                names: [Option<Var>; 2],
-            },
-        }
-        // (original, canonical) pairs; shadowing resolved by reverse scan.
-        let mut bound: Vec<(Var, Var)> = Vec::new();
-        let mut jobs: Vec<Job<'_>> = vec![Job::Visit(t)];
-        let mut results: Vec<TermRef> = Vec::new();
-        while let Some(job) = jobs.pop() {
-            match job {
-                Job::Bind(orig, canon) => bound.push((orig.clone(), canon)),
-                Job::Unbind(n) => {
-                    let keep = bound.len() - n;
-                    bound.truncate(keep);
-                }
-                Job::Visit(t) => match &**t {
-                    Term::Bot | Term::Top | Term::BotV | Term::Sym(_) => results.push(t.clone()),
-                    Term::Var(x) => {
-                        match bound.iter().rev().find(|(orig, _)| orig == x) {
-                            // Bound: rename to the binder's canonical name
-                            // (shared when already canonical).
-                            Some((_, canon)) if canon == x => results.push(t.clone()),
-                            Some((_, canon)) => {
-                                results.push(Arc::new(Term::Var(canon.clone())));
-                            }
-                            // Free: untouched.
-                            None => results.push(t.clone()),
-                        }
-                    }
-                    Term::Lam(x, b) => {
-                        let cx = canonical_name(bound.len());
-                        jobs.push(Job::Build {
-                            node: t,
-                            built: 1,
-                            names: [Some(cx.clone()), None],
-                        });
-                        jobs.push(Job::Unbind(1));
-                        jobs.push(Job::Visit(b));
-                        jobs.push(Job::Bind(x, cx));
-                    }
-                    Term::Pair(a, b)
-                    | Term::App(a, b)
-                    | Term::Join(a, b)
-                    | Term::Lex(a, b)
-                    | Term::LexMerge(a, b)
-                    | Term::LetSym(_, a, b) => {
-                        jobs.push(Job::Build {
-                            node: t,
-                            built: 2,
-                            names: [None, None],
-                        });
-                        jobs.push(Job::Visit(b));
-                        jobs.push(Job::Visit(a));
-                    }
-                    Term::Frz(e) => {
-                        jobs.push(Job::Build {
-                            node: t,
-                            built: 1,
-                            names: [None, None],
-                        });
-                        jobs.push(Job::Visit(e));
-                    }
-                    Term::Set(es) | Term::Prim(_, es) => {
-                        jobs.push(Job::Build {
-                            node: t,
-                            built: es.len(),
-                            names: [None, None],
-                        });
-                        jobs.extend(es.iter().rev().map(Job::Visit));
-                    }
-                    Term::LetPair(x1, x2, e, body) => {
-                        let c1 = canonical_name(bound.len());
-                        let c2 = canonical_name(bound.len() + 1);
-                        jobs.push(Job::Build {
-                            node: t,
-                            built: 2,
-                            names: [Some(c1.clone()), Some(c2.clone())],
-                        });
-                        jobs.push(Job::Unbind(2));
-                        jobs.push(Job::Visit(body));
-                        jobs.push(Job::Bind(x2, c2));
-                        jobs.push(Job::Bind(x1, c1));
-                        jobs.push(Job::Visit(e));
-                    }
-                    Term::BigJoin(x, e, body)
-                    | Term::LetFrz(x, e, body)
-                    | Term::LexBind(x, e, body) => {
-                        let cx = canonical_name(bound.len());
-                        jobs.push(Job::Build {
-                            node: t,
-                            built: 2,
-                            names: [Some(cx.clone()), None],
-                        });
-                        jobs.push(Job::Unbind(1));
-                        jobs.push(Job::Visit(body));
-                        jobs.push(Job::Bind(x, cx));
-                        jobs.push(Job::Visit(e));
-                    }
-                },
-                Job::Build { node, built, names } => {
-                    let children = results.split_off(results.len() - built);
-                    results.push(rebuild_canon(node, children, names));
-                }
-            }
-        }
-        debug_assert_eq!(results.len(), 1);
-        results.pop().expect("canonicalisation produced no result")
     }
 
     /// Materialises a named tree for an id — the tree↔id boundary in the
@@ -1275,11 +1154,11 @@ impl Interner {
     }
 }
 
-/// The canonical name of the binder introduced with `depth` binders already
-/// in scope (used by the term-building [`Interner::canon`]), doubling as
-/// the spelling of de Bruijn index `depth` in the fused key space. The
-/// `'\u{1}'` prefix is not producible by the surface parser, so canonical
-/// names never collide with source-program variables.
+/// The spelling of de Bruijn index `depth` in the canonical key space,
+/// doubling as the name [`Interner::extract`] gives the binder introduced
+/// with `depth` binders already in scope. The `'\u{1}'` prefix is not
+/// producible by the surface parser, so canonical names never collide
+/// with source-program variables.
 fn canonical_name(depth: usize) -> Var {
     // Per-thread cache: the free-variable shift in `compute_meta_from`
     // spells an index per shifted occurrence on every fresh node insert,
@@ -1330,142 +1209,6 @@ pub(crate) fn canon_index(x: &Var) -> Option<usize> {
 /// cache (see [`Interner::canon_intern`]). Small nodes re-key cheaply;
 /// caching them would cost more memory than the probes they save.
 const CANON_PTR_CACHE_MIN_SIZE: usize = 16;
-
-/// Rebuilds `node` with canonicalised children and binder `names`, sharing
-/// the original allocation when nothing changed.
-fn rebuild_canon(node: &TermRef, mut children: Vec<TermRef>, names: [Option<Var>; 2]) -> TermRef {
-    let unchanged = |orig: &[&TermRef], new: &[TermRef]| {
-        orig.len() == new.len() && orig.iter().zip(new).all(|(o, n)| Arc::ptr_eq(o, n))
-    };
-    macro_rules! pop2 {
-        () => {{
-            let b = children.pop().expect("canon lost a child");
-            let a = children.pop().expect("canon lost a child");
-            (a, b)
-        }};
-    }
-    match &**node {
-        Term::Lam(x, b) => {
-            let cx = names[0].clone().expect("Lam canon name");
-            let nb = children.pop().expect("canon lost a body");
-            if cx == *x && Arc::ptr_eq(b, &nb) {
-                node.clone()
-            } else {
-                Arc::new(Term::Lam(cx, nb))
-            }
-        }
-        Term::Frz(e) => {
-            let ne = children.pop().expect("canon lost a payload");
-            if Arc::ptr_eq(e, &ne) {
-                node.clone()
-            } else {
-                Arc::new(Term::Frz(ne))
-            }
-        }
-        Term::Pair(a, b) => {
-            let (na, nb) = pop2!();
-            if unchanged(&[a, b], &[na.clone(), nb.clone()]) {
-                node.clone()
-            } else {
-                Arc::new(Term::Pair(na, nb))
-            }
-        }
-        Term::App(a, b) => {
-            let (na, nb) = pop2!();
-            if unchanged(&[a, b], &[na.clone(), nb.clone()]) {
-                node.clone()
-            } else {
-                Arc::new(Term::App(na, nb))
-            }
-        }
-        Term::Join(a, b) => {
-            let (na, nb) = pop2!();
-            if unchanged(&[a, b], &[na.clone(), nb.clone()]) {
-                node.clone()
-            } else {
-                Arc::new(Term::Join(na, nb))
-            }
-        }
-        Term::Lex(a, b) => {
-            let (na, nb) = pop2!();
-            if unchanged(&[a, b], &[na.clone(), nb.clone()]) {
-                node.clone()
-            } else {
-                Arc::new(Term::Lex(na, nb))
-            }
-        }
-        Term::LexMerge(a, b) => {
-            let (na, nb) = pop2!();
-            if unchanged(&[a, b], &[na.clone(), nb.clone()]) {
-                node.clone()
-            } else {
-                Arc::new(Term::LexMerge(na, nb))
-            }
-        }
-        Term::LetSym(s, a, b) => {
-            let (na, nb) = pop2!();
-            if unchanged(&[a, b], &[na.clone(), nb.clone()]) {
-                node.clone()
-            } else {
-                Arc::new(Term::LetSym(s.clone(), na, nb))
-            }
-        }
-        Term::LetPair(x1, x2, e, body) => {
-            let (ne, nbody) = pop2!();
-            let c1 = names[0].clone().expect("LetPair canon name");
-            let c2 = names[1].clone().expect("LetPair canon name");
-            if c1 == *x1 && c2 == *x2 && Arc::ptr_eq(e, &ne) && Arc::ptr_eq(body, &nbody) {
-                node.clone()
-            } else {
-                Arc::new(Term::LetPair(c1, c2, ne, nbody))
-            }
-        }
-        Term::BigJoin(x, e, body) => {
-            let (ne, nbody) = pop2!();
-            let cx = names[0].clone().expect("BigJoin canon name");
-            if cx == *x && Arc::ptr_eq(e, &ne) && Arc::ptr_eq(body, &nbody) {
-                node.clone()
-            } else {
-                Arc::new(Term::BigJoin(cx, ne, nbody))
-            }
-        }
-        Term::LetFrz(x, e, body) => {
-            let (ne, nbody) = pop2!();
-            let cx = names[0].clone().expect("LetFrz canon name");
-            if cx == *x && Arc::ptr_eq(e, &ne) && Arc::ptr_eq(body, &nbody) {
-                node.clone()
-            } else {
-                Arc::new(Term::LetFrz(cx, ne, nbody))
-            }
-        }
-        Term::LexBind(x, e, body) => {
-            let (ne, nbody) = pop2!();
-            let cx = names[0].clone().expect("LexBind canon name");
-            if cx == *x && Arc::ptr_eq(e, &ne) && Arc::ptr_eq(body, &nbody) {
-                node.clone()
-            } else {
-                Arc::new(Term::LexBind(cx, ne, nbody))
-            }
-        }
-        Term::Set(es) => {
-            if unchanged(&es.iter().collect::<Vec<_>>(), &children) {
-                node.clone()
-            } else {
-                Arc::new(Term::Set(children))
-            }
-        }
-        Term::Prim(op, es) => {
-            if unchanged(&es.iter().collect::<Vec<_>>(), &children) {
-                node.clone()
-            } else {
-                Arc::new(Term::Prim(*op, children))
-            }
-        }
-        Term::Bot | Term::Top | Term::BotV | Term::Var(_) | Term::Sym(_) => {
-            unreachable!("leaves are rebuilt in place")
-        }
-    }
-}
 
 impl Interner {
     /// Interns one node whose children are already interned.
@@ -1882,14 +1625,6 @@ mod tests {
         let s3 = lam("a", lam("b", var("a")));
         assert_eq!(arena.canon_id(&s1), arena.canon_id(&s2));
         assert_ne!(arena.canon_id(&s1), arena.canon_id(&s3));
-    }
-
-    #[test]
-    fn canon_is_zero_copy_on_binder_free_terms() {
-        let mut arena = Interner::new();
-        let t = set(vec![int(1), pair(int(2), int(3))]);
-        let c = arena.canon(&t);
-        assert!(Arc::ptr_eq(&t, &c));
     }
 
     #[test]

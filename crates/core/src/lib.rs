@@ -29,9 +29,10 @@
 //! * [`intern`] — the hash-consing arena: `Copy` term ids with O(1)
 //!   equality/hashing, cached subterm metadata, and canonical ids that
 //!   decide α-equivalence by id comparison (the memo/tabling key type);
-//! * [`ideval`] — the id-native evaluation toolkit: substitution, result
-//!   joins, the streaming order, delta rules, and head reduction computed
-//!   directly over arena nodes (tree allocations: zero);
+//! * [`ideval`] — the id-native evaluation toolkit behind
+//!   [`engine::run_id`]: substitution, result joins, the streaming order,
+//!   and delta rules computed directly over arena nodes (tree
+//!   allocations: zero);
 //! * [`sharded`] — the thread-shared β-memo of `lambdav serve`: one
 //!   [`intern::Interner`] and its result cache behind a single lock;
 //! * [`pool`] — bounded worker helpers: the fork–join map behind
@@ -79,7 +80,6 @@ pub mod snap;
 pub mod stdlib;
 pub mod symbol;
 pub mod term;
-pub mod trace;
 
 pub use symbol::Symbol;
 pub use term::{Prim, Term, TermRef, Var};

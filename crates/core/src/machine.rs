@@ -205,17 +205,6 @@ pub fn converges_to(term: TermRef, expected: &TermRef, fuel: usize) -> bool {
     m.observe().alpha_eq(expected)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Never {}
-
-#[allow(dead_code)]
-fn _assert_traits() {
-    fn assert_send<T: Send>() {}
-    // Machine is intentionally single-threaded (Arc-based); the
-    // thread-parallel evaluator lives in lambda-join-runtime.
-    let _ = core::mem::size_of::<Never>();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

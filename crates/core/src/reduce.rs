@@ -17,7 +17,6 @@
 use std::sync::Arc;
 
 use crate::builder;
-use crate::symbol::Symbol;
 use crate::term::{Prim, Term, TermRef};
 
 /// The `r ⊔ r'` metafunction from Figure 5: join of two results.
@@ -723,11 +722,6 @@ pub fn parallel_step(t: &TermRef) -> (TermRef, bool) {
     (cur, changed)
 }
 
-/// Convenience: is `s ≤ s'` for the threshold rule? Re-exported for tests.
-pub fn symbol_leq(s: &Symbol, s2: &Symbol) -> bool {
-    s.leq(s2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -873,6 +867,13 @@ mod tests {
         let t = lam("x", top());
         assert!(head_step(&t).is_none());
         assert!(t.is_value());
+    }
+
+    #[test]
+    fn values_have_no_redex() {
+        for v in [int(5), lam("x", app(var("x"), var("x")))] {
+            assert!(redex_positions(&v).is_empty(), "{v} has a redex");
+        }
     }
 
     #[test]

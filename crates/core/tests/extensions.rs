@@ -13,7 +13,8 @@ use lambda_join_core::machine::Machine;
 use lambda_join_core::observe::{observe, result_equiv, result_leq};
 use lambda_join_core::parser::parse;
 use lambda_join_core::reduce::{head_step, join_results};
-use lambda_join_core::term::TermRef;
+use lambda_join_core::term::{Term, TermRef};
+use std::sync::Arc;
 
 fn run(t: TermRef) -> TermRef {
     let mut m = Machine::new(t);
@@ -294,6 +295,22 @@ fn bind_threads_versions() {
         lex(level(2), add(var("x"), int(1))),
     );
     assert!(run(t).alpha_eq(&lex(level(2), int(11))));
+}
+
+#[test]
+fn extension_rules_fire_as_single_head_steps() {
+    // let-frz: `let frz x = frz v in e ↦ e[v/x]`.
+    let t = let_frz("x", frz(int(5)), pair(var("x"), int(1)));
+    let r = head_step(&t).expect("let-frz fires");
+    assert!(r.alpha_eq(&pair(int(5), int(1))), "{r}");
+    // lex-bind: `x ← ⟨v1, v1'⟩; e ↦ merge(v1, e[v1'/x])`.
+    let t = lex_bind("x", lex(level(1), int(10)), lex(level(2), var("x")));
+    let merge = head_step(&t).expect("lex-bind fires");
+    let want = Arc::new(Term::LexMerge(level(1), lex(level(2), int(10))));
+    assert!(merge.alpha_eq(&want), "{merge}");
+    // lex-merge: `merge(v1, ⟨v2, v2'⟩) ↦ ⟨v1 ⊔ v2, v2'⟩`.
+    let r = head_step(&merge).expect("lex-merge fires");
+    assert!(r.alpha_eq(&lex(level(2), int(10))), "{r}");
 }
 
 #[test]

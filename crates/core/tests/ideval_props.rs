@@ -141,17 +141,6 @@ proptest! {
         prop_assert_eq!(got, want, "{}({:?})", op, args);
     }
 
-    /// `head_step_id` ≡ `head_step`: same redex-ness verdict, α-equal
-    /// reducts.
-    #[test]
-    fn head_step_id_agrees_with_tree_head_step(t in arb_term()) {
-        let mut ar = Interner::new();
-        let id = ar.canon_id(&t);
-        let got = ideval::head_step_id(&mut ar, id);
-        let want = reduce::head_step(&t).map(|r| ar.canon_id(&r));
-        prop_assert_eq!(got, want, "head step of {}", t);
-    }
-
     /// The full boundary: the id frame machine behind `eval_fuel` is
     /// observationally equal to the recursive executable specification —
     /// results α-equal and β-counts identical — at every fuel.

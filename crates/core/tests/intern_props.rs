@@ -3,6 +3,9 @@
 //! implementations, and deep terms intern (and the arena tears down) on a
 //! 512 KiB thread.
 
+mod common;
+
+use common::rename_binders;
 use lambda_join_core::builder as b;
 use lambda_join_core::intern::{InternTable, Interner};
 use lambda_join_core::symbol::Symbol;
@@ -36,6 +39,8 @@ fn arb_term() -> impl Strategy<Value = TermRef> {
                 .prop_map(|(x, e, body)| b::big_join(x, e, body)),
             1 => (name.clone(), inner.clone(), inner.clone())
                 .prop_map(|(x, e, body)| b::let_frz(x, e, body)),
+            1 => (name.clone(), inner.clone(), inner.clone())
+                .prop_map(|(x, e, body)| b::lex_bind(x, e, body)),
             1 => (inner.clone(), inner.clone()).prop_map(|(a, e)| b::add(a, e)),
             1 => inner.clone().prop_map(b::frz),
         ]
@@ -52,21 +57,19 @@ proptest! {
         prop_assert_eq!(ids_equal, t.alpha_eq(&u), "t = {}, u = {}", t, u);
     }
 
-    /// `canon` produces an α-equivalent term, structural interning of
-    /// canonical forms decides α-equivalence (the satellite spec
-    /// `intern(canon(t)) == intern(canon(u)) ⟺ alpha_eq(t, u)`), and the
-    /// fused `canon_id` agrees with it on every verdict.
+    /// Binder renaming preserves meaning, canonical ids of renamed
+    /// α-variants decide α-equivalence exactly as `Term::alpha_eq` does,
+    /// and a renamed variant keeps the original's canonical id.
     #[test]
     fn canon_is_alpha_preserving_and_consistent(t in arb_term(), u in arb_term()) {
         let mut arena = Interner::new();
-        let (ct, cu) = (arena.canon(&t), arena.canon(&u));
-        prop_assert!(ct.alpha_eq(&t), "canon changed meaning: {} vs {}", t, ct);
-        let via_terms = arena.intern(&ct) == arena.intern(&cu);
-        prop_assert_eq!(via_terms, t.alpha_eq(&u));
+        let (rt, ru) = (rename_binders(&t, "_t"), rename_binders(&u, "_u"));
+        prop_assert!(rt.alpha_eq(&t), "renaming changed meaning: {} vs {}", t, rt);
+        let renamed = arena.canon_id(&rt) == arena.canon_id(&ru);
+        prop_assert_eq!(renamed, t.alpha_eq(&u), "t = {}, u = {}", t, u);
         let fused = arena.canon_id(&t) == arena.canon_id(&u);
         prop_assert_eq!(fused, t.alpha_eq(&u));
-        // Canonicalisation is idempotent up to canonical ids.
-        prop_assert_eq!(arena.canon_id(&ct), arena.canon_id(&t));
+        prop_assert_eq!(arena.canon_id(&rt), arena.canon_id(&t));
     }
 
     /// Interned metadata agrees with the iterative term-layer walks.
@@ -118,9 +121,9 @@ proptest! {
         let (fid, aid) = (arena.canon_id(&f), arena.canon_id(&a));
         let r = arena.canon_id(&b::int(1));
         table.store(fid, aid, 7, r, false);
-        // Probing with the ids of freshly canonicalised α-variants hits.
-        let fc = arena.canon(&f);
-        let ac = arena.canon(&a);
+        // Probing with the ids of freshly renamed α-variants hits.
+        let fc = rename_binders(&f, "_f");
+        let ac = rename_binders(&a, "_a");
         let (fid2, aid2) = (arena.canon_id(&fc), arena.canon_id(&ac));
         prop_assert_eq!((fid2, aid2), (fid, aid), "α-variant ids differ: {} / {}", f, a);
         prop_assert!(table.lookup(fid2, aid2, 7).is_some(), "α-variant probe missed");
@@ -266,22 +269,13 @@ proptest! {
         let mut arena = Interner::new();
         let _ = arena.canon_id(&t); // prime caches at depth 0
         // Embed the same handle at depths 1 and 2, next to a fresh
-        // α-variant embedding built via canon (different binder names).
+        // α-variant embedding (different binder names and allocations).
         let shared1 = b::lam("a", b::pair(b::var("a"), t.clone()));
         let shared2 = b::lam("a", b::lam("b", t.clone()));
-        let fresh_t = arena.canon(&t);
+        let fresh_t = rename_binders(&t, "_r");
         let fresh1 = b::lam("k", b::pair(b::var("k"), fresh_t.clone()));
         let fresh2 = b::lam("k", b::lam("l", fresh_t));
         prop_assert_eq!(arena.canon_id(&shared1), arena.canon_id(&fresh1));
         prop_assert_eq!(arena.canon_id(&shared2), arena.canon_id(&fresh2));
     }
-}
-
-#[test]
-fn interner_alpha_eq_helper_matches_spec() {
-    let mut arena = Interner::new();
-    let t = b::lam("x", b::app(b::var("x"), b::int(1)));
-    let u = b::lam("k", b::app(b::var("k"), b::int(1)));
-    assert!(arena.alpha_eq(&t, &u));
-    assert!(!arena.alpha_eq(&t, &b::lam("k", b::app(b::var("k"), b::int(2)))));
 }

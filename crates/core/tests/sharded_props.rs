@@ -5,8 +5,11 @@
 //! compaction (`collected`) running during the probes never yields a
 //! wrong result.
 
+mod common;
+
 use std::sync::Mutex;
 
+use common::rename_binders;
 use lambda_join_core::builder as b;
 use lambda_join_core::engine::BetaTable;
 use lambda_join_core::intern::Interner;
@@ -42,30 +45,6 @@ fn arb_term() -> impl Strategy<Value = TermRef> {
             1 => inner.clone().prop_map(b::frz),
         ]
     })
-}
-
-/// An α-renaming of `t` with fresh binder names: a different tree (and
-/// allocation) in the same α-class.
-fn rename_binders(t: &TermRef, salt: &str) -> TermRef {
-    use lambda_join_core::term::Term;
-    match &**t {
-        Term::Lam(x, body) => {
-            let nx = format!("{x}{salt}");
-            let renamed = body.subst(x, &b::var(&nx));
-            b::lam(&nx, rename_binders(&renamed, salt))
-        }
-        Term::BigJoin(x, e, body) => {
-            let nx = format!("{x}{salt}");
-            let renamed = body.subst(x, &b::var(&nx));
-            b::big_join(&nx, rename_binders(e, salt), rename_binders(&renamed, salt))
-        }
-        Term::Pair(a, c) => b::pair(rename_binders(a, salt), rename_binders(c, salt)),
-        Term::App(f, a) => b::app(rename_binders(f, salt), rename_binders(a, salt)),
-        Term::Join(a, c) => b::join(rename_binders(a, salt), rename_binders(c, salt)),
-        Term::Set(es) => b::set(es.iter().map(|e| rename_binders(e, salt)).collect()),
-        Term::Frz(e) => b::frz(rename_binders(e, salt)),
-        _ => t.clone(),
-    }
 }
 
 /// The same term (and α-variants of it) stored and probed from k racing

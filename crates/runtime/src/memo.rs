@@ -103,12 +103,20 @@ impl MemoEval {
 
     /// Evaluates with the given fuel (β-depth), memoising β-calls.
     pub fn eval_fuel(&mut self, e: &TermRef, fuel: usize) -> TermRef {
+        self.eval_budgeted(e, fuel, &mut Budget::new(usize::MAX))
+    }
+
+    /// [`MemoEval::eval_fuel`] under a caller-supplied [`Budget`] (β valve,
+    /// deadline, cancellation, node quota). A run stopped by a request
+    /// limit returns `⊥`; check [`Budget::stop_cause`] before trusting
+    /// the result.
+    pub fn eval_budgeted(&mut self, e: &TermRef, fuel: usize, budget: &mut Budget) -> TermRef {
         // Values evaluate to themselves: keep the caller's handle.
         if e.is_value() {
             return e.clone();
         }
         let id = self.interner.canon_id(e);
-        let r = self.eval_fuel_id(id, fuel);
+        let r = engine::run_id(&mut self.interner, id, fuel, budget, &mut self.table);
         self.interner.extract(r)
     }
 

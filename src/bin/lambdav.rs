@@ -10,13 +10,15 @@
 //!               [--snapshot PATH] [--snapshot-interval MS]
 //! ```
 //!
-//! `run` and `watch` additionally accept `--load-snapshot PATH` and
-//! `--save-snapshot PATH` to evaluate through a persistent memoised
-//! evaluator: loading warm-starts the arena and call cache from a prior
-//! run's checkpoint (a missing file is a cold start), saving checkpoints
-//! them after evaluation. `serve --snapshot PATH` warm-boots the shared
-//! server memo from `PATH` and checkpoints back on graceful shutdown
-//! (plus every `--snapshot-interval` milliseconds when given).
+//! `run` and `watch` evaluate through one memoised evaluator
+//! (`runtime::memo::MemoEval`); `--timeout` bounds it with a deadline.
+//! They additionally accept `--load-snapshot PATH` and
+//! `--save-snapshot PATH`: loading warm-starts the arena and call cache
+//! from a prior run's checkpoint (a missing file is a cold start), saving
+//! checkpoints them after a successful evaluation. `serve --snapshot
+//! PATH` warm-boots the shared server memo from `PATH` and checkpoints
+//! back on graceful shutdown (plus every `--snapshot-interval`
+//! milliseconds when given).
 //!
 //! The program argument is treated as a file path if such a file exists,
 //! otherwise as inline source. Exactly one program argument is accepted;
@@ -27,8 +29,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use lambda_join::core::bigstep::eval_fuel;
-use lambda_join::core::engine::{self, Budget, NoTable, StopCause};
+use lambda_join::core::engine::{Budget, StopCause};
 use lambda_join::core::parser::parse;
 use lambda_join::core::TermRef;
 use lambda_join::filter::ambiguity::check_ambiguity_fuel;
@@ -141,85 +142,24 @@ fn eval_command(cmd: &str, rest: Vec<String>) -> ExitCode {
         eprintln!("program has free variables: {:?}", term.free_vars());
         return ExitCode::FAILURE;
     }
-    // Snapshot-backed evaluation goes through the persistent memoised
-    // evaluator (warm arena + call cache) instead of the one-shot engine.
-    if load_snapshot.is_some() || save_snapshot.is_some() {
-        if timeout_ms.is_some() {
-            eprintln!("--timeout is not supported together with snapshot evaluation");
-            return ExitCode::FAILURE;
+    if cmd == "check" {
+        println!("parsed: {term}");
+        println!("size: {} nodes", term.size());
+        println!(
+            "derives a value (⊥v ⪯log e): {}",
+            derives_value(&term, fuel)
+        );
+        println!("ambiguity: {}", check_ambiguity_fuel(&term, fuel));
+        println!("meaning fragment (fuel ≤ {fuel}):");
+        for phi in meaning_fragment(&term, fuel.min(16)) {
+            println!("  ⊢ e : {phi}");
         }
-        return eval_with_snapshots(cmd, &term, fuel, load_snapshot, save_snapshot);
+        return ExitCode::SUCCESS;
     }
-    let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    // One budgeted engine run at `fuel`; returns Err on a tripped deadline.
-    let run_once = |f: usize| -> Result<TermRef, ()> {
-        match deadline {
-            None => Ok(eval_fuel(&term, f)),
-            Some(d) => {
-                let mut budget = Budget::new(usize::MAX).with_deadline(d);
-                let r = engine::run(&term, f, &mut budget, &mut NoTable);
-                match budget.stop_cause() {
-                    Some(StopCause::Deadline) => Err(()),
-                    _ => Ok(r),
-                }
-            }
-        }
-    };
-    match cmd {
-        "run" => match run_once(fuel) {
-            Ok(r) => {
-                println!("{r}");
-                ExitCode::SUCCESS
-            }
-            Err(()) => {
-                eprintln!("deadline exceeded after {} ms", timeout_ms.unwrap_or(0));
-                ExitCode::FAILURE
-            }
-        },
-        "watch" => {
-            for f in 0..=fuel {
-                match run_once(f) {
-                    Ok(obs) => println!("t{f}: {obs}"),
-                    Err(()) => {
-                        eprintln!(
-                            "deadline exceeded after {} ms (at fuel {f})",
-                            timeout_ms.unwrap_or(0)
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "check" => {
-            println!("parsed: {term}");
-            println!("size: {} nodes", term.size());
-            println!(
-                "derives a value (⊥v ⪯log e): {}",
-                derives_value(&term, fuel)
-            );
-            println!("ambiguity: {}", check_ambiguity_fuel(&term, fuel));
-            println!("meaning fragment (fuel ≤ {fuel}):");
-            for phi in meaning_fragment(&term, fuel.min(16)) {
-                println!("  ⊢ e : {phi}");
-            }
-            ExitCode::SUCCESS
-        }
-        _ => unreachable!("eval_command is called for run/watch/check only"),
-    }
-}
-
-/// `run`/`watch` through a [`MemoEval`] that is optionally warm-started
-/// from (and checkpointed back to) disk. A missing `--load-snapshot`
-/// file is a cold start, matching the server's boot behaviour; a corrupt
-/// one is a loud typed error.
-fn eval_with_snapshots(
-    cmd: &str,
-    term: &TermRef,
-    fuel: usize,
-    load_snapshot: Option<std::path::PathBuf>,
-    save_snapshot: Option<std::path::PathBuf>,
-) -> ExitCode {
+    // `run` and `watch` evaluate through one memoised evaluator, warm-started
+    // from `--load-snapshot` when that file exists (a missing file is a cold
+    // start, matching the server's boot behaviour; a corrupt one is a loud
+    // typed error).
     let mut memo = match &load_snapshot {
         Some(p) if p.exists() => match MemoEval::load_snapshot(p) {
             Ok(m) => m,
@@ -230,14 +170,28 @@ fn eval_with_snapshots(
         },
         _ => MemoEval::new(),
     };
-    match cmd {
-        "run" => println!("{}", memo.eval_fuel(term, fuel)),
-        "watch" => {
-            for f in 0..=fuel {
-                println!("t{f}: {}", memo.eval_fuel(term, f));
-            }
+    let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let watch = cmd == "watch";
+    for f in if watch { 0..=fuel } else { fuel..=fuel } {
+        let mut budget = Budget::new(usize::MAX);
+        if let Some(d) = deadline {
+            budget = budget.with_deadline(d);
         }
-        _ => unreachable!("snapshot flags are rejected for `check` at parse time"),
+        let obs = memo.eval_budgeted(&term, f, &mut budget);
+        if budget.stop_cause() == Some(StopCause::Deadline) {
+            let at = if watch {
+                format!(" (at fuel {f})")
+            } else {
+                String::new()
+            };
+            eprintln!("deadline exceeded after {} ms{at}", timeout_ms.unwrap_or(0));
+            return ExitCode::FAILURE;
+        }
+        if watch {
+            println!("t{f}: {obs}");
+        } else {
+            println!("{obs}");
+        }
     }
     if let Some(p) = &save_snapshot {
         match memo.save_snapshot(p) {
