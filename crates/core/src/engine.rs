@@ -1,5 +1,6 @@
 //! The explicit-stack evaluation engine: a defunctionalised frame machine
-//! for the fuel-indexed big-step semantics.
+//! for the fuel-indexed big-step semantics, running over the ids of the
+//! hash-consing arena.
 //!
 //! [`crate::bigstep`] specifies evaluation as a recursive function — one
 //! Rust stack frame per pending evaluation context. That is the right shape
@@ -14,17 +15,16 @@
 //! evaluation context of the big-step relation — the function and argument
 //! positions of an application, the sides of a join, the body of a big
 //! join, the operands of a primitive, a pending freeze, … — becomes one
-//! frame variant, and [`run`] is a flat loop over a control state
+//! frame variant, and [`run_id`] is a flat loop over a control state
 //! (*evaluate this term* / *return this result*) and the frame stack.
-//! Evaluation depth now scales with the heap; a stock 2 MiB thread runs
-//! fuel budgets that used to overflow 64 MiB (regression-tested on a
-//! 512 KiB thread in `tests/deep_recursion.rs`).
+//! Frames carry `Copy` canonical ids of the arena ([`crate::intern`]),
+//! dispatch reads cached metadata instead of walking trees, and the
+//! metafunctions come from [`crate::ideval`]. Evaluation depth scales with
+//! the heap; a stock 2 MiB thread runs fuel budgets that used to overflow
+//! 64 MiB (regression-tested on a 512 KiB thread in
+//! `tests/deep_recursion.rs`).
 //!
-//! Since the arena-native refactor the **production machine is the id
-//! variant** ([`run_id`]): frames carry `Copy` canonical ids of the
-//! hash-consing arena ([`crate::intern`]), dispatch reads cached metadata
-//! instead of walking trees, and the metafunctions come from
-//! [`crate::ideval`]. The substrates:
+//! Every evaluator runs this one machine:
 //!
 //! * [`crate::bigstep::eval_fuel`] runs [`run_id`] over a thread-local
 //!   arena (tree ↔ id conversion once per call, pointer-cached);
@@ -32,12 +32,12 @@
 //!   [`run_id`] over their own arenas, with the memoising [`IdBetaTable`]
 //!   probing the `(function, argument, fuel)` ids already in hand
 //!   (tabled evaluation, §5.1);
-//! * the tree machine ([`run`]) survives for the shared-table concurrent
-//!   path (`SharedInternTable` shares one memo across `lambdav serve`'s
-//!   session threads).
+//! * [`run`] takes and returns trees over the [`SharedInternTable`] that
+//!   `lambdav serve`'s sessions share, and runs the machine in slices so
+//!   the table's lock is free between them.
 //!
 //! The recursive evaluator is retained as [`crate::bigstep::spec`] — the
-//! executable specification both machines are property-tested against
+//! executable specification the machine is property-tested against
 //! (results α-equal *and* β-counts identical).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -45,7 +45,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::builder;
-use crate::reduce::{delta, frz_lift, join_results, lex_lift, pair_lift, thaw};
+use crate::ideval;
+use crate::intern::{Interner, NodeKey, TermId};
+use crate::reduce::{join_results, lex_lift};
+use crate::sharded::SharedInternTable;
 use crate::term::{Term, TermRef};
 
 /// Why an evaluation run was stopped early by its [`Budget`] limits (as
@@ -73,11 +76,10 @@ pub enum StopCause {
 /// common case pays one boolean load per dispatch.
 const LIMIT_CHECK_INTERVAL: u32 = 512;
 
-/// A callback reporting the current node count of whatever arena backs the
-/// run, for [`Budget::with_node_gauge`]. The tree machine has no arena
-/// parameter of its own, so quota enforcement there needs the caller to
-/// say what to measure (the server passes the node count of its
-/// `SharedInternTable`'s arena).
+/// A node-count callback for [`Budget::with_node_gauge`]. Inert: the
+/// machine measures quota growth against its own arena, so no gauge is
+/// ever called. Kept only because the benchmark harness (`perfbench/`)
+/// still passes one.
 pub type NodeGauge = Arc<dyn Fn() -> usize + Send + Sync>;
 
 /// The global evaluation budget and approximation bookkeeping for one run.
@@ -85,10 +87,10 @@ pub type NodeGauge = Arc<dyn Fn() -> usize + Send + Sync>;
 /// Beyond the β valve, a budget can carry *request limits* — a wall-clock
 /// deadline, a cooperative cancellation flag, and an arena-node quota —
 /// checked every `LIMIT_CHECK_INTERVAL` (512) machine dispatches inside
-/// [`run`]/[`run_id`]. A tripped limit aborts the run with `⊥` and records
-/// a [`StopCause`]; budgets without limits pay a single boolean test per
+/// [`run_id`]. A tripped limit aborts the run with `⊥` and records a
+/// [`StopCause`]; budgets without limits pay a single boolean test per
 /// dispatch.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Budget {
     /// Remaining global β-steps; a safety valve against exponential blowup
     /// when the per-path fuel alone would admit huge terms.
@@ -111,26 +113,10 @@ pub struct Budget {
     cancel: Option<Arc<AtomicBool>>,
     /// Maximum arena-node growth allowed during the run.
     node_quota: Option<usize>,
-    /// Node count source for the tree machine ([`run_id`] measures its own
-    /// arena and ignores this).
-    node_gauge: Option<NodeGauge>,
     /// Node count observed at the first limit check (growth baseline).
     node_base: Option<usize>,
     /// Which limit stopped the run, if any.
     stopped: Option<StopCause>,
-}
-
-impl std::fmt::Debug for Budget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Budget")
-            .field("beta", &self.beta)
-            .field("used", &self.used)
-            .field("exhausted", &self.exhausted)
-            .field("deadline", &self.deadline)
-            .field("node_quota", &self.node_quota)
-            .field("stopped", &self.stopped)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Budget {
@@ -145,7 +131,6 @@ impl Budget {
             deadline: None,
             cancel: None,
             node_quota: None,
-            node_gauge: None,
             node_base: None,
             stopped: None,
         }
@@ -169,22 +154,19 @@ impl Budget {
     }
 
     /// Aborts the run (with `⊥` and [`StopCause::NodeQuota`]) once the
-    /// backing arena has grown by more than `quota` nodes since the run
-    /// started. [`run_id`] measures its own arena; for the tree machine
-    /// pair this with [`Budget::with_node_gauge`], without which the quota
-    /// is inert there.
+    /// arena it runs over has grown by more than `quota` nodes since the
+    /// run started. On a shared arena other sessions' interning counts
+    /// toward the same growth; size quotas accordingly.
     pub fn with_node_quota(mut self, quota: usize) -> Self {
         self.node_quota = Some(quota);
         self.limited = true;
         self
     }
 
-    /// Supplies the node-count source the tree machine measures quota
-    /// growth against (e.g. the node count of `SharedInternTable::interner`
-    /// — an over-approximation under concurrency, since other sessions'
-    /// interning counts toward the same arena; size quotas accordingly).
-    pub fn with_node_gauge(mut self, gauge: NodeGauge) -> Self {
-        self.node_gauge = Some(gauge);
+    /// Returns the budget unchanged: the gauge is never called (see
+    /// [`NodeGauge`]). Kept only because the benchmark harness
+    /// (`perfbench/`) still calls it.
+    pub fn with_node_gauge(self, _gauge: NodeGauge) -> Self {
         self
     }
 
@@ -220,11 +202,10 @@ impl Budget {
     }
 
     /// The real limit check, run every [`LIMIT_CHECK_INTERVAL`] dispatches.
-    /// `nodes` is the current arena node count when the caller has one
-    /// (falls back to the gauge). Returns `true` — and records the cause —
-    /// if the run must stop.
+    /// `nodes` is the current node count of the run's arena. Returns
+    /// `true` — and records the cause — if the run must stop.
     #[cold]
-    fn check_limits(&mut self, nodes: Option<usize>) -> bool {
+    fn check_limits(&mut self, nodes: usize) -> bool {
         if let Some(flag) = &self.cancel {
             if flag.load(Ordering::Relaxed) {
                 self.stopped = Some(StopCause::Cancelled);
@@ -240,67 +221,20 @@ impl Budget {
             }
         }
         if let Some(quota) = self.node_quota {
-            let now = nodes.or_else(|| self.node_gauge.as_ref().map(|g| g()));
-            if let Some(now) = now {
-                let base = *self.node_base.get_or_insert(now);
-                if now.saturating_sub(base) > quota {
-                    self.stopped = Some(StopCause::NodeQuota);
-                    self.exhausted = true;
-                    return true;
-                }
+            let base = *self.node_base.get_or_insert(nodes);
+            if nodes.saturating_sub(base) > quota {
+                self.stopped = Some(StopCause::NodeQuota);
+                self.exhausted = true;
+                return true;
             }
         }
         false
     }
 }
 
-/// A hook tabling β-reductions, keyed on `(function value, argument value,
-/// remaining fuel)` — the λ∨ analogue of logic-programming tabling (§5.1).
-///
-/// The engine consults the table exactly where the recursive evaluators
-/// perform a β-step: [`BetaTable::lookup`] before substituting, and
-/// [`BetaTable::store`] once the instantiated body has evaluated. The
-/// `exhausted` flag carried alongside each cached result records whether
-/// that sub-evaluation involved an approximation step, so replaying a hit
-/// keeps freeze-completeness tracking exact.
-///
-/// The production implementation is [`crate::intern::InternTable`], which
-/// interns both values in a hash-consing arena and keys the cache on
-/// `Copy` canonical `(TermId, TermId, fuel)` triples: probes are O(1) id
-/// comparisons with no tree hashing and no `Arc` clones.
-pub trait BetaTable {
-    /// Returns the cached result (and its exhaustion flag) for a β-step, if
-    /// present.
-    fn lookup(&mut self, f: &TermRef, a: &TermRef, fuel: usize) -> Option<(TermRef, bool)>;
-
-    /// Records the result of a β-step for future [`BetaTable::lookup`]s.
-    fn store(&mut self, f: &TermRef, a: &TermRef, fuel: usize, r: &TermRef, exhausted: bool);
-
-    /// Whether the table caches at all. When `false` the engine skips the
-    /// per-β exhaustion save/restore that memoisation needs.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The trivial table: caches nothing (plain big-step evaluation).
-pub struct NoTable;
-
-impl BetaTable for NoTable {
-    fn lookup(&mut self, _f: &TermRef, _a: &TermRef, _fuel: usize) -> Option<(TermRef, bool)> {
-        None
-    }
-
-    fn store(&mut self, _f: &TermRef, _a: &TermRef, _fuel: usize, _r: &TermRef, _ex: bool) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
 /// Folds an accumulated version into the result of a versioned-bind body:
 /// `⟨v2, v2'⟩` becomes `⟨v1 ⊔ v2, v2'⟩` (Figure 5-style lifting for the
-/// §5.2 bind extension).
+/// §5.2 bind extension). The tree form, for [`crate::bigstep::spec`].
 pub fn merge_version(v1: &TermRef, r: &TermRef) -> TermRef {
     match &**r {
         Term::Lex(v2, v2p) => lex_lift(&join_results(v1, v2), v2p),
@@ -313,559 +247,45 @@ pub fn merge_version(v1: &TermRef, r: &TermRef) -> TermRef {
     }
 }
 
-/// The machine control state: either evaluate a term at some remaining
-/// fuel, or return a result to the innermost frame.
-enum Ctrl {
-    Eval(TermRef, usize),
-    Ret(TermRef),
-}
-
-/// One defunctionalised evaluation context. Each variant stores the
-/// *source term* of the context (one shared handle, no per-child clones)
-/// plus whatever evaluation state the context has accumulated, and the fuel
-/// at which it resumes.
-enum Frame {
-    /// `(□, e)` — `term` is the `Pair`; evaluate its second component.
-    PairSnd { term: TermRef, fuel: usize },
-    /// `(v, □)` — lift the completed pair.
-    PairDone { fst: TermRef },
-    /// `{v…, □, e…}` — `term` is the `Set`; `next` indexes its elements.
-    SetCollect {
-        term: TermRef,
-        next: usize,
-        out: Vec<TermRef>,
-        fuel: usize,
-    },
-    /// `□ ∨ e` — `term` is the `Join`; evaluate its right side.
-    JoinRight { term: TermRef, fuel: usize },
-    /// `v ∨ □` — join the two results.
-    JoinDone { lhs: TermRef },
-    /// `□ e` — `term` is the `App`; evaluate its argument.
-    AppArg { term: TermRef, fuel: usize },
-    /// `v □` — perform the β-step once the argument returns.
-    AppApply { func: TermRef, fuel: usize },
-    /// `let (x1, x2) = □ in e` — `term` is the `LetPair`.
-    LetPairBody { term: TermRef, fuel: usize },
-    /// `let s = □ in e` — `term` is the `LetSym`.
-    LetSymBody { term: TermRef, fuel: usize },
-    /// `⋁_{x ∈ □} e` — `term` is the `BigJoin`, scrutinee still evaluating.
-    BigJoinScrut { term: TermRef, fuel: usize },
-    /// `⋁` iteration: `scrut` is the evaluated `Set` value, `next` indexes
-    /// its elements, `acc` the join so far.
-    BigJoinIter {
-        term: TermRef,
-        scrut: TermRef,
-        next: usize,
-        acc: TermRef,
-        fuel: usize,
-    },
-    /// `op(v…, □, e…)` — `term` is the `Prim`; `next` indexes its operands.
-    PrimCollect {
-        term: TermRef,
-        next: usize,
-        vals: Vec<TermRef>,
-        fuel: usize,
-    },
-    /// `frz □` — seal the payload if its evaluation was complete.
-    FrzSeal { saved: bool },
-    /// `let frz x = □ in e` — `term` is the `LetFrz`.
-    LetFrzBody { term: TermRef, fuel: usize },
-    /// `⟨□, e⟩` — `term` is the `Lex`.
-    LexSnd { term: TermRef, fuel: usize },
-    /// `⟨v, □⟩`.
-    LexDone { fst: TermRef },
-    /// `x ← □; e` — `term` is the `LexBind`.
-    LexBindScrut { term: TermRef, fuel: usize },
-    /// Fold an accumulated version into the returning bind body.
-    MergeVersion { version: TermRef },
-    /// Record a finished β-step in the [`BetaTable`].
-    TableStore {
-        func: TermRef,
-        arg: TermRef,
-        fuel: usize,
-        saved: bool,
-    },
-}
-
-/// Runs the frame machine on `e` with per-path fuel `fuel`.
+/// Evaluates the tree `e` with per-path fuel `fuel` over the shared memo
+/// `table`: the tree-in, tree-out entry that `lambdav serve`'s sessions
+/// use. It interns `e` canonically, runs [`run_id`]'s machine with the
+/// table's memo, and extracts the result id as a tree.
 ///
-/// Equivalent to `bigstep::spec::eval` (property-tested), but iterative:
-/// native stack usage is O(1) in fuel and term depth. `budget` carries the
-/// global β valve and the approximation flag across the run; `table`
-/// intercepts β-steps (use [`NoTable`] for plain evaluation).
-pub fn run<T: BetaTable>(e: &TermRef, fuel: usize, budget: &mut Budget, table: &mut T) -> TermRef {
-    let mut stack: Vec<Frame> = Vec::with_capacity(32);
-    let mut ctrl = Ctrl::Eval(e.clone(), fuel);
-    loop {
-        // Cooperative request limits (deadline / cancellation / node
-        // quota): a tripped limit abandons the machine state outright —
-        // no pending `TableStore` frame runs, so no partial result is
-        // ever memoised — and returns ⊥, a sound approximation.
-        if budget.poll() && budget.check_limits(None) {
-            return builder::bot();
-        }
-        ctrl = match ctrl {
-            Ctrl::Eval(e, fuel) => step_eval(e, fuel, &mut stack, budget, table),
-            Ctrl::Ret(v) => match stack.pop() {
-                None => return v,
-                Some(frame) => step_ret(frame, v, &mut stack, budget, table),
-            },
-        };
-    }
-}
-
-/// Dispatches on a term: either produces a result immediately or pushes the
-/// frame for its evaluation context and descends into the first subterm.
-fn step_eval<T: BetaTable>(
-    e: TermRef,
-    fuel: usize,
-    stack: &mut Vec<Frame>,
-    budget: &mut Budget,
-    table: &mut T,
-) -> Ctrl {
+/// Between two dispatches the run hands the table's lock to a thread
+/// that has waited its fairness period (`MutexGuard::bump`), so other
+/// sessions' requests interleave with a long evaluation; the check runs
+/// after every dispatch because a single dispatch can join large sets. The frame stack's ids stay valid
+/// across the gap: the arena only grows, and a compaction publishes a
+/// fresh table that this run never sees.
+pub fn run(e: &TermRef, fuel: usize, budget: &mut Budget, table: &SharedInternTable) -> TermRef {
+    // Values evaluate to themselves: keep the caller's handle.
     if e.is_value() {
-        return Ctrl::Ret(e);
+        return e.clone();
     }
-    match &*e {
-        Term::Bot => Ctrl::Ret(builder::bot()),
-        Term::Top => Ctrl::Ret(builder::top()),
-        Term::Pair(a, _) => {
-            let a = a.clone();
-            stack.push(Frame::PairSnd { term: e, fuel });
-            Ctrl::Eval(a, fuel)
+    let mut memo = table.interner();
+    let mut run = IdRun::new(memo.canon_id(e), fuel);
+    loop {
+        let (ar, cache) = memo.parts();
+        if let Some(r) = run.resume(ar, budget, cache, 1) {
+            return ar.extract(r);
         }
-        Term::Set(es) => match es.first() {
-            // Unreachable in practice (an empty set literal is a value),
-            // kept for totality.
-            None => Ctrl::Ret(builder::set(Vec::new())),
-            Some(first) => {
-                let first = first.clone();
-                stack.push(Frame::SetCollect {
-                    term: e,
-                    next: 1,
-                    out: Vec::new(),
-                    fuel,
-                });
-                Ctrl::Eval(first, fuel)
-            }
-        },
-        Term::Join(a, b) => {
-            // Joins of values need no evaluation frames.
-            if a.is_value() && b.is_value() {
-                return Ctrl::Ret(join_results(a, b));
-            }
-            let a = a.clone();
-            stack.push(Frame::JoinRight { term: e, fuel });
-            Ctrl::Eval(a, fuel)
-        }
-        Term::App(f, a) => {
-            // β fast path: after substitution most redexes apply a value to
-            // a value — skip the two frame round-trips. (Values are never
-            // `⊥`/`⊤`, so the error checks of the slow path cannot fire.)
-            if f.is_value() && a.is_value() {
-                return apply(f.clone(), a.clone(), fuel, stack, budget, table);
-            }
-            let f = f.clone();
-            stack.push(Frame::AppArg { term: e, fuel });
-            Ctrl::Eval(f, fuel)
-        }
-        Term::LetPair(_, _, scrut, _) => {
-            // Value scrutinees evaluate to themselves: eliminate directly.
-            if scrut.is_value() {
-                return cont_let_pair(&e, scrut, fuel);
-            }
-            let scrut = scrut.clone();
-            stack.push(Frame::LetPairBody { term: e, fuel });
-            Ctrl::Eval(scrut, fuel)
-        }
-        Term::LetSym(_, scrut, _) => {
-            // Value scrutinees evaluate to themselves: eliminate directly.
-            if scrut.is_value() {
-                return cont_let_sym(&e, scrut, fuel);
-            }
-            let scrut = scrut.clone();
-            stack.push(Frame::LetSymBody { term: e, fuel });
-            Ctrl::Eval(scrut, fuel)
-        }
-        Term::BigJoin(_, scrut, _) => {
-            let scrut = scrut.clone();
-            stack.push(Frame::BigJoinScrut { term: e, fuel });
-            Ctrl::Eval(scrut, fuel)
-        }
-        Term::Prim(op, args) => {
-            // Saturated fast path: operands that are already values (the
-            // common case after substitution) need no collection frames,
-            // and evaluate to themselves.
-            if args.iter().all(|x| x.is_value()) {
-                return Ctrl::Ret(delta(*op, args));
-            }
-            match args.first() {
-                None => Ctrl::Ret(delta(*op, &[])),
-                Some(first) => {
-                    let (first, n) = (first.clone(), args.len());
-                    stack.push(Frame::PrimCollect {
-                        term: e,
-                        next: 1,
-                        vals: Vec::with_capacity(n),
-                        fuel,
-                    });
-                    Ctrl::Eval(first, fuel)
-                }
-            }
-        }
-        Term::Frz(inner) => {
-            // Freeze is all-or-nothing: the payload must evaluate without
-            // any approximation (fuel cut-off) before it may be sealed;
-            // otherwise the freeze is still pending (⊥).
-            stack.push(Frame::FrzSeal {
-                saved: budget.exhausted,
-            });
-            budget.exhausted = false;
-            Ctrl::Eval(inner.clone(), fuel)
-        }
-        Term::LetFrz(_, scrut, _) => {
-            let scrut = scrut.clone();
-            stack.push(Frame::LetFrzBody { term: e, fuel });
-            Ctrl::Eval(scrut, fuel)
-        }
-        Term::Lex(a, _) => {
-            let a = a.clone();
-            stack.push(Frame::LexSnd { term: e, fuel });
-            Ctrl::Eval(a, fuel)
-        }
-        Term::LexBind(_, scrut, _) => {
-            let scrut = scrut.clone();
-            stack.push(Frame::LexBindScrut { term: e, fuel });
-            Ctrl::Eval(scrut, fuel)
-        }
-        Term::LexMerge(v1, comp) => {
-            let comp = comp.clone();
-            stack.push(Frame::MergeVersion {
-                version: v1.clone(),
-            });
-            Ctrl::Eval(comp, fuel)
-        }
-        // Covered by the is_value guard, but kept for exhaustiveness.
-        Term::Var(_) | Term::BotV | Term::Sym(_) | Term::Lam(..) => Ctrl::Ret(e.clone()),
-    }
-}
-
-/// The `let (x1, x2) = v in e` continuation, shared by the frame return
-/// path and the value fast path in [`step_eval`].
-fn cont_let_pair(term: &TermRef, v: &TermRef, fuel: usize) -> Ctrl {
-    match thaw(v) {
-        Term::Top => Ctrl::Ret(builder::top()),
-        Term::Pair(v1, v2) => {
-            let Term::LetPair(x1, x2, _, body) = &**term else {
-                unreachable!("LetPairBody holds a LetPair")
-            };
-            Ctrl::Eval(crate::reduce::subst_pair(body, x1, v1, x2, v2), fuel)
-        }
-        // ⊥, ⊥v, and non-pairs: nothing to stream yet / stuck.
-        _ => Ctrl::Ret(builder::bot()),
-    }
-}
-
-/// The `let s = v in e` continuation (threshold query), shared by the frame
-/// return path and the value fast path in [`step_eval`].
-fn cont_let_sym(term: &TermRef, v: &TermRef, fuel: usize) -> Ctrl {
-    let Term::LetSym(sym, _, body) = &**term else {
-        unreachable!("LetSymBody holds a LetSym")
-    };
-    match thaw(v) {
-        Term::Top => Ctrl::Ret(builder::top()),
-        Term::Sym(s2) if sym.leq(s2) => Ctrl::Eval(body.clone(), fuel),
-        // Version threshold (§5.2): fires once the version reaches
-        // the symbol threshold.
-        Term::Lex(ver, _) if crate::observe::result_leq(&builder::sym(sym.clone()), ver) => {
-            Ctrl::Eval(body.clone(), fuel)
-        }
-        _ => Ctrl::Ret(builder::bot()),
-    }
-}
-
-/// Resumes the innermost evaluation context with the result `v`.
-fn step_ret<T: BetaTable>(
-    frame: Frame,
-    v: TermRef,
-    stack: &mut Vec<Frame>,
-    budget: &mut Budget,
-    table: &mut T,
-) -> Ctrl {
-    match frame {
-        Frame::PairSnd { term, fuel } => match &*v {
-            Term::Bot => Ctrl::Ret(builder::bot()),
-            Term::Top => Ctrl::Ret(builder::top()),
-            _ => {
-                let Term::Pair(_, b) = &*term else {
-                    unreachable!("PairSnd holds a Pair")
-                };
-                let b = b.clone();
-                stack.push(Frame::PairDone { fst: v });
-                Ctrl::Eval(b, fuel)
-            }
-        },
-        Frame::PairDone { fst } => Ctrl::Ret(pair_lift(&fst, &v)),
-        Frame::SetCollect {
-            term,
-            next,
-            mut out,
-            fuel,
-        } => {
-            match &*v {
-                Term::Top => return Ctrl::Ret(builder::top()),
-                Term::Bot => {}
-                _ => {
-                    if !out.iter().any(|o| Arc::ptr_eq(o, &v) || o.alpha_eq(&v)) {
-                        out.push(v);
-                    }
-                }
-            }
-            let Term::Set(es) = &*term else {
-                unreachable!("SetCollect holds a Set")
-            };
-            match es.get(next).cloned() {
-                Some(e) => {
-                    stack.push(Frame::SetCollect {
-                        term: term.clone(),
-                        next: next + 1,
-                        out,
-                        fuel,
-                    });
-                    Ctrl::Eval(e, fuel)
-                }
-                None => Ctrl::Ret(builder::set(out)),
-            }
-        }
-        Frame::JoinRight { term, fuel } => {
-            let Term::Join(_, b) = &*term else {
-                unreachable!("JoinRight holds a Join")
-            };
-            let b = b.clone();
-            stack.push(Frame::JoinDone { lhs: v });
-            Ctrl::Eval(b, fuel)
-        }
-        Frame::JoinDone { lhs } => Ctrl::Ret(join_results(&lhs, &v)),
-        Frame::AppArg { term, fuel } => match &*v {
-            Term::Bot => Ctrl::Ret(builder::bot()),
-            Term::Top => Ctrl::Ret(builder::top()),
-            _ => {
-                let Term::App(_, a) = &*term else {
-                    unreachable!("AppArg holds an App")
-                };
-                let a = a.clone();
-                stack.push(Frame::AppApply { func: v, fuel });
-                Ctrl::Eval(a, fuel)
-            }
-        },
-        Frame::AppApply { func, fuel } => match &*v {
-            Term::Bot => Ctrl::Ret(builder::bot()),
-            Term::Top => Ctrl::Ret(builder::top()),
-            _ => apply(func, v, fuel, stack, budget, table),
-        },
-        Frame::LetPairBody { term, fuel } => cont_let_pair(&term, &v, fuel),
-        Frame::LetSymBody { term, fuel } => cont_let_sym(&term, &v, fuel),
-        Frame::BigJoinScrut { term, fuel } => match thaw(&v) {
-            Term::Top => Ctrl::Ret(builder::top()),
-            Term::Set(vs) => match vs.first() {
-                None => Ctrl::Ret(builder::bot()),
-                Some(first) => {
-                    let Term::BigJoin(x, _, body) = &*term else {
-                        unreachable!("BigJoinScrut holds a BigJoin")
-                    };
-                    let inst = body.subst(x, first);
-                    let scrut = match &*v {
-                        // Keep the *unthawed* scrutinee out of the frame so
-                        // indexing matches the thawed view.
-                        Term::Frz(p) => p.clone(),
-                        _ => v.clone(),
-                    };
-                    stack.push(Frame::BigJoinIter {
-                        term,
-                        scrut,
-                        next: 1,
-                        acc: builder::bot(),
-                        fuel,
-                    });
-                    Ctrl::Eval(inst, fuel)
-                }
-            },
-            _ => Ctrl::Ret(builder::bot()),
-        },
-        Frame::BigJoinIter {
-            term,
-            scrut,
-            next,
-            acc,
-            fuel,
-        } => {
-            let acc = join_results(&acc, &v);
-            if matches!(&*acc, Term::Top) {
-                return Ctrl::Ret(acc);
-            }
-            let Term::Set(vs) = &*scrut else {
-                unreachable!("BigJoinIter scrutinee is a Set value")
-            };
-            match vs.get(next) {
-                Some(el) => {
-                    let Term::BigJoin(x, _, body) = &*term else {
-                        unreachable!("BigJoinIter holds a BigJoin")
-                    };
-                    let inst = body.subst(x, el);
-                    stack.push(Frame::BigJoinIter {
-                        term: term.clone(),
-                        scrut: scrut.clone(),
-                        next: next + 1,
-                        acc,
-                        fuel,
-                    });
-                    Ctrl::Eval(inst, fuel)
-                }
-                None => Ctrl::Ret(acc),
-            }
-        }
-        Frame::PrimCollect {
-            term,
-            next,
-            mut vals,
-            fuel,
-        } => {
-            match &*v {
-                Term::Bot => return Ctrl::Ret(builder::bot()),
-                Term::Top => return Ctrl::Ret(builder::top()),
-                _ => vals.push(v),
-            }
-            let Term::Prim(op, args) = &*term else {
-                unreachable!("PrimCollect holds a Prim")
-            };
-            match args.get(next).cloned() {
-                Some(a) => {
-                    stack.push(Frame::PrimCollect {
-                        term: term.clone(),
-                        next: next + 1,
-                        vals,
-                        fuel,
-                    });
-                    Ctrl::Eval(a, fuel)
-                }
-                None => Ctrl::Ret(delta(*op, &vals)),
-            }
-        }
-        Frame::FrzSeal { saved } => {
-            let complete = !budget.exhausted;
-            budget.exhausted |= saved;
-            if complete {
-                Ctrl::Ret(frz_lift(&v))
-            } else {
-                Ctrl::Ret(builder::bot())
-            }
-        }
-        Frame::LetFrzBody { term, fuel } => match &*v {
-            Term::Top => Ctrl::Ret(builder::top()),
-            Term::Frz(payload) => {
-                let Term::LetFrz(x, _, body) = &*term else {
-                    unreachable!("LetFrzBody holds a LetFrz")
-                };
-                Ctrl::Eval(body.subst(x, payload), fuel)
-            }
-            // Unfrozen scrutinees leave the query unanswered.
-            _ => Ctrl::Ret(builder::bot()),
-        },
-        Frame::LexSnd { term, fuel } => match &*v {
-            Term::Bot => Ctrl::Ret(builder::bot()),
-            Term::Top => Ctrl::Ret(builder::top()),
-            _ => {
-                let Term::Lex(_, b) = &*term else {
-                    unreachable!("LexSnd holds a Lex")
-                };
-                let b = b.clone();
-                stack.push(Frame::LexDone { fst: v });
-                Ctrl::Eval(b, fuel)
-            }
-        },
-        Frame::LexDone { fst } => Ctrl::Ret(lex_lift(&fst, &v)),
-        Frame::LexBindScrut { term, fuel } => match thaw(&v) {
-            Term::Top => Ctrl::Ret(builder::top()),
-            Term::BotV => Ctrl::Ret(builder::botv()),
-            Term::Lex(v1, v1p) => {
-                let Term::LexBind(x, _, body) = &*term else {
-                    unreachable!("LexBindScrut holds a LexBind")
-                };
-                stack.push(Frame::MergeVersion {
-                    version: v1.clone(),
-                });
-                Ctrl::Eval(body.subst(x, v1p), fuel)
-            }
-            Term::Bot => Ctrl::Ret(builder::bot()),
-            _ => Ctrl::Ret(builder::top()),
-        },
-        Frame::MergeVersion { version } => Ctrl::Ret(merge_version(&version, &v)),
-        Frame::TableStore {
-            func,
-            arg,
-            fuel,
-            saved,
-        } => {
-            let sub_exhausted = budget.exhausted;
-            table.store(&func, &arg, fuel, &v, sub_exhausted);
-            budget.exhausted |= saved;
-            Ctrl::Ret(v)
+        if run.needs_room(1) {
+            // Reallocating a deep frame stack takes milliseconds: do it
+            // without the lock.
+            drop(memo);
+            run.grow();
+            memo = table.interner();
+        } else {
+            memo.bump();
         }
     }
 }
 
-/// The β-step: applies the function value `vf` to the argument value `va`.
-fn apply<T: BetaTable>(
-    vf: TermRef,
-    va: TermRef,
-    fuel: usize,
-    stack: &mut Vec<Frame>,
-    budget: &mut Budget,
-    table: &mut T,
-) -> Ctrl {
-    match thaw(&vf) {
-        Term::Lam(x, body) => {
-            if fuel == 0 || budget.beta == 0 {
-                budget.exhausted = true;
-                return Ctrl::Ret(builder::bot()); // approximation step: out of fuel
-            }
-            if let Some((r, exhausted)) = table.lookup(&vf, &va, fuel) {
-                budget.exhausted |= exhausted;
-                return Ctrl::Ret(r);
-            }
-            budget.beta -= 1;
-            budget.used += 1;
-            let inst = body.subst(x, &va);
-            if table.enabled() {
-                stack.push(Frame::TableStore {
-                    func: vf.clone(),
-                    arg: va.clone(),
-                    fuel,
-                    saved: budget.exhausted,
-                });
-                budget.exhausted = false;
-            }
-            Ctrl::Eval(inst, fuel - 1)
-        }
-        // Inspecting ⊥v yields ⊥ (§2.1).
-        Term::BotV => Ctrl::Ret(builder::bot()),
-        // Applying a non-function is stuck; the approximate semantics
-        // discards it.
-        _ => Ctrl::Ret(builder::bot()),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The arena-native machine: frames carry `Copy` ids, not trees
-// ---------------------------------------------------------------------------
-
-use crate::ideval;
-use crate::intern::{Interner, NodeKey, TermId};
-
-/// The tabling hook of the id-native machine: probes are keyed on the
-/// canonical `(function, argument, fuel)` ids the engine already holds in
-/// hand, so lookup and store involve **zero translation** — no `canon_id`
-/// walk, no tree traversal, no allocation. The production implementation is
+/// The tabling hook of the machine: probes are keyed on the canonical
+/// `(function, argument, fuel)` ids the engine already holds in hand, so
+/// lookup and store involve **zero translation** — no `canon_id` walk, no
+/// tree traversal, no allocation. The production implementation is
 /// [`crate::intern::InternTable`].
 pub trait IdBetaTable {
     /// Returns the cached result id (and exhaustion flag) for a β-step.
@@ -874,7 +294,8 @@ pub trait IdBetaTable {
     /// Records the result of a β-step.
     fn store(&mut self, f: TermId, a: TermId, fuel: usize, r: TermId, exhausted: bool);
 
-    /// Whether the table caches at all (mirrors [`BetaTable::enabled`]).
+    /// Whether the table caches at all. When `false` the engine skips the
+    /// per-β exhaustion save/restore that memoisation needs.
     fn enabled(&self) -> bool {
         true
     }
@@ -895,7 +316,8 @@ impl IdBetaTable for NoIdTable {
     }
 }
 
-/// Control state of the id machine.
+/// Control state of the machine.
+#[derive(Clone, Copy)]
 enum IdCtrl {
     Eval(TermId, usize),
     Ret(TermId),
@@ -987,13 +409,13 @@ enum IdFrame {
     },
 }
 
-/// Runs the frame machine directly on a canonical interned id — the
-/// production evaluation path. Semantics are identical to [`run`] (and to
-/// `bigstep::spec`; property-tested for result α-equality *and* β-counts),
-/// but every dispatch is an O(1) arena read: value-ness is a cached
-/// metadata bit instead of a tree walk, β-substitution shares untouched
-/// subtrees as `Copy` ids, joins deduplicate by id equality, and the
-/// tabling hook probes with the ids already in hand.
+/// Runs the frame machine on a canonical interned id — the production
+/// evaluation path, property-tested against `bigstep::spec` for result
+/// α-equality *and* β-counts. Every dispatch is an O(1) arena read:
+/// value-ness is a cached metadata bit instead of a tree walk,
+/// β-substitution shares untouched subtrees as `Copy` ids, joins
+/// deduplicate by id equality, and the tabling hook probes with the ids
+/// already in hand.
 ///
 /// `e` must be a canonical id of `ar` ([`Interner::canon_id`]); the result
 /// is a canonical id (use [`Interner::extract`] at the API boundary).
@@ -1004,25 +426,78 @@ pub fn run_id<T: IdBetaTable>(
     budget: &mut Budget,
     table: &mut T,
 ) -> TermId {
-    let mut stack: Vec<IdFrame> = Vec::with_capacity(32);
-    let mut ctrl = IdCtrl::Eval(e, fuel);
+    let mut run = IdRun::new(e, fuel);
     loop {
-        // Cooperative request limits; see `run`. The id machine measures
-        // quota growth against its own arena directly.
-        if budget.poll() && budget.check_limits(Some(ar.len())) {
-            return ar.bot_id();
+        if let Some(r) = run.resume(ar, budget, table, u32::MAX) {
+            return r;
         }
-        ctrl = match ctrl {
-            IdCtrl::Eval(e, fuel) => step_eval_id(ar, e, fuel, &mut stack, budget, table),
-            IdCtrl::Ret(v) => match stack.pop() {
-                None => return v,
-                Some(frame) => step_ret_id(ar, frame, v, &mut stack, budget, table),
-            },
-        };
     }
 }
 
-/// Dispatches on a node id, mirroring [`step_eval`] arm for arm.
+/// A run of the machine that can stop between two dispatches and go on
+/// later: its control state and frame stack.
+struct IdRun {
+    ctrl: IdCtrl,
+    stack: Vec<IdFrame>,
+}
+
+impl IdRun {
+    fn new(e: TermId, fuel: usize) -> IdRun {
+        IdRun {
+            ctrl: IdCtrl::Eval(e, fuel),
+            stack: Vec::with_capacity(32),
+        }
+    }
+
+    /// Whether the next `steps` dispatches could outgrow the frame stack's
+    /// allocation (a dispatch pushes at most one frame).
+    fn needs_room(&self, steps: u32) -> bool {
+        self.stack.capacity() - self.stack.len() < steps as usize
+    }
+
+    /// Doubles the frame stack's allocation.
+    fn grow(&mut self) {
+        self.stack.reserve(self.stack.capacity());
+    }
+
+    /// Runs at most `steps` dispatches: returns the result once it is
+    /// known (`Some`), or `None` with the run suspended (call again to go
+    /// on). A tripped budget limit abandons the machine state outright —
+    /// no pending `TableStore` frame runs, so no partial result is ever
+    /// memoised — and answers ⊥, a sound approximation. Quota growth is
+    /// measured against `ar`.
+    fn resume<T: IdBetaTable>(
+        &mut self,
+        ar: &mut Interner,
+        budget: &mut Budget,
+        table: &mut T,
+        mut steps: u32,
+    ) -> Option<TermId> {
+        let stack = &mut self.stack;
+        let mut ctrl = self.ctrl;
+        loop {
+            if steps == 0 {
+                self.ctrl = ctrl;
+                return None;
+            }
+            steps -= 1;
+            if budget.poll() && budget.check_limits(ar.len()) {
+                return Some(ar.bot_id());
+            }
+            ctrl = match ctrl {
+                IdCtrl::Eval(e, fuel) => step_eval_id(ar, e, fuel, stack, budget, table),
+                IdCtrl::Ret(v) => match stack.pop() {
+                    None => return Some(v),
+                    Some(frame) => step_ret_id(ar, frame, v, stack, budget, table),
+                },
+            };
+        }
+    }
+}
+
+/// Dispatches on a node id: either produces a result immediately or
+/// pushes the frame for its evaluation context and descends into the first
+/// subterm.
 fn step_eval_id<T: IdBetaTable>(
     ar: &mut Interner,
     e: TermId,
@@ -1189,7 +664,9 @@ fn step_eval_id<T: IdBetaTable>(
             IdCtrl::Eval(first, fuel)
         }
         Act::Frz(inner) => {
-            // Freeze is all-or-nothing: see the tree engine.
+            // Freeze is all-or-nothing: the payload must evaluate without
+            // any approximation (fuel cut-off) before it may be sealed;
+            // otherwise the freeze is still pending (⊥).
             stack.push(IdFrame::FrzSeal {
                 saved: budget.exhausted,
             });
@@ -1270,7 +747,7 @@ fn cont_let_sym_id(ar: &mut Interner, term: TermId, v: TermId, fuel: usize) -> I
     }
 }
 
-/// Resumes the innermost id frame with result `v` — mirrors [`step_ret`].
+/// Resumes the innermost frame with the result `v`.
 fn step_ret_id<T: IdBetaTable>(
     ar: &mut Interner,
     frame: IdFrame,
@@ -1540,7 +1017,7 @@ fn step_ret_id<T: IdBetaTable>(
     }
 }
 
-/// The β-step over ids: applies the function value to the argument value.
+/// The β-step: applies the function value to the argument value.
 fn apply_id<T: IdBetaTable>(
     ar: &mut Interner,
     vf: TermId,
@@ -1586,11 +1063,20 @@ fn apply_id<T: IdBetaTable>(
 mod tests {
     use super::*;
     use crate::builder::*;
+    use std::time::Duration;
+
+    /// Runs `t` on a fresh arena without a memo.
+    fn eval(t: &TermRef, fuel: usize, budget: &mut Budget) -> TermRef {
+        let mut ar = Interner::new();
+        let id = ar.canon_id(t);
+        let r = run_id(&mut ar, id, fuel, budget, &mut NoIdTable);
+        ar.extract(r)
+    }
 
     #[test]
     fn values_return_without_frames() {
         let mut budget = Budget::new(usize::MAX);
-        let r = run(&int(3), 0, &mut budget, &mut NoTable);
+        let r = eval(&int(3), 0, &mut budget);
         assert!(r.alpha_eq(&int(3)));
         assert_eq!(budget.used(), 0);
     }
@@ -1600,47 +1086,26 @@ mod tests {
         // (λx. x x) applied to the identity: two βs.
         let t = app(lam("x", app(var("x"), var("x"))), lam("y", var("y")));
         let mut budget = Budget::new(usize::MAX);
-        let r = run(&t, 10, &mut budget, &mut NoTable);
+        let r = eval(&t, 10, &mut budget);
         assert!(r.alpha_eq(&lam("y", var("y"))));
         assert_eq!(budget.used(), 2);
 
         // A global β valve of 1 cuts the run short with an approximation.
         let mut budget = Budget::new(1);
-        let r = run(&t, 10, &mut budget, &mut NoTable);
+        let r = eval(&t, 10, &mut budget);
         assert!(r.alpha_eq(&bot()));
         assert!(budget.exhausted());
     }
 
     #[test]
-    fn id_machine_agrees_with_tree_machine() {
-        use crate::intern::Interner;
-        let t = app(lam("x", app(var("x"), var("x"))), lam("y", var("y")));
-        let mut ar = Interner::new();
-        let id = ar.canon_id(&t);
-        let mut budget = Budget::new(usize::MAX);
-        let r = run_id(&mut ar, id, 10, &mut budget, &mut NoIdTable);
-        assert!(ar.extract(r).alpha_eq(&lam("y", var("y"))));
-        assert_eq!(budget.used(), 2);
-
-        // The β valve cuts the id machine short exactly like the tree one.
-        let mut budget = Budget::new(1);
-        let r = run_id(&mut ar, id, 10, &mut budget, &mut NoIdTable);
-        assert!(ar.extract(r).alpha_eq(&bot()));
-        assert!(budget.exhausted());
-    }
-
-    #[test]
     fn id_machine_deep_argument_nesting_is_heap_bounded() {
-        use crate::intern::Interner;
         let mut t = int(1);
         for _ in 0..50_000 {
             t = app(lam("x", var("x")), t);
         }
-        let mut ar = Interner::new();
-        let id = ar.canon_id(&t);
         let mut budget = Budget::new(usize::MAX);
-        let r = run_id(&mut ar, id, 2, &mut budget, &mut NoIdTable);
-        assert!(ar.extract(r).alpha_eq(&int(1)));
+        let r = eval(&t, 2, &mut budget);
+        assert!(r.alpha_eq(&int(1)));
         assert_eq!(budget.used(), 50_000);
     }
 
@@ -1649,14 +1114,18 @@ mod tests {
         // id (id (… (id 1) …)) nested 100k deep: each application is a
         // separate path of β-depth 1, so tiny fuel suffices — but the
         // *context* stack is 100k frames, which must live on the heap.
-        let mut t = int(1);
-        for _ in 0..100_000 {
-            t = app(lam("x", var("x")), t);
-        }
-        let mut budget = Budget::new(usize::MAX);
-        let r = run(&t, 2, &mut budget, &mut NoTable);
+        // Run through the shared-table entry with a far deadline, so the
+        // machine is suspended and resumed hundreds of times mid-stack.
+        let t = long_chain(100_000);
+        let table = SharedInternTable::new();
+        let far = Instant::now() + Duration::from_secs(3600);
+        let mut budget = Budget::new(usize::MAX).with_deadline(far);
+        let r = run(&t, 2, &mut budget, &table);
         assert!(r.alpha_eq(&int(1)));
-        assert_eq!(budget.used(), 100_000);
+        // Every redex is `(λx. x) 1` at fuel 2: one β, then memo hits.
+        assert_eq!(budget.used(), 1);
+        assert_eq!(table.stats(), (99_999, 1));
+        assert_eq!(budget.stop_cause(), None);
     }
 
     /// A long-but-bounded workload for limit tests: deep β-chain whose
@@ -1671,43 +1140,41 @@ mod tests {
 
     #[test]
     fn expired_deadline_stops_both_machines_with_bot() {
-        use std::time::{Duration, Instant};
+        // Both entries: the id machine on an owned arena, and the sliced
+        // tree entry on a shared table.
         let t = long_chain(200_000);
         let deadline = Instant::now() - Duration::from_millis(1);
 
         let mut budget = Budget::new(usize::MAX).with_deadline(deadline);
-        let r = run(&t, 2, &mut budget, &mut NoTable);
+        let r = eval(&t, 2, &mut budget);
         assert!(r.alpha_eq(&bot()));
         assert_eq!(budget.stop_cause(), Some(StopCause::Deadline));
         assert!(budget.exhausted());
 
-        use crate::intern::Interner;
-        let mut ar = Interner::new();
-        let id = ar.canon_id(&t);
+        let table = SharedInternTable::new();
         let mut budget = Budget::new(usize::MAX).with_deadline(deadline);
-        let r = run_id(&mut ar, id, 2, &mut budget, &mut NoIdTable);
-        assert!(ar.extract(r).alpha_eq(&bot()));
+        let r = run(&t, 2, &mut budget, &table);
+        assert!(r.alpha_eq(&bot()));
         assert_eq!(budget.stop_cause(), Some(StopCause::Deadline));
+        assert_eq!(table.len(), 0, "a stopped run memoises nothing");
     }
 
     #[test]
     fn raised_cancel_flag_stops_evaluation() {
-        use std::sync::atomic::AtomicBool;
         let t = long_chain(200_000);
         let flag = Arc::new(AtomicBool::new(true));
         let mut budget = Budget::new(usize::MAX).with_cancel(flag);
-        let r = run(&t, 2, &mut budget, &mut NoTable);
+        let r = eval(&t, 2, &mut budget);
         assert!(r.alpha_eq(&bot()));
         assert_eq!(budget.stop_cause(), Some(StopCause::Cancelled));
     }
 
     #[test]
     fn unraised_cancel_flag_changes_nothing() {
-        use std::sync::atomic::AtomicBool;
         let t = long_chain(10_000);
         let flag = Arc::new(AtomicBool::new(false));
         let mut budget = Budget::new(usize::MAX).with_cancel(flag);
-        let r = run(&t, 2, &mut budget, &mut NoTable);
+        let r = eval(&t, 2, &mut budget);
         assert!(r.alpha_eq(&int(1)));
         assert_eq!(budget.stop_cause(), None);
         assert!(!budget.exhausted());
@@ -1715,7 +1182,6 @@ mod tests {
 
     #[test]
     fn node_quota_stops_id_machine_on_arena_growth() {
-        use crate::intern::Interner;
         // A growing-set fixpoint mints fresh arena nodes every round; a
         // tiny quota must stop it (the β valve alone would run far past).
         let grow = fix(
@@ -1738,24 +1204,6 @@ mod tests {
         let mut budget = Budget::new(usize::MAX).with_node_quota(64);
         let r = run_id(&mut ar, id, 10_000, &mut budget, &mut NoIdTable);
         assert!(ar.extract(r).alpha_eq(&bot()));
-        assert_eq!(budget.stop_cause(), Some(StopCause::NodeQuota));
-    }
-
-    #[test]
-    fn node_gauge_enables_quota_on_the_tree_machine() {
-        use std::sync::atomic::AtomicUsize;
-        let t = long_chain(200_000);
-        // A synthetic gauge that "grows" on every read trips the quota at
-        // the second limit check.
-        let ticks = Arc::new(AtomicUsize::new(0));
-        let gauge_ticks = ticks.clone();
-        let mut budget = Budget::new(usize::MAX)
-            .with_node_quota(3)
-            .with_node_gauge(Arc::new(move || {
-                gauge_ticks.fetch_add(10, Ordering::Relaxed)
-            }));
-        let r = run(&t, 2, &mut budget, &mut NoTable);
-        assert!(r.alpha_eq(&bot()));
         assert_eq!(budget.stop_cause(), Some(StopCause::NodeQuota));
     }
 }

@@ -1454,6 +1454,17 @@ fn minus(a: &[Var], remove: &[Var]) -> Vec<Var> {
     a.iter().filter(|x| !remove.contains(x)).cloned().collect()
 }
 
+/// One memo entry in transit between arenas: its key and result as
+/// trees, with its exhaustion flag and recency stamp.
+pub(crate) struct Survivor {
+    pub(crate) f: TermRef,
+    pub(crate) a: TermRef,
+    pub(crate) fuel: usize,
+    pub(crate) r: TermRef,
+    pub(crate) exhausted: bool,
+    pub(crate) stamp: u64,
+}
+
 /// The memoising β-table of the id-native engine, keyed on **canonical
 /// interned ids** with *zero translation*: the engine holds the function
 /// and argument ids in hand at every β-step, so a probe is exactly one
@@ -1463,13 +1474,14 @@ fn minus(a: &[Var], remove: &[Var]) -> Vec<Var> {
 /// construction, since α-equivalent terms *are* the same id.
 ///
 /// The table does not own the arena: the engine's caller keeps one arena
-/// and threads it alongside (see `lambda-join-runtime`'s `MemoEval`).
+/// and threads it alongside (see `lambda-join-runtime`'s `MemoEval`, and
+/// [`crate::sharded::SharedInternTable`], which locks both together).
 ///
-/// Entries carry a generation *stamp* — the same recency signal
-/// [`crate::sharded::SharedInternTable`] uses for its GC — refreshed on
-/// every hit, so [`InternTable::collected`] can migrate just the
-/// recently-touched working set into a compacted arena, and snapshots
-/// ([`crate::snap`]) persist recency alongside each entry.
+/// Entries carry a generation *stamp*, refreshed on every hit, so
+/// [`InternTable::collected`] can migrate just the recently-touched
+/// working set into a compacted arena (the server's shared memo,
+/// [`crate::sharded::SharedInternTable`], collects the same way), and
+/// snapshots ([`crate::snap`]) persist recency alongside each entry.
 #[derive(Debug, Clone, Default)]
 pub struct InternTable {
     cache: FastMap<(TermId, TermId, usize), (TermId, bool, u64)>,
@@ -1523,13 +1535,21 @@ impl InternTable {
         old: &mut Interner,
         fresh: &mut Interner,
     ) -> InternTable {
+        let (mut out, survivors) = self.survivors(keep_last, old);
+        out.adopt(survivors, fresh);
+        out
+    }
+
+    /// The first half of [`InternTable::collected`]: the entries stored or
+    /// hit within the last `keep_last` generations, extracted from `arena`
+    /// as trees, and an empty table that continues this one's statistics
+    /// and clock. Only this half reads the old arena.
+    pub(crate) fn survivors(
+        &self,
+        keep_last: u64,
+        arena: &mut Interner,
+    ) -> (InternTable, Vec<Survivor>) {
         let cur = self.generation;
-        let mut out = InternTable {
-            cache: FastMap::default(),
-            hits: self.hits,
-            misses: self.misses,
-            generation: self.generation,
-        };
         let mut entries: Vec<_> = self
             .cache
             .iter()
@@ -1539,13 +1559,36 @@ impl InternTable {
         // Deterministic migration order keeps the fresh arena's id
         // assignment reproducible run-to-run.
         entries.sort_unstable_by_key(|((f, a, fuel), _)| (f.index(), a.index(), *fuel));
-        for ((f, a, fuel), (r, exhausted, stamp)) in entries {
-            let (ft, at, rt) = (old.extract(f), old.extract(a), old.extract(r));
-            let key = (fresh.canon_id(&ft), fresh.canon_id(&at), fuel);
-            out.cache
-                .insert(key, (fresh.canon_id(&rt), exhausted, stamp));
+        let survivors = entries
+            .into_iter()
+            .map(|((f, a, fuel), (r, exhausted, stamp))| Survivor {
+                f: arena.extract(f),
+                a: arena.extract(a),
+                fuel,
+                r: arena.extract(r),
+                exhausted,
+                stamp,
+            })
+            .collect();
+        let empty = InternTable {
+            cache: FastMap::default(),
+            hits: self.hits,
+            misses: self.misses,
+            generation: self.generation,
+        };
+        (empty, survivors)
+    }
+
+    /// The second half of [`InternTable::collected`]: canonically interns
+    /// each survivor into `arena` and stores it with its stamp. The
+    /// survivors' roots stay out of the pointer cache: nothing probes
+    /// with these freshly extracted allocations again.
+    pub(crate) fn adopt(&mut self, survivors: Vec<Survivor>, arena: &mut Interner) {
+        for s in survivors {
+            let key = (arena.canon_intern(&s.f), arena.canon_intern(&s.a), s.fuel);
+            let r = arena.canon_intern(&s.r);
+            self.cache.insert(key, (r, s.exhausted, s.stamp));
         }
-        out
     }
 
     /// Snapshot view of all entries (see [`crate::snap`]).

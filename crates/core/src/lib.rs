@@ -24,8 +24,9 @@
 //!   Figure 10), with the recursive executable specification in
 //!   [`bigstep::spec`];
 //! * [`engine`] — the explicit-stack (defunctionalised frame machine)
-//!   evaluation engine behind [`bigstep`] and the runtime's memoised
-//!   evaluator: depth scales with the heap, not the OS thread stack;
+//!   evaluation engine over arena ids, the one λ∨ machine behind
+//!   [`bigstep`], the runtime's memoised evaluator and `lambdav serve`:
+//!   depth scales with the heap, not the OS thread stack;
 //! * [`intern`] — the hash-consing arena: `Copy` term ids with O(1)
 //!   equality/hashing, cached subterm metadata, and canonical ids that
 //!   decide α-equivalence by id comparison (the memo/tabling key type);
@@ -34,7 +35,9 @@
 //!   and delta rules computed directly over arena nodes (tree
 //!   allocations: zero);
 //! * [`sharded`] — the thread-shared β-memo of `lambdav serve`: one
-//!   [`intern::Interner`] and its result cache behind a single lock;
+//!   [`intern::Interner`] and its [`intern::InternTable`] behind a single
+//!   lock, which [`engine::run`] releases to waiting sessions between
+//!   dispatches;
 //! * [`pool`] — bounded worker helpers: the fork–join map behind
 //!   `runtime::parallel::join_all` and the server's session crew;
 //! * [`snap`] — persistent arena snapshots: a versioned, checksummed

@@ -27,10 +27,13 @@
 //! yields partial state. Integers inside payloads are LEB128 varints
 //! (`u32` columns of small ids pack to 1–2 bytes each).
 //!
-//! Three snapshot kinds are defined here — an owned memo
-//! ([`save_memo`]/[`load_memo`], used by `MemoEval`), a shared server memo
-//! ([`save_shared`]/[`load_shared`], used by `lambdav serve`), and the raw
-//! section API ([`Writer`]/[`Reader`]) that other crates build on (the
+//! One memo format is defined here: an interner section followed by a
+//! memo section ([`save_memo`]/[`load_memo`], used by `MemoEval`). The
+//! server's shared memo checkpoints in the same format
+//! ([`save_shared`]/[`load_shared`]: the recent working set, compacted
+//! first), and [`load_shared`] also reads the older shared layout, whose
+//! memo rows index a structural arena, by re-canonicalising them. The raw
+//! section API ([`Writer`]/[`Reader`]) is what other crates build on (the
 //! Datalog store snapshot and the seminaive-engine snapshot live with
 //! their data structures and embed interner/table sections from here).
 
@@ -38,7 +41,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use crate::intern::{InternTable, Interner, TermId};
+use crate::intern::{InternTable, Interner, Survivor, TermId};
 use crate::sharded::SharedInternTable;
 
 /// The four magic bytes every snapshot starts with.
@@ -58,8 +61,9 @@ pub mod tag {
     /// [`InternTable`](crate::intern::InternTable) memo entries over the
     /// preceding interner section.
     pub const MEMO: u16 = 2;
-    /// [`SharedInternTable`](crate::sharded::SharedInternTable) entries
-    /// over the preceding interner section.
+    /// Memo entries over a preceding *structural* interner section: the
+    /// layout shared-memo checkpoints had before they moved to
+    /// [`MEMO`]. Read (re-canonicalised), never written.
     pub const SHARED_MEMO: u16 = 3;
     /// Seminaive-engine resume state (payload defined in
     /// `lambda-join-runtime`).
@@ -400,6 +404,13 @@ impl<'a> Reader<'a> {
         Ok(Cur::new(payload))
     }
 
+    /// The tag of the next section, without consuming it (`None` at the
+    /// end or before a truncated tag).
+    fn peek_tag(&self) -> Option<u16> {
+        let rest = &self.cur.bytes[self.cur.pos..];
+        Some(u16::from_le_bytes(rest.get(..2)?.try_into().ok()?))
+    }
+
     /// Whether all sections have been consumed.
     pub fn at_end(&self) -> bool {
         self.cur.remaining() == 0
@@ -450,11 +461,10 @@ pub fn read_interner(r: &mut Reader<'_>) -> Result<Interner, SnapError> {
 /// section written alongside.
 type MemoRow = ((TermId, TermId, usize), (TermId, bool, u64));
 
-/// Encodes a memo section (`tag::MEMO` or `tag::SHARED_MEMO`, one
-/// layout): hit/miss counters, the generation clock, then the rows.
+/// Encodes a [`tag::MEMO`] section: hit/miss counters, the generation
+/// clock, then the rows.
 fn write_memo_rows(
     w: &mut Writer,
-    tag: u16,
     (hits, misses): (usize, usize),
     generation: u64,
     rows: &[MemoRow],
@@ -472,10 +482,11 @@ fn write_memo_rows(
         p.push(u8::from(exhausted));
         put_v64(&mut p, stamp);
     }
-    w.section(tag, &p);
+    w.section(tag::MEMO, &p);
 }
 
-/// Decodes a memo section written by [`write_memo_rows`], passing each
+/// Decodes a memo section (`tag::MEMO`, or the legacy `tag::SHARED_MEMO`
+/// with the same layout) written by [`write_memo_rows`], passing each
 /// row to `row` in order; every id is range-checked against an interner
 /// of `arena_len` nodes. Returns `(hits, misses, generation)`.
 fn read_memo_rows(
@@ -519,7 +530,7 @@ fn read_memo_rows(
 pub fn write_table(w: &mut Writer, t: &InternTable) {
     let mut rows = t.snap_entries();
     rows.sort_unstable_by_key(|(key, _)| *key);
-    write_memo_rows(w, tag::MEMO, t.stats(), t.generation(), &rows);
+    write_memo_rows(w, t.stats(), t.generation(), &rows);
 }
 
 /// Decodes a [`tag::MEMO`] section against the interner it was saved
@@ -578,32 +589,16 @@ pub fn load_memo(path: &Path) -> Result<(Interner, InternTable), SnapError> {
 // Shared memo snapshots (lambdav serve)
 // ---------------------------------------------------------------------------
 
-/// A [`SharedInternTable`]'s working set as snapshot sections: the
-/// entries touched within the last `keep_last` generations (the same
-/// recency window the server GC uses — pass `u64::MAX` to keep
-/// everything).
-///
-/// The shared arena itself is *not* persisted wholesale: surviving
-/// entries' key and result terms are re-interned into a fresh owned
-/// arena, so a checkpoint's size tracks the hot working set, not the
-/// unbounded process-lifetime arena.
+/// A [`SharedInternTable`]'s working set as a memo snapshot: the entries
+/// touched within the last `keep_last` generations (the same recency
+/// window the server GC uses — pass `u64::MAX` to keep everything),
+/// compacted into a fresh arena first, so a checkpoint's size tracks the
+/// hot working set, not the unbounded process-lifetime arena.
 fn shared_writer(table: &SharedInternTable, keep_last: u64) -> Writer {
-    let (entries, hits, misses, generation) = table.snap_export(keep_last);
-    let mut arena = Interner::new();
-    let rows: Vec<MemoRow> = entries
-        .iter()
-        .map(|(f, a, fuel, res, exhausted, stamp)| {
-            // Structural interning: extraction on load reproduces the
-            // exact trees (binder spellings included), so replayed replies
-            // render byte-identically to the run that was checkpointed.
-            let key = (arena.intern(f), arena.intern(a), *fuel);
-            (key, (arena.intern(res), *exhausted, *stamp))
-        })
-        .collect();
-    let mut w = Writer::new();
-    write_interner(&mut w, &arena);
-    write_memo_rows(&mut w, tag::SHARED_MEMO, (hits, misses), generation, &rows);
-    w
+    let compacted = table.collected(keep_last);
+    let mut guard = compacted.interner();
+    let (it, t) = guard.parts();
+    memo_writer(it, t)
 }
 
 /// Serialises a [`SharedInternTable`]'s working set to bytes (see
@@ -612,26 +607,43 @@ pub fn shared_to_bytes(table: &SharedInternTable, keep_last: u64) -> Vec<u8> {
     shared_writer(table, keep_last).finish()
 }
 
-/// Restores a [`SharedInternTable`] from bytes: every entry's terms are
-/// extracted from the snapshot arena and canonically re-interned, so the
-/// restored table answers exactly the probes the saved one did —
-/// generation counter and hit/miss statistics included.
+/// Restores a [`SharedInternTable`] from bytes: a memo snapshot comes back
+/// with its ids exactly as saved; a legacy [`tag::SHARED_MEMO`] checkpoint
+/// has every entry's terms extracted from its structural arena and
+/// canonically re-interned. Either way the restored table answers exactly
+/// the probes the saved one did — generation counter and hit/miss
+/// statistics included.
 pub fn shared_from_bytes(bytes: &[u8]) -> Result<SharedInternTable, SnapError> {
     let mut r = Reader::new(bytes)?;
     let mut arena = read_interner(&mut r)?;
-    let table = SharedInternTable::new();
-    let (hits, misses, generation) = read_memo_rows(
-        &mut r,
-        tag::SHARED_MEMO,
-        arena.len(),
-        |((f, a, fuel), (res, exhausted, stamp))| {
-            let (ft, at, rt) = (arena.extract(f), arena.extract(a), arena.extract(res));
-            table.snap_restore(&ft, &at, fuel, &rt, exhausted, stamp);
-        },
-    )?;
+    let (it, t) = if r.peek_tag() == Some(tag::SHARED_MEMO) {
+        let mut survivors = Vec::new();
+        let (hits, misses, generation) = read_memo_rows(
+            &mut r,
+            tag::SHARED_MEMO,
+            arena.len(),
+            |((f, a, fuel), (res, exhausted, stamp))| {
+                survivors.push(Survivor {
+                    f: arena.extract(f),
+                    a: arena.extract(a),
+                    fuel,
+                    r: arena.extract(res),
+                    exhausted,
+                    stamp,
+                });
+            },
+        )?;
+        let mut t = InternTable::new();
+        t.snap_set_counters(hits, misses, generation);
+        let mut it = Interner::new();
+        t.adopt(survivors, &mut it);
+        (it, t)
+    } else {
+        let t = read_table(&mut r, &arena)?;
+        (arena, t)
+    };
     r.expect_end()?;
-    table.snap_set_counters(hits, misses, generation);
-    Ok(table)
+    Ok(SharedInternTable::from_parts(it, t))
 }
 
 /// Checkpoints a shared memo's recent working set to `path` (atomically);
@@ -773,8 +785,7 @@ mod tests {
 
     #[test]
     fn shared_round_trip_preserves_probes_and_stats() {
-        use crate::engine::BetaTable;
-        let mut table = SharedInternTable::new();
+        let table = SharedInternTable::new();
         table.begin_generation();
         let f = lam("x", join(var("x"), int(1)));
         let a = int(10);
@@ -783,7 +794,10 @@ mod tests {
         assert!(table.lookup(&f, &a, 8).is_some());
         let (h0, m0) = table.stats();
         let bytes = shared_to_bytes(&table, u64::MAX);
-        let mut loaded = shared_from_bytes(&bytes).unwrap();
+        // The checkpoint is an ordinary memo snapshot.
+        let (_, owned) = memo_from_bytes(&bytes).unwrap();
+        assert_eq!(owned.len(), 1);
+        let loaded = shared_from_bytes(&bytes).unwrap();
         assert_eq!(loaded.stats(), (h0, m0));
         assert_eq!(loaded.generation(), table.generation());
         let hit = loaded.lookup(&lam("y", join(var("y"), int(1))), &a, 8);
@@ -794,8 +808,7 @@ mod tests {
 
     #[test]
     fn shared_checkpoint_respects_recency_window() {
-        use crate::engine::BetaTable;
-        let mut table = SharedInternTable::new();
+        let table = SharedInternTable::new();
         table.begin_generation(); // gen 1
         table.store(&lam("x", var("x")), &int(1), 4, &int(1), false);
         for _ in 0..10 {

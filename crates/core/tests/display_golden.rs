@@ -46,10 +46,10 @@ fn two_phase_commit_results_render_byte_identically() {
     let tpc = encodings::two_phase_commit();
     assert_renders(&eval_fuel(&tpc, 16), "two_phase_commit_fuel16.txt");
 
-    // The serving path: the tree machine over a fresh shared memo, as
-    // `lambdav serve` runs it (23,767 bytes on the wire).
-    let mut table = SharedInternTable::new();
+    // The serving path: `engine::run` over a fresh shared memo, as
+    // `lambdav serve` runs it, renders the same bytes.
+    let table = SharedInternTable::new();
     let mut budget = Budget::new(usize::MAX);
-    let served = engine::run(&tpc, 16, &mut budget, &mut table);
-    assert_renders(&served, "two_phase_commit_served16.txt");
+    let served = engine::run(&tpc, 16, &mut budget, &table);
+    assert_renders(&served, "two_phase_commit_fuel16.txt");
 }

@@ -6,11 +6,13 @@
 //! never-stored key a miss. The counting-allocator side of the satellite
 //! lives in `tests/intern_alloc.rs` (`post_gc_warm_shared_probe_allocates_nothing`).
 
+mod probe;
+
 use lambda_join_core::builder as b;
-use lambda_join_core::engine::BetaTable;
 use lambda_join_core::sharded::SharedInternTable;
 use lambda_join_core::symbol::Symbol;
 use lambda_join_core::term::TermRef;
+use probe::{lookup, store};
 use proptest::prelude::*;
 
 /// Random terms rich in binders and shared names (same shape as the
@@ -65,20 +67,20 @@ proptest! {
         entries in prop::collection::vec(arb_entry(), 1..12),
         touched in prop::collection::vec((0u64..2).prop_map(|b| b == 1), 12),
     ) {
-        let mut table = SharedInternTable::new();
+        let table = SharedInternTable::new();
         table.begin_generation(); // generation 1: store everything
         for (f, a, fuel, r, ex) in &entries {
-            table.store(f, a, *fuel, r, *ex);
+            store(&table, f, a, *fuel, r, *ex);
         }
         table.begin_generation(); // generation 2: touch a random subset
         for ((f, a, fuel, _, _), touch) in entries.iter().zip(&touched) {
             if *touch {
-                prop_assert!(table.lookup(f, a, *fuel).is_some());
+                prop_assert!(lookup(&table, f, a, *fuel).is_some());
             }
         }
 
         // Keep only entries touched in generation 2.
-        let mut gc = table.collected(1);
+        let gc = table.collected(1);
 
         for (i, (f, a, fuel, _r, _ex)) in entries.iter().enumerate() {
             // Later stores under an α-equal key overwrite earlier ones, and
@@ -93,7 +95,7 @@ proptest! {
                 .expect("entry i itself matches");
             let hot = (0..entries.len())
                 .any(|j| same_key(j) && touched.get(j).copied().unwrap_or(false));
-            let got = gc.lookup(f, a, *fuel);
+            let got = lookup(&gc, f, a, *fuel);
             if hot {
                 let (gr, gex) = got.expect("touched entry must survive collection");
                 let (_, _, _, wr, wex) = &entries[last_writer];
@@ -112,12 +114,12 @@ proptest! {
     fn collected_preserves_canon_id_relations(
         terms in prop::collection::vec(arb_term(), 2..10),
     ) {
-        let mut table = SharedInternTable::new();
+        let table = SharedInternTable::new();
         table.begin_generation();
         // Store every term as both function and argument of some entry so
         // the collector must re-intern all of them.
         for w in terms.windows(2) {
-            table.store(&w[0], &w[1], 3, &b::int(0), false);
+            store(&table, &w[0], &w[1], 3, &b::int(0), false);
         }
         let gc = table.collected(1);
 
@@ -147,17 +149,16 @@ proptest! {
     fn collection_is_idempotent(
         entries in prop::collection::vec(arb_entry(), 1..8),
     ) {
-        let mut table = SharedInternTable::new();
+        let table = SharedInternTable::new();
         table.begin_generation();
         for (f, a, fuel, r, ex) in &entries {
-            table.store(f, a, *fuel, r, *ex);
+            store(&table, f, a, *fuel, r, *ex);
         }
         let once = table.collected(1);
         let twice = once.collected(1);
         prop_assert_eq!(once.len(), twice.len());
-        let mut twice = twice;
-        for (f, a, fuel, r, _) in &entries {
-            let (gr, _) = twice.lookup(f, a, *fuel).expect("entry survives re-collection");
+                for (f, a, fuel, r, _) in &entries {
+            let (gr, _) = lookup(&twice, f, a, *fuel).expect("entry survives re-collection");
             // Last writer wins for α-equal keys; the surviving result must
             // match *some* entry's stored result under that key.
             let _ = r;

@@ -193,10 +193,10 @@ fn post_collected_warm_probe_allocates_nothing() {
 #[test]
 fn post_gc_warm_shared_probe_allocates_nothing() {
     use lambda_join_core::builder::*;
-    use lambda_join_core::engine::BetaTable;
+    use lambda_join_core::engine::IdBetaTable;
     use lambda_join_core::sharded::SharedInternTable;
 
-    let mut table = SharedInternTable::new();
+    let table = SharedInternTable::new();
     // Server-shaped keys: a recursive-function value and a set argument,
     // both comfortably larger than the interior pointer-cache threshold.
     let f = lam(
@@ -207,21 +207,29 @@ fn post_gc_warm_shared_probe_allocates_nothing() {
     let r = set(vec![int(1), int(2)]);
 
     table.begin_generation();
-    table.store(&f, &a, 9, &r, false);
-    assert!(table.lookup(&f, &a, 9).is_some());
+    {
+        let mut guard = table.interner();
+        let (arena, memo) = guard.parts();
+        let (fi, ai, ri) = (arena.canon_id(&f), arena.canon_id(&a), arena.canon_id(&r));
+        memo.store(fi, ai, 9, ri, false);
+        assert!(memo.lookup(fi, ai, 9).is_some());
+    }
 
     // Generation-tracked compaction into a fresh arena; the entry was
     // touched this generation, so it survives.
-    let mut gc = table.collected(1);
+    let gc = table.collected(1);
+    let mut guard = gc.interner();
+    let (arena, memo) = guard.parts();
 
-    // First probe re-warms the compacted arena's pointer caches for these
+    // First probe re-warms the compacted arena's pointer cache for these
     // allocations (the old arena's caches died with it).
-    assert!(gc.lookup(&f, &a, 9).is_some(), "hot entry survives GC");
+    let (fi, ai) = (arena.canon_id(&f), arena.canon_id(&a));
+    assert!(memo.lookup(fi, ai, 9).is_some(), "hot entry survives GC");
 
     // The invariant under test: after compaction, a warm probe is still
     // two pointer-cache hits + one map access — zero allocations.
     let before = allocations();
-    let hit = gc.lookup(&f, &a, 9);
+    let hit = memo.lookup(arena.canon_id(&f), arena.canon_id(&a), 9);
     let after = allocations();
     assert!(hit.is_some());
     assert_eq!(

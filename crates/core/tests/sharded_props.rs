@@ -1,21 +1,26 @@
 //! Concurrency tests for the shared β-memo (`core::sharded`): k racing
 //! threads store and probe α-variants of terms through clones of one
 //! `SharedInternTable`. Each α-class ends up as exactly one entry, every
-//! hit/miss verdict matches the owned `Interner::canon_id` equality, and a
+//! hit/miss verdict matches the owned `Interner::canon_id` equality, a
 //! compaction (`collected`) running during the probes never yields a
-//! wrong result.
+//! wrong result, and a long `engine::run` leaves the lock free between
+//! its slices.
 
 mod common;
+mod probe;
 
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use common::rename_binders;
 use lambda_join_core::builder as b;
-use lambda_join_core::engine::BetaTable;
+use lambda_join_core::encodings;
+use lambda_join_core::engine::{self, Budget, StopCause};
 use lambda_join_core::intern::Interner;
 use lambda_join_core::sharded::SharedInternTable;
 use lambda_join_core::symbol::Symbol;
 use lambda_join_core::term::TermRef;
+use probe::{lookup, store};
 use proptest::prelude::*;
 
 /// Random terms rich in binders and shared names (same shape as the owned
@@ -67,7 +72,7 @@ fn concurrent_interning_agrees_on_one_id() {
         let ids: Vec<_> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..8)
                 .map(|k| {
-                    let mut table = table.clone();
+                    let table = table.clone();
                     let arg = arg.clone();
                     // Each thread builds its own α-variant tree (distinct
                     // allocations, distinct binder names for odd k).
@@ -77,11 +82,11 @@ fn concurrent_interning_agrees_on_one_id() {
                         rename_binders(&t, &format!("_{round}_{k}"))
                     };
                     s.spawn(move || {
-                        table.store(&mine, &arg, 4, &b::int(k), false);
+                        store(&table, &mine, &arg, 4, &b::int(k), false);
                         let id = table.interner().canon_id(&mine);
                         for _ in 0..50 {
                             std::thread::yield_now();
-                            assert!(table.lookup(&mine, &arg, 4).is_some(), "own store lost");
+                            assert!(lookup(&table, &mine, &arg, 4).is_some(), "own store lost");
                             assert_eq!(table.interner().canon_id(&mine), id, "id changed");
                         }
                         id
@@ -110,14 +115,14 @@ fn concurrent_interning_keeps_distinct_terms_distinct() {
     let arg = b::int(0);
     std::thread::scope(|s| {
         for k in 0..6 {
-            let mut table = table.clone();
+            let table = table.clone();
             let (terms, arg) = (&terms, &arg);
             s.spawn(move || {
                 // Different threads visit in different orders.
                 for j in 0..terms.len() {
                     let idx = (j * 7 + k * 13) % terms.len();
-                    table.store(&terms[idx], arg, 1, &b::int(idx as i64), false);
-                    let (r, _) = table.lookup(&terms[idx], arg, 1).expect("own store lost");
+                    store(&table, &terms[idx], arg, 1, &b::int(idx as i64), false);
+                    let (r, _) = lookup(&table, &terms[idx], arg, 1).expect("own store lost");
                     assert!(r.alpha_eq(&b::int(idx as i64)), "entry {idx} answered {r}");
                     if j % 5 == 0 {
                         std::thread::yield_now();
@@ -132,6 +137,56 @@ fn concurrent_interning_keeps_distinct_terms_distinct() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), terms.len());
+}
+
+/// A deadline-budgeted `engine::run` releases the table's lock between
+/// its slices: while one clone runs the non-converging `evens` at high
+/// fuel, another thread's warm `engine::run` plus `stats()` finishes long
+/// before that run's deadline.
+#[test]
+fn long_run_releases_the_lock_between_slices() {
+    const DEADLINE: Duration = Duration::from_secs(2);
+    let table = SharedInternTable::new();
+    let warm = b::app(
+        b::lam(
+            "x",
+            b::join(b::set(vec![b::var("x")]), b::set(vec![b::int(1)])),
+        ),
+        b::int(0),
+    );
+    let want = engine::run(&warm, 8, &mut Budget::new(usize::MAX), &table).to_string();
+    let (_, warm_misses) = table.stats();
+    std::thread::scope(|s| {
+        let long = {
+            let table = table.clone();
+            s.spawn(move || {
+                let mut budget = Budget::new(usize::MAX).with_deadline(Instant::now() + DEADLINE);
+                engine::run(&encodings::evens(), 1 << 20, &mut budget, &table);
+                budget.stop_cause()
+            })
+        };
+        // The long run is under way once it has missed the memo.
+        while table.stats().1 == warm_misses {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut slowest = Duration::ZERO;
+        for _ in 0..50 {
+            let t0 = Instant::now();
+            let got = engine::run(&warm, 8, &mut Budget::new(usize::MAX), &table);
+            let _ = table.stats();
+            slowest = slowest.max(t0.elapsed());
+            assert_eq!(got.to_string(), want);
+        }
+        assert!(
+            !long.is_finished(),
+            "the long run ended before the warm runs did"
+        );
+        assert!(
+            slowest < DEADLINE / 4,
+            "a warm run waited {slowest:?} behind a long one"
+        );
+        assert_eq!(long.join().unwrap(), Some(StopCause::Deadline));
+    });
 }
 
 proptest! {
@@ -150,13 +205,13 @@ proptest! {
         let verdicts: Vec<bool> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|k| {
-                    let mut table = table.clone();
+                    let table = table.clone();
                     let mine = rename_binders(&t, &format!("_{k}"));
                     let (u, arg) = (&u, &arg);
                     s.spawn(move || {
-                        table.store(&mine, arg, 3, &b::int(9), false);
+                        store(&table, &mine, arg, 3, &b::int(9), false);
                         std::thread::yield_now();
-                        table.lookup(u, arg, 3).is_some()
+                        lookup(&table, u, arg, 3).is_some()
                     })
                 })
                 .collect();
@@ -197,16 +252,16 @@ proptest! {
                     s.spawn(move || {
                         let mut wrong = Vec::new();
                         for round in 0..20 {
-                            let mut table = current.lock().unwrap().clone();
+                            let table = current.lock().unwrap().clone();
                             table.begin_generation();
                             for (i, t) in terms.iter().enumerate() {
                                 let mine = rename_binders(t, &format!("_{k}_{round}"));
-                                match table.lookup(&mine, arg, 5) {
+                                match lookup(&table, &mine, arg, 5) {
                                     Some((r, _)) if !r.alpha_eq(&expected[i]) => {
                                         wrong.push(format!("{mine} answered {r}"));
                                     }
                                     Some(_) => {}
-                                    None => table.store(&mine, arg, 5, &expected[i], false),
+                                    None => store(&table, &mine, arg, 5, &expected[i], false),
                                 }
                             }
                         }

@@ -142,37 +142,56 @@ proptest! {
 /// shared memo moved onto the owned arena (`tests/golden/shared_memo_v1.snap`:
 /// three entries over generations 1–3, one hit, one miss) still loads,
 /// answers the same α-variant probes, restores its counters, and
-/// re-serialises to the same bytes.
+/// re-serialises (now as a memo snapshot) to a checkpoint that loads back
+/// to the same memo.
 #[test]
 fn shared_checkpoint_from_the_sharded_arena_still_loads() {
-    use lambda_join_core::engine::BetaTable;
-    use lambda_join_core::snap::{load_shared, shared_to_bytes};
+    use lambda_join_core::sharded::SharedInternTable;
+    use lambda_join_core::snap::{load_shared, shared_from_bytes, shared_to_bytes};
+
+    /// Probes `f a` at `fuel` in the table's memo.
+    fn lookup(
+        table: &SharedInternTable,
+        f: &TermRef,
+        a: &TermRef,
+        fuel: usize,
+    ) -> Option<(TermRef, bool)> {
+        let mut guard = table.interner();
+        let (arena, memo) = guard.parts();
+        let (f, a) = (arena.canon_id(f), arena.canon_id(a));
+        let (r, exhausted) = memo.lookup(f, a, fuel)?;
+        Some((arena.extract(r), exhausted))
+    }
 
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/shared_memo_v1.snap");
-    let mut table = load_shared(&path).expect("golden checkpoint loads");
+    let table = load_shared(&path).expect("golden checkpoint loads");
     assert_eq!(table.stats(), (1, 1));
     assert_eq!(table.generation(), 3);
     assert_eq!(table.len(), 3);
-    assert_eq!(
-        shared_to_bytes(&table, u64::MAX),
+    let resaved = shared_to_bytes(&table, u64::MAX);
+    assert_ne!(
+        resaved,
         std::fs::read(&path).unwrap(),
-        "the memo rows re-encode byte-identically"
+        "re-saved in the memo layout"
     );
+    let reloaded = shared_from_bytes(&resaved).expect("the re-saved checkpoint loads");
+    assert_eq!(shared_to_bytes(&reloaded, u64::MAX), resaved);
 
-    let join_one = b::lam("v", b::join(b::var("v"), b::int(1)));
-    let (r, exhausted) = table
-        .lookup(&join_one, &b::int(10), 8)
-        .expect("α-variant hits");
-    assert!(r.alpha_eq(&b::set(vec![b::int(10), b::int(1)])), "{r}");
-    assert!(!exhausted);
-    let dup = b::lam("w", b::pair(b::var("w"), b::var("w")));
-    let (r, exhausted) = table.lookup(&dup, &b::int(3), 4).expect("α-variant hits");
-    assert!(r.alpha_eq(&b::pair(b::int(3), b::int(3))), "{r}");
-    assert!(exhausted);
-    assert!(
-        table.lookup(&join_one, &b::int(10), 9).is_none(),
-        "fuel is part of the key"
-    );
-    assert_eq!(table.stats(), (3, 2));
+    for table in [table, reloaded] {
+        let join_one = b::lam("v", b::join(b::var("v"), b::int(1)));
+        let (r, exhausted) = lookup(&table, &join_one, &b::int(10), 8).expect("α-variant hits");
+        assert!(r.alpha_eq(&b::set(vec![b::int(10), b::int(1)])), "{r}");
+        assert!(!exhausted);
+        let dup = b::lam("w", b::pair(b::var("w"), b::var("w")));
+        let (r, exhausted) = lookup(&table, &dup, &b::int(3), 4).expect("α-variant hits");
+        assert!(r.alpha_eq(&b::pair(b::int(3), b::int(3))), "{r}");
+        assert!(exhausted);
+        assert!(
+            lookup(&table, &join_one, &b::int(10), 9).is_none(),
+            "fuel is part of the key"
+        );
+        assert_eq!(table.stats(), (3, 2));
+        assert_eq!(table.generation(), 3);
+    }
 }

@@ -8,9 +8,9 @@
 //! depth)`: the λ∨ analogue of logic-programming tabling, which the paper
 //! identifies with memoisation in the functional setting.
 //!
-//! The table plugs into the shared explicit-stack engine
+//! The table plugs into the explicit-stack engine
 //! ([`lambda_join_core::engine`]) through its
-//! [`BetaTable`](lambda_join_core::engine::BetaTable) hook: the engine
+//! [`IdBetaTable`](lambda_join_core::engine::IdBetaTable) hook: the engine
 //! consults the cache exactly where it would perform a β-step, so the
 //! memoised evaluator is the *same* frame machine as
 //! [`lambda_join_core::bigstep::eval_fuel`] — heap-bounded depth included —
@@ -19,19 +19,19 @@
 //! [`MemoEval`] is observationally equivalent to
 //! [`lambda_join_core::bigstep::eval_fuel`] (tested), but shares work
 //! across duplicated calls — turning the exponential recomputation of
-//! `reaches` on dense graphs into polynomial work (measured in the bench
-//! suite).
+//! `reaches` on dense graphs into polynomial work.
 //!
-//! Since the arena-native refactor the evaluator *is* the id frame
-//! machine ([`lambda_join_core::engine::run_id`]) running over a
-//! persistent arena: terms are canonically interned once at the API
+//! The evaluator runs the machine ([`lambda_join_core::engine::run_id`])
+//! over a persistent arena: terms are canonically interned once at the API
 //! boundary, every frame carries `Copy` ids, and the cache —
 //! [`lambda_join_core::intern::InternTable`] — is probed with the
 //! `(function, argument, fuel)` ids the engine already holds in hand.
 //! A warm memo hit therefore performs **no tree traversal, no `canon_id`
 //! walk, and no tree-node allocation** (pinned by the counting-allocator
 //! test in `lambda-join-core/tests/intern_alloc.rs`), and α-equivalent
-//! calls share one entry by construction.
+//! calls share one entry by construction. `lambdav serve` shares the same
+//! pair — arena and `InternTable` — between sessions behind one lock
+//! ([`lambda_join_core::sharded::SharedInternTable`]).
 
 use std::path::Path;
 

@@ -6,12 +6,17 @@
 //! budget-limited answers are approximations, never lies. This module
 //! turns the engine into a persistent thread-per-connection TCP server
 //! where concurrent sessions share one warm
-//! [`SharedInternTable`] memo, with five robustness layers:
+//! [`SharedInternTable`] memo — one arena and its β-memo behind one lock.
+//! Each request evaluates through [`lambda_join_core::engine::run`], the
+//! same id machine `lambdav run` uses, which hands the lock to a waiting
+//! session between dispatches, so a long evaluation does not shut out
+//! warm requests. Five robustness layers sit on top:
 //!
 //! 1. **Per-request budgets** — fuel, a wall-clock deadline, and an
 //!    arena-node quota, enforced cooperatively inside the engine loop
 //!    ([`lambda_join_core::engine::Budget`]); each limit has a distinct
-//!    structured error code.
+//!    structured error code. The quota counts growth of the shared
+//!    arena, so other sessions' interning counts toward it.
 //! 2. **Admission control** — a bounded session crew plus the
 //!    fuel-credit [`admission::Gate`]; shed requests get an `overloaded`
 //!    reply with a `retry_after_ms` hint, never a dropped connection.
@@ -243,13 +248,15 @@ impl ServerState {
     /// tree: textually different programs that intern to the same nodes
     /// grow memory without growing the node count. `try_lock` keeps at
     /// most one session compacting; everyone else returns to serving
-    /// immediately.
+    /// immediately. The footprint is read only if the memo is free: a
+    /// session evaluating on it checks again when its request ends, so a
+    /// warm request never queues behind a long evaluation here.
     pub(crate) fn maybe_collect(&self) {
         let snapshot = self.memo_handle();
         // One scoped guard: the table's other methods lock the same memo.
-        let footprint = {
-            let arena = snapshot.interner();
-            arena.len() + arena.canon_ptr_len()
+        let footprint = match snapshot.try_interner() {
+            Some(arena) => arena.len() + arena.canon_ptr_len(),
+            None => return,
         };
         if footprint <= self.cfg.gc_node_watermark {
             return;
@@ -964,6 +971,93 @@ mod tests {
         );
         assert!(handle.stop());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The §4 two-phase commit at fuel 16, as `lambdav run` prints it.
+    const TPC_FUEL16: &str = include_str!("../../../core/tests/golden/two_phase_commit_fuel16.txt");
+
+    /// Sends the two-phase commit at fuel 16 and returns its `result`.
+    fn served_tpc(handle: &ServerHandle) -> String {
+        let (mut conn, mut reader) = connect(handle);
+        let program = lambda_join_core::encodings::two_phase_commit().to_string();
+        let line = format!("eval fuel=16 \"{}\"", protocol::json_escape(&program));
+        let r = round_trip(&mut conn, &mut reader, &line);
+        // Fuel 16 cuts the protocol short: the reply carries the partial
+        // observation.
+        assert_eq!(r.error_code(), Some(ErrorCode::FuelExhausted));
+        r.str_of("result").unwrap().to_string()
+    }
+
+    #[test]
+    fn served_two_phase_commit_renders_like_lambdav_run() {
+        // A fresh server.
+        let handle = small_server();
+        assert!(served_tpc(&handle) == TPC_FUEL16, "fresh server");
+        assert!(handle.stop());
+
+        // After forced compactions: every request passes the watermark.
+        let cfg = ServerConfig {
+            gc_node_watermark: 16,
+            ..ServerConfig::default()
+        };
+        let handle = serve(cfg).unwrap();
+        let (mut conn, mut reader) = connect(&handle);
+        for pass in 0..3 {
+            assert!(
+                served_tpc(&handle) == TPC_FUEL16,
+                "after {pass} compactions"
+            );
+            // The compaction runs after the reply is sent: wait for it.
+            let started = Instant::now();
+            while round_trip(&mut conn, &mut reader, "stats").num_of("gc_runs") < Some(pass + 1) {
+                assert!(started.elapsed() < Duration::from_secs(10), "no compaction");
+                thread::sleep(Duration::from_millis(1));
+            }
+        }
+        drop((conn, reader));
+        assert!(handle.stop());
+
+        // After a warm boot from the shutdown checkpoint.
+        let path = std::env::temp_dir().join(format!(
+            "lambdav-tpc-boot-{}-{:?}.snap",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let cfg = ServerConfig {
+            snapshot_path: Some(path.clone()),
+            ..ServerConfig::default()
+        };
+        let handle = serve(cfg.clone()).unwrap();
+        assert!(served_tpc(&handle) == TPC_FUEL16, "first life");
+        assert!(handle.stop());
+        let handle = serve(cfg).unwrap();
+        assert!(served_tpc(&handle) == TPC_FUEL16, "warm boot");
+        assert!(handle.stop());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn node_quota_is_enforced_over_the_wire() {
+        let cfg = ServerConfig {
+            max_outstanding_fuel: 1 << 20,
+            ..ServerConfig::default()
+        };
+        let handle = serve(cfg).unwrap();
+        let (mut conn, mut reader) = connect(&handle);
+        // `evens` never converges; its growing sets mint arena nodes
+        // until the quota trips (long before fuel or the deadline).
+        let evens = lambda_join_core::encodings::evens().to_string();
+        let line = format!(
+            "eval fuel=60000 quota=64 \"{}\"",
+            protocol::json_escape(&evens)
+        );
+        let r = round_trip(&mut conn, &mut reader, &line);
+        assert_eq!(r.error_code(), Some(ErrorCode::QuotaExceeded), "{r:?}");
+        // The session keeps serving.
+        let r = round_trip(&mut conn, &mut reader, r#"eval fuel=8 "{1} \\/ {2}""#);
+        assert_eq!(r.str_of("result"), Some("{1, 2}"), "{r:?}");
+        assert!(handle.stop());
     }
 
     #[test]

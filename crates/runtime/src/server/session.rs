@@ -19,7 +19,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use lambda_join_core::display::pretty;
-use lambda_join_core::engine::{self, Budget, NodeGauge, StopCause};
+use lambda_join_core::engine::{self, Budget, StopCause};
+use lambda_join_core::sharded::SharedInternTable;
+use lambda_join_core::term::TermRef;
 
 use super::protocol::{parse_request, ErrorCode, Obj, Request, RequestError, Verb};
 use super::ServerState;
@@ -245,24 +247,19 @@ enum StepOutcome {
 }
 
 fn run_step(
-    term: &lambda_join_core::term::TermRef,
+    term: &TermRef,
     fuel: usize,
     betas: usize,
     deadline: Instant,
     quota: usize,
     state: &Arc<ServerState>,
-    memo: &mut lambda_join_core::sharded::SharedInternTable,
+    memo: &SharedInternTable,
 ) -> StepOutcome {
-    let gauge: NodeGauge = {
-        let handle = memo.clone();
-        Arc::new(move || handle.interner().len())
-    };
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut budget = Budget::new(betas)
             .with_deadline(deadline)
             .with_cancel(state.shutdown.clone())
-            .with_node_quota(quota)
-            .with_node_gauge(gauge);
+            .with_node_quota(quota);
         let r = engine::run(term, fuel, &mut budget, memo);
         (r, budget)
     }));
@@ -339,14 +336,14 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
 
     // Every admitted request opens a memo generation: "recently used" for
     // the compactor means "touched within the last N admitted requests".
-    let mut memo = state.memo_handle();
+    let memo = state.memo_handle();
     memo.begin_generation();
     let started = Instant::now();
     let deadline = started + Duration::from_millis(deadline_ms);
 
     let flow = match req.verb {
         Verb::Eval => {
-            let outcome = run_step(&term, fuel, betas, deadline, quota, state, &mut memo);
+            let outcome = run_step(&term, fuel, betas, deadline, quota, state, &memo);
             // The engine work is over: release the fuel credits before the
             // reply write, so a client that has seen its reply can rely on
             // the gate having been released.
@@ -378,7 +375,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
             }
         }
         Verb::Watch => watch_loop(
-            &term, fuel, betas, deadline, quota, req.step, state, stream, &mut memo,
+            &term, fuel, betas, deadline, quota, req.step, state, stream, &memo,
         ),
         _ => unreachable!("handle_eval called for eval/watch only"),
     };
@@ -392,7 +389,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
 /// the void.
 #[allow(clippy::too_many_arguments)]
 fn watch_loop(
-    term: &lambda_join_core::term::TermRef,
+    term: &TermRef,
     fuel: usize,
     betas: usize,
     deadline: Instant,
@@ -400,7 +397,7 @@ fn watch_loop(
     step: Option<usize>,
     state: &Arc<ServerState>,
     stream: &mut TcpStream,
-    memo: &mut lambda_join_core::sharded::SharedInternTable,
+    memo: &SharedInternTable,
 ) -> Flow {
     let step = step.unwrap_or(1).max(1);
     let mut last: Option<String> = None;
