@@ -22,7 +22,8 @@
 //! Sorted-column tries are stored as their specs in both modes and catch
 //! up lazily on the first `refresh_tries` — the same staleness contract
 //! they already honour when registered after population. `figures --
-//! perf` measures both modes (`snapshot_load_ns` / `snapshot_load_stored_ns`).
+//! perf` measures both modes (`snapshot_load_ns` for stored,
+//! `snapshot_load_rebuild_ns` for rebuilt).
 //!
 //! Corrupt input — bit flips, truncation, a bad version, out-of-range
 //! constant ids or row indexes, an overfull membership table — is

@@ -10,7 +10,13 @@
 //! Each request evaluates through [`lambda_join_core::engine::run`], the
 //! same id machine `lambdav run` uses, which hands the lock to a waiting
 //! session between dispatches, so a long evaluation does not shut out
-//! warm requests. Five robustness layers sit on top:
+//! warm requests. A program's observation at a fuel depends only on the
+//! program and the fuel, so the request cache keeps each served program's
+//! parse and its rendered, JSON-escaped observations: a repeated
+//! (program, fuel) is answered without running, rendering or escaping it
+//! again. Requests with a β valve (`betas=`) are never answered from it,
+//! and stopped, panicked and failed runs are never cached. Five
+//! robustness layers sit on top:
 //!
 //! 1. **Per-request budgets** — fuel, a wall-clock deadline, and an
 //!    arena-node quota, enforced cooperatively inside the engine loop
@@ -149,33 +155,53 @@ impl Default for ServerConfig {
     }
 }
 
-/// Total source bytes the request cache may hold. Inserting past it
-/// flushes the whole cache; a single program larger than this is never
-/// cached. This bounds source text, not retained memory: a parsed tree
-/// can be many times larger than its source, and cached trees outlive
-/// GC until the next flush.
+/// Total bytes the request cache may hold: cached sources plus their
+/// escaped observations. Inserting past it flushes the whole cache; a
+/// single program or observation larger than this is never cached. This
+/// bounds text, not retained memory: a parsed tree can be many times
+/// larger than its source, and cached trees outlive GC until the next
+/// flush.
 pub(crate) const REQUEST_CACHE_BYTES: usize = 1 << 20;
 
-/// Parsed programs by their decoded source text. A program's observation
-/// at a given fuel depends only on the program and the fuel, so a
-/// repeated request can reuse the first parse. Reusing the *allocation*
-/// matters as much as skipping the parse: the engine's canonical
-/// interning finds the tree in its pointer cache instead of walking (and
-/// pinning) a fresh copy on every request.
+/// One rendered observation, as a reply carries it: whether fuel ran
+/// out, and the `result` text, JSON-escaped once.
+#[derive(Clone)]
+pub(crate) struct Observation {
+    pub(crate) exhausted: bool,
+    pub(crate) escaped: Arc<str>,
+}
+
+/// A cached program: its parse and its rendered observations by fuel.
+struct Entry {
+    term: TermRef,
+    observations: HashMap<usize, Observation>,
+}
+
+/// Parsed programs, and their observations, by decoded source text. A
+/// program's observation at a given fuel depends only on the program and
+/// the fuel, so a repeated request can reuse the first parse, and a
+/// repeated (program, fuel) the first rendered reply. Reusing the parse's
+/// *allocation* matters as much as skipping the parse: the engine's
+/// canonical interning finds the tree in its pointer cache instead of
+/// walking (and pinning) a fresh copy on every request.
 #[derive(Default)]
 pub(crate) struct RequestCache {
-    programs: HashMap<String, TermRef>,
-    /// Sum of the cached sources' lengths.
+    programs: HashMap<String, Entry>,
+    /// Sum of the cached sources' and escaped observations' lengths.
     bytes: usize,
 }
 
 impl RequestCache {
     fn get(&self, source: &str) -> Option<TermRef> {
-        self.programs.get(source).cloned()
+        self.programs.get(source).map(|e| e.term.clone())
     }
 
-    fn insert(&mut self, source: String, term: TermRef) {
-        if source.len() > REQUEST_CACHE_BYTES || self.programs.contains_key(&source) {
+    fn observation(&self, source: &str, fuel: usize) -> Option<Observation> {
+        self.programs.get(source)?.observations.get(&fuel).cloned()
+    }
+
+    fn insert(&mut self, source: &str, term: TermRef) {
+        if source.len() > REQUEST_CACHE_BYTES || self.programs.contains_key(source) {
             return;
         }
         if self.bytes + source.len() > REQUEST_CACHE_BYTES {
@@ -183,7 +209,36 @@ impl RequestCache {
             self.bytes = 0;
         }
         self.bytes += source.len();
-        self.programs.insert(source, term);
+        let observations = HashMap::new();
+        self.programs
+            .insert(source.to_owned(), Entry { term, observations });
+    }
+
+    /// Caches `obs` under its (already cached) program. An insert that
+    /// would pass the bound flushes everything first, then keeps this
+    /// program with this one observation if the pair fits.
+    fn insert_observation(&mut self, source: &str, fuel: usize, obs: Observation) {
+        let len = obs.escaped.len();
+        let Some(entry) = self.programs.get_mut(source) else {
+            return;
+        };
+        if entry.observations.contains_key(&fuel) {
+            return;
+        }
+        if self.bytes + len <= REQUEST_CACHE_BYTES {
+            self.bytes += len;
+            entry.observations.insert(fuel, obs);
+            return;
+        }
+        let term = entry.term.clone();
+        self.programs.clear();
+        self.bytes = 0;
+        if source.len() + len <= REQUEST_CACHE_BYTES {
+            self.bytes = source.len() + len;
+            let observations = HashMap::from([(fuel, obs)]);
+            self.programs
+                .insert(source.to_owned(), Entry { term, observations });
+        }
     }
 }
 
@@ -203,10 +258,12 @@ pub(crate) struct ServerState {
     memo: Mutex<SharedInternTable>,
     /// Serialises compaction; contenders skip rather than queue.
     gc_busy: Mutex<()>,
-    /// Closed, parsed programs by source text.
+    /// Closed, parsed programs and their observations by source text.
     pub(crate) request_cache: Mutex<RequestCache>,
     request_cache_hits: AtomicU64,
     request_cache_misses: AtomicU64,
+    reply_cache_hits: AtomicU64,
+    reply_cache_misses: AtomicU64,
     pub(crate) requests_total: AtomicU64,
     pub(crate) rejected_total: AtomicU64,
     pub(crate) panics_total: AtomicU64,
@@ -224,13 +281,13 @@ impl ServerState {
     /// text was served before, otherwise parsed, checked for free
     /// variables, and cached. Errors carry the reply's code and message
     /// and are never cached.
-    pub(crate) fn program(&self, source: String) -> Result<TermRef, (ErrorCode, String)> {
-        if let Some(term) = self.request_cache.lock().get(&source) {
+    pub(crate) fn program(&self, source: &str) -> Result<TermRef, (ErrorCode, String)> {
+        if let Some(term) = self.request_cache.lock().get(source) {
             self.request_cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(term);
         }
         self.request_cache_misses.fetch_add(1, Ordering::Relaxed);
-        let term = parser::parse(&source).map_err(|e| (ErrorCode::ParseError, e.to_string()))?;
+        let term = parser::parse(source).map_err(|e| (ErrorCode::ParseError, e.to_string()))?;
         let fv = term.free_vars();
         if !fv.is_empty() {
             let names: Vec<&str> = fv.iter().map(|v| &**v).collect();
@@ -239,6 +296,25 @@ impl ServerState {
         }
         self.request_cache.lock().insert(source, term.clone());
         Ok(term)
+    }
+
+    /// The rendered observation of `source` at `fuel`, if a previous
+    /// request cached it.
+    pub(crate) fn cached_observation(&self, source: &str, fuel: usize) -> Option<Observation> {
+        let obs = self.request_cache.lock().observation(source, fuel);
+        let counter = match obs {
+            Some(_) => &self.reply_cache_hits,
+            None => &self.reply_cache_misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        obs
+    }
+
+    /// Caches the observation of `source` at `fuel` for later requests.
+    pub(crate) fn cache_observation(&self, source: &str, fuel: usize, obs: Observation) {
+        self.request_cache
+            .lock()
+            .insert_observation(source, fuel, obs);
     }
 
     /// Post-request GC: if the interner's nodes plus its canonical
@@ -334,6 +410,14 @@ impl ServerState {
             .push_num(
                 "request_cache_entries",
                 self.request_cache.lock().programs.len() as u64,
+            )
+            .push_num(
+                "reply_cache_hits",
+                self.reply_cache_hits.load(Ordering::Relaxed),
+            )
+            .push_num(
+                "reply_cache_misses",
+                self.reply_cache_misses.load(Ordering::Relaxed),
             );
         o
     }
@@ -431,6 +515,8 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
         request_cache: Mutex::default(),
         request_cache_hits: AtomicU64::new(0),
         request_cache_misses: AtomicU64::new(0),
+        reply_cache_hits: AtomicU64::new(0),
+        reply_cache_misses: AtomicU64::new(0),
         requests_total: AtomicU64::new(0),
         rejected_total: AtomicU64::new(0),
         panics_total: AtomicU64::new(0),
@@ -532,15 +618,24 @@ mod tests {
         (conn, reader)
     }
 
+    /// Sends `line` and returns the reply line verbatim.
+    fn raw_round_trip(
+        conn: &mut TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        line: &str,
+    ) -> String {
+        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        reply
+    }
+
     fn round_trip(
         conn: &mut TcpStream,
         reader: &mut BufReader<TcpStream>,
         line: &str,
     ) -> FlatReply {
-        conn.write_all(format!("{line}\n").as_bytes()).unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        FlatReply::parse(&reply).unwrap()
+        FlatReply::parse(&raw_round_trip(conn, reader, line)).unwrap()
     }
 
     fn small_server() -> ServerHandle {
@@ -878,6 +973,33 @@ mod tests {
         assert!(flushed, "passing the bound flushes the cache");
         assert!(peak_entries * 2048 <= REQUEST_CACHE_BYTES);
         assert!(handle.stop());
+
+        // Large replies: the two-phase commit at fuels 0..=25 renders
+        // ~1.5 MB in all from one short source, so only observation bytes
+        // can pass the bound.
+        let handle = small_server();
+        let (mut conn, mut reader) = connect(&handle);
+        let cached_bytes = || handle.state.request_cache.lock().bytes;
+        let source = lambda_join_core::encodings::two_phase_commit().to_string();
+        let (mut rendered, mut flushes) = (0, 0);
+        let mut last = source.len();
+        for fuel in 0..=25 {
+            let r = round_trip(&mut conn, &mut reader, &tpc_line(fuel, 0));
+            let escaped = protocol::json_escape(r.str_of("result").unwrap()).len();
+            rendered += escaped;
+            let bytes = cached_bytes();
+            assert!(bytes <= REQUEST_CACHE_BYTES);
+            if bytes == last + escaped {
+                last = bytes;
+            } else {
+                // Flushed: only this program and this observation remain.
+                assert_eq!(bytes, source.len() + escaped, "at fuel {fuel}");
+                (last, flushes) = (bytes, flushes + 1);
+            }
+        }
+        assert!(rendered > REQUEST_CACHE_BYTES);
+        assert_eq!(flushes, 1, "observation bytes count toward the bound");
+        assert!(handle.stop());
     }
 
     #[test]
@@ -976,12 +1098,19 @@ mod tests {
     /// The §4 two-phase commit at fuel 16, as `lambdav run` prints it.
     const TPC_FUEL16: &str = include_str!("../../../core/tests/golden/two_phase_commit_fuel16.txt");
 
-    /// Sends the two-phase commit at fuel 16 and returns its `result`.
-    fn served_tpc(handle: &ServerHandle) -> String {
-        let (mut conn, mut reader) = connect(handle);
+    /// The two-phase commit at `fuel`, as an `eval` line. `pad` trailing
+    /// spaces make a textually distinct copy of the same program.
+    fn tpc_line(fuel: usize, pad: usize) -> String {
         let program = lambda_join_core::encodings::two_phase_commit().to_string();
-        let line = format!("eval fuel=16 \"{}\"", protocol::json_escape(&program));
-        let r = round_trip(&mut conn, &mut reader, &line);
+        let source = format!("{program}{}", " ".repeat(pad));
+        format!("eval fuel={fuel} \"{}\"", protocol::json_escape(&source))
+    }
+
+    /// Sends the two-phase commit at fuel 16, padded by `pad` spaces, and
+    /// returns its `result`.
+    fn served_tpc(handle: &ServerHandle, pad: usize) -> String {
+        let (mut conn, mut reader) = connect(handle);
+        let r = round_trip(&mut conn, &mut reader, &tpc_line(16, pad));
         // Fuel 16 cuts the protocol short: the reply carries the partial
         // observation.
         assert_eq!(r.error_code(), Some(ErrorCode::FuelExhausted));
@@ -992,7 +1121,7 @@ mod tests {
     fn served_two_phase_commit_renders_like_lambdav_run() {
         // A fresh server.
         let handle = small_server();
-        assert!(served_tpc(&handle) == TPC_FUEL16, "fresh server");
+        assert!(served_tpc(&handle, 0) == TPC_FUEL16, "fresh server");
         assert!(handle.stop());
 
         // After forced compactions: every request passes the watermark.
@@ -1003,16 +1132,24 @@ mod tests {
         let handle = serve(cfg).unwrap();
         let (mut conn, mut reader) = connect(&handle);
         for pass in 0..3 {
+            // A distinct text per pass: each reply is rendered afresh on
+            // the compacted memo, not served from the reply cache.
             assert!(
-                served_tpc(&handle) == TPC_FUEL16,
+                served_tpc(&handle, pass as usize) == TPC_FUEL16,
                 "after {pass} compactions"
             );
             // The compaction runs after the reply is sent: wait for it.
             let started = Instant::now();
-            while round_trip(&mut conn, &mut reader, "stats").num_of("gc_runs") < Some(pass + 1) {
+            let stats = loop {
+                let stats = round_trip(&mut conn, &mut reader, "stats");
+                if stats.num_of("gc_runs") >= Some(pass + 1) {
+                    break stats;
+                }
                 assert!(started.elapsed() < Duration::from_secs(10), "no compaction");
                 thread::sleep(Duration::from_millis(1));
-            }
+            };
+            assert_eq!(stats.num_of("reply_cache_hits"), Some(0), "{stats:?}");
+            assert_eq!(stats.num_of("reply_cache_misses"), Some(pass + 1));
         }
         drop((conn, reader));
         assert!(handle.stop());
@@ -1029,12 +1166,137 @@ mod tests {
             ..ServerConfig::default()
         };
         let handle = serve(cfg.clone()).unwrap();
-        assert!(served_tpc(&handle) == TPC_FUEL16, "first life");
+        assert!(served_tpc(&handle, 0) == TPC_FUEL16, "first life");
         assert!(handle.stop());
         let handle = serve(cfg).unwrap();
-        assert!(served_tpc(&handle) == TPC_FUEL16, "warm boot");
+        assert!(served_tpc(&handle, 0) == TPC_FUEL16, "warm boot");
         assert!(handle.stop());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reply_cache_answers_a_repeated_request_byte_identically() {
+        let handle = small_server();
+        let line = tpc_line(16, 0);
+        let (mut conn, mut reader) = connect(&handle);
+        let first = raw_round_trip(&mut conn, &mut reader, &line);
+        let r = FlatReply::parse(&first).unwrap();
+        assert!(r.str_of("result") == Some(TPC_FUEL16), "{first}");
+        let memo_hits = round_trip(&mut conn, &mut reader, "stats").num_of("memo_hits");
+
+        // 199 more sends, over this connection and a concurrent second one.
+        let replies = std::thread::scope(|s| {
+            let other = s.spawn(|| {
+                let (mut conn, mut reader) = connect(&handle);
+                (0..100)
+                    .map(|_| raw_round_trip(&mut conn, &mut reader, &line))
+                    .collect::<Vec<_>>()
+            });
+            let mut replies: Vec<String> = (0..99)
+                .map(|_| raw_round_trip(&mut conn, &mut reader, &line))
+                .collect();
+            replies.extend(other.join().unwrap());
+            replies
+        });
+        assert!(
+            replies.iter().all(|r| *r == first),
+            "every reply must be byte-identical to the first"
+        );
+
+        let stats = round_trip(&mut conn, &mut reader, "stats");
+        assert_eq!(stats.num_of("reply_cache_misses"), Some(1), "{stats:?}");
+        assert_eq!(stats.num_of("reply_cache_hits"), Some(199), "{stats:?}");
+        assert_eq!(stats.num_of("requests"), Some(200), "{stats:?}");
+        assert_eq!(
+            stats.num_of("memo_hits"),
+            memo_hits,
+            "a cached reply never reaches the memo: {stats:?}"
+        );
+        assert!(handle.stop());
+    }
+
+    #[test]
+    fn beta_valve_requests_bypass_the_reply_cache() {
+        let handle = small_server();
+        let (mut conn, mut reader) = connect(&handle);
+        let plain = r#"eval fuel=8 "(\\x. {x} \\/ {x + 1}) 41""#;
+        let valved = r#"eval fuel=8 betas=1000 "(\\x. {x} \\/ {x + 1}) 41""#;
+        let r = round_trip(&mut conn, &mut reader, plain);
+        assert_eq!(r.str_of("result"), Some("{41, 42}"), "{r:?}");
+        let before = round_trip(&mut conn, &mut reader, "stats");
+        for _ in 0..3 {
+            let r = round_trip(&mut conn, &mut reader, valved);
+            assert_eq!(r.str_of("result"), Some("{41, 42}"), "{r:?}");
+        }
+        let after = round_trip(&mut conn, &mut reader, "stats");
+        assert_eq!(after.num_of("reply_cache_hits"), Some(0), "{after:?}");
+        assert_eq!(after.num_of("reply_cache_misses"), Some(1), "{after:?}");
+        assert!(
+            after.num_of("memo_hits") > before.num_of("memo_hits"),
+            "each valved request runs the engine: {after:?}"
+        );
+        assert!(handle.stop());
+    }
+
+    #[test]
+    fn stopped_requests_are_not_cached() {
+        // `evens` at fuel 200 runs long enough for the engine to poll its
+        // limits more than once, and its growing sets mint arena nodes.
+        let evens = lambda_join_core::encodings::evens().to_string();
+        let line = format!("eval fuel=200 \"{}\"", protocol::json_escape(&evens));
+        let fresh = {
+            let handle = small_server();
+            let (mut conn, mut reader) = connect(&handle);
+            let r = round_trip(&mut conn, &mut reader, &line);
+            assert!(handle.stop());
+            r
+        };
+        assert_eq!(fresh.error_code(), Some(ErrorCode::FuelExhausted));
+        for (limit, code) in [
+            ("deadline_ms=0", ErrorCode::DeadlineExceeded),
+            ("quota=1", ErrorCode::QuotaExceeded),
+        ] {
+            let handle = small_server();
+            let (mut conn, mut reader) = connect(&handle);
+            let limited = line.replacen("eval ", &format!("eval {limit} "), 1);
+            let r = round_trip(&mut conn, &mut reader, &limited);
+            assert_eq!(r.error_code(), Some(code), "{limit}");
+            // The same request without the limit gets the real observation.
+            let r = round_trip(&mut conn, &mut reader, &line);
+            assert!(r.get("result") == fresh.get("result"), "after {limit}");
+            let stats = round_trip(&mut conn, &mut reader, "stats");
+            assert_eq!(stats.num_of("reply_cache_hits"), Some(0), "{stats:?}");
+            assert_eq!(stats.num_of("reply_cache_misses"), Some(2), "{stats:?}");
+            assert!(handle.stop());
+        }
+    }
+
+    #[test]
+    fn watch_points_answer_a_later_eval() {
+        let handle = small_server();
+        let (mut conn, mut reader) = connect(&handle);
+        let evens = r#"let rec evens _ = {0} \/ (for x in evens () . {x + 2}) in evens ()"#;
+        let quoted = evens.replace('\\', "\\\\");
+        let lines = watch_lines(
+            &mut conn,
+            &mut reader,
+            &format!("watch fuel=9 step=3 \"{quoted}\""),
+        );
+        let last_obs = lines
+            .lines()
+            .map(|l| FlatReply::parse(l).unwrap())
+            .rfind(|r| r.kind() == Some("obs"))
+            .unwrap();
+        let before = round_trip(&mut conn, &mut reader, "stats");
+        // Fuel points 0, 3, 6 and 9, each rendered once.
+        assert_eq!(before.num_of("reply_cache_misses"), Some(4), "{before:?}");
+
+        let r = round_trip(&mut conn, &mut reader, &format!("eval fuel=9 \"{quoted}\""));
+        assert_eq!(r.str_of("result"), last_obs.str_of("result"), "{r:?}");
+        let after = round_trip(&mut conn, &mut reader, "stats");
+        assert_eq!(after.num_of("reply_cache_hits"), Some(1), "{after:?}");
+        assert_eq!(after.num_of("reply_cache_misses"), Some(4), "{after:?}");
+        assert!(handle.stop());
     }
 
     #[test]

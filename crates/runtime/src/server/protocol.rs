@@ -345,6 +345,17 @@ impl Obj {
         self
     }
 
+    /// Adds a string field whose value is already JSON-escaped (by
+    /// [`json_escape`]), copying it verbatim.
+    pub fn push_escaped(&mut self, k: &str, escaped: &str) -> &mut Obj {
+        self.key(k);
+        self.body.reserve(escaped.len() + 2);
+        self.body.push('"');
+        self.body.push_str(escaped);
+        self.body.push('"');
+        self
+    }
+
     /// Adds an unsigned numeric field.
     pub fn push_num(&mut self, k: &str, v: u64) -> &mut Obj {
         self.key(k);

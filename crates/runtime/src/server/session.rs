@@ -23,8 +23,8 @@ use lambda_join_core::engine::{self, Budget, StopCause};
 use lambda_join_core::sharded::SharedInternTable;
 use lambda_join_core::term::TermRef;
 
-use super::protocol::{parse_request, ErrorCode, Obj, Request, RequestError, Verb};
-use super::ServerState;
+use super::protocol::{json_escape, parse_request, ErrorCode, Obj, Request, RequestError, Verb};
+use super::{Observation, ServerState};
 
 /// Poll granularity of the blocking reader: how often timeouts and the
 /// shutdown flag are re-checked while waiting for bytes.
@@ -233,49 +233,73 @@ fn handle_line(line: &str, stream: &mut TcpStream, state: &Arc<ServerState>) -> 
     }
 }
 
-/// The outcome of one budgeted engine run.
+/// The outcome of one observation request at one fuel.
 enum StepOutcome {
-    /// Ran to its fuel's observation (the fueled semantics' sound answer).
-    Done(String),
-    /// Fuel/β valve ran dry mid-path; the partial observation is still a
-    /// sound lower bound.
-    Exhausted(String),
+    /// The observation at this fuel (the fueled semantics' sound answer;
+    /// when fuel or the β valve ran dry mid-path, a sound lower bound).
+    Observed(Observation),
     /// A request limit tripped ([`StopCause`]).
     Stopped(StopCause),
     /// The engine panicked; contained.
     Panicked,
 }
 
-fn run_step(
-    term: &TermRef,
-    fuel: usize,
-    betas: usize,
+/// One admitted `eval` or `watch`: its program and its limits.
+struct Job<'a> {
+    source: &'a str,
+    term: TermRef,
+    /// The β valve, if the request set one.
+    betas: Option<usize>,
     deadline: Instant,
     quota: usize,
-    state: &Arc<ServerState>,
-    memo: &SharedInternTable,
-) -> StepOutcome {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let mut budget = Budget::new(betas)
-            .with_deadline(deadline)
-            .with_cancel(state.shutdown.clone())
-            .with_node_quota(quota);
-        let r = engine::run(term, fuel, &mut budget, memo);
-        (r, budget)
-    }));
-    match result {
-        Err(_) => {
-            state.panics_total.fetch_add(1, Ordering::Relaxed);
-            StepOutcome::Panicked
-        }
-        Ok((r, budget)) => {
-            if let Some(cause) = budget.stop_cause() {
-                StepOutcome::Stopped(cause)
-            } else if budget.exhausted() {
-                StepOutcome::Exhausted(pretty(&r))
-            } else {
-                StepOutcome::Done(pretty(&r))
+}
+
+impl Job<'_> {
+    /// The observation at `fuel`: the request cache's rendered copy when
+    /// it has one, otherwise a budgeted engine run, rendered and escaped.
+    /// A fresh observation is cached unless the request set a β valve
+    /// (where a cut falls depends on how warm the memo is); stopped and
+    /// panicked runs never are.
+    fn observe(
+        &self,
+        fuel: usize,
+        state: &Arc<ServerState>,
+        memo: &SharedInternTable,
+    ) -> StepOutcome {
+        let cacheable = self.betas.is_none();
+        if cacheable {
+            if let Some(obs) = state.cached_observation(self.source, fuel) {
+                return StepOutcome::Observed(obs);
             }
+        }
+        let outcome = self.run(fuel, state, memo);
+        if let (true, StepOutcome::Observed(obs)) = (cacheable, &outcome) {
+            state.cache_observation(self.source, fuel, obs.clone());
+        }
+        outcome
+    }
+
+    fn run(&self, fuel: usize, state: &Arc<ServerState>, memo: &SharedInternTable) -> StepOutcome {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let mut budget = Budget::new(self.betas.unwrap_or(usize::MAX))
+                .with_deadline(self.deadline)
+                .with_cancel(state.shutdown.clone())
+                .with_node_quota(self.quota);
+            let r = engine::run(&self.term, fuel, &mut budget, memo);
+            (r, budget)
+        }));
+        match result {
+            Err(_) => {
+                state.panics_total.fetch_add(1, Ordering::Relaxed);
+                StepOutcome::Panicked
+            }
+            Ok((r, budget)) => match budget.stop_cause() {
+                Some(cause) => StepOutcome::Stopped(cause),
+                None => StepOutcome::Observed(Observation {
+                    exhausted: budget.exhausted(),
+                    escaped: json_escape(&pretty(&r)).into(),
+                }),
+            },
         }
     }
 }
@@ -311,9 +335,8 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
         .deadline_ms
         .unwrap_or(cfg.default_deadline_ms)
         .min(cfg.max_deadline_ms);
-    let quota = req.quota.unwrap_or(cfg.default_node_quota);
-    let betas = req.betas.unwrap_or(usize::MAX);
-    let term = match state.program(req.source.unwrap_or_default()) {
+    let source = req.source.unwrap_or_default();
+    let term = match state.program(&source) {
         Ok(t) => t,
         Err((code, msg)) => return reject(stream, state, code, &msg),
     };
@@ -339,29 +362,36 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
     let memo = state.memo_handle();
     memo.begin_generation();
     let started = Instant::now();
-    let deadline = started + Duration::from_millis(deadline_ms);
+    let job = Job {
+        source: &source,
+        term,
+        betas: req.betas,
+        deadline: started + Duration::from_millis(deadline_ms),
+        quota: req.quota.unwrap_or(cfg.default_node_quota),
+    };
 
     let flow = match req.verb {
         Verb::Eval => {
-            let outcome = run_step(&term, fuel, betas, deadline, quota, state, &memo);
+            let outcome = job.observe(fuel, state, &memo);
             // The engine work is over: release the fuel credits before the
             // reply write, so a client that has seen its reply can rely on
             // the gate having been released.
             drop(permit);
             let obj = match outcome {
-                StepOutcome::Done(r) => {
+                StepOutcome::Observed(obs) if !obs.exhausted => {
                     let mut o = Obj::kind("ok");
-                    o.push_str("result", &r)
+                    o.push_escaped("result", &obs.escaped)
                         .push_num("fuel", fuel as u64)
                         .push_num("wall_us", started.elapsed().as_micros() as u64);
                     o
                 }
-                StepOutcome::Exhausted(r) => {
+                StepOutcome::Observed(obs) => {
                     let mut o = err_obj(
                         ErrorCode::FuelExhausted,
                         "fuel ran out; result is the partial observation",
                     );
-                    o.push_str("result", &r).push_num("fuel", fuel as u64);
+                    o.push_escaped("result", &obs.escaped)
+                        .push_num("fuel", fuel as u64);
                     o
                 }
                 StepOutcome::Stopped(cause) => stop_reply(cause),
@@ -374,46 +404,41 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
                 Err(_) => Flow::Close,
             }
         }
-        Verb::Watch => watch_loop(
-            &term, fuel, betas, deadline, quota, req.step, state, stream, &memo,
-        ),
+        Verb::Watch => watch_loop(&job, fuel, req.step, state, stream, &memo),
         _ => unreachable!("handle_eval called for eval/watch only"),
     };
     state.maybe_collect();
     flow
 }
 
-/// Streams the fixpoint observations of `term` at increasing fuel. A
+/// Streams the fixpoint observations of `job` at increasing fuel. A
 /// write failure means the client is gone (or stopped draining): the
 /// remaining steps are cancelled immediately rather than computed into
 /// the void.
-#[allow(clippy::too_many_arguments)]
 fn watch_loop(
-    term: &TermRef,
+    job: &Job,
     fuel: usize,
-    betas: usize,
-    deadline: Instant,
-    quota: usize,
     step: Option<usize>,
     state: &Arc<ServerState>,
     stream: &mut TcpStream,
     memo: &SharedInternTable,
 ) -> Flow {
     let step = step.unwrap_or(1).max(1);
-    let mut last: Option<String> = None;
+    let mut last: Option<Arc<str>> = None;
     let mut steps = 0u64;
     let mut f = 0usize;
     loop {
-        match run_step(term, f, betas, deadline, quota, state, memo) {
-            StepOutcome::Done(r) | StepOutcome::Exhausted(r) => {
-                if last.as_deref() != Some(&r) {
+        match job.observe(f, state, memo) {
+            StepOutcome::Observed(obs) => {
+                if last.as_deref() != Some(&*obs.escaped) {
                     let mut o = Obj::kind("obs");
-                    o.push_num("fuel", f as u64).push_str("result", &r);
+                    o.push_num("fuel", f as u64)
+                        .push_escaped("result", &obs.escaped);
                     if send(stream, o).is_err() {
                         // Disconnect mid-stream: stop evaluating.
                         return Flow::Close;
                     }
-                    last = Some(r);
+                    last = Some(obs.escaped);
                 }
                 steps += 1;
             }
