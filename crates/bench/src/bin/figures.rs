@@ -683,7 +683,7 @@ fn perf_fig() {
     // round-trips (connect reuse, parse, evaluate, reply), recorded in ns
     // like every other key. ---
     {
-        use lambda_join_bench::loadclient::{run_load, wire_quote, Client};
+        use lambda_join_bench::loadclient::{drive, mixed_workloads, run_load, wire_quote, Client};
         use lambda_join_runtime::server::{serve, ServerConfig};
 
         // The server checkpoints its shared memo on graceful shutdown; a
@@ -719,6 +719,21 @@ fn perf_fig() {
             let t = Instant::now();
             client.round_trip(&line).expect("warm reach reply");
             warm_ns = warm_ns.min(t.elapsed().as_nanos() as u64);
+        }
+        // Warm watch: the load mix's streamed `evens` watch, timed from
+        // the request line to its `done`. After the first, every fuel
+        // point is answered from the reply cache.
+        let watch = mixed_workloads()
+            .into_iter()
+            .find(|w| w.streaming)
+            .expect("the load mix streams a watch");
+        drive(&mut client, &watch).expect("cold watch reply");
+        let mut watch_ns = u64::MAX;
+        for _ in 0..WARM_REPEATS {
+            let t = Instant::now();
+            let done = drive(&mut client, &watch).expect("warm watch reply");
+            watch_ns = watch_ns.min(t.elapsed().as_nanos() as u64);
+            assert!(done, "the warm watch should end in done");
         }
         // Serve the 2PC request too, so the shutdown checkpoint holds it.
         client.round_trip(&tpc_line).expect("warm 2PC reply");
@@ -780,6 +795,7 @@ fn perf_fig() {
 
         results.push(("server_cold_reach", cold_ns));
         results.push(("server_warm_reach", warm_ns));
+        results.push(("server_warm_watch", watch_ns));
         let warm_ratio = cold_ns as f64 / warm_ns.max(1) as f64;
         println!(
             "  server_warm_vs_cold_reach = {warm_ratio:.2} (min of {BOOTS} cold boots \

@@ -264,6 +264,8 @@ pub(crate) struct ServerState {
     request_cache_misses: AtomicU64,
     reply_cache_hits: AtomicU64,
     reply_cache_misses: AtomicU64,
+    /// Socket writes made by sessions; one may carry several reply lines.
+    pub(crate) reply_writes: AtomicU64,
     pub(crate) requests_total: AtomicU64,
     pub(crate) rejected_total: AtomicU64,
     pub(crate) panics_total: AtomicU64,
@@ -418,7 +420,8 @@ impl ServerState {
             .push_num(
                 "reply_cache_misses",
                 self.reply_cache_misses.load(Ordering::Relaxed),
-            );
+            )
+            .push_num("reply_writes", self.reply_writes.load(Ordering::Relaxed));
         o
     }
 }
@@ -517,6 +520,7 @@ pub fn serve(cfg: ServerConfig) -> io::Result<ServerHandle> {
         request_cache_misses: AtomicU64::new(0),
         reply_cache_hits: AtomicU64::new(0),
         reply_cache_misses: AtomicU64::new(0),
+        reply_writes: AtomicU64::new(0),
         requests_total: AtomicU64::new(0),
         rejected_total: AtomicU64::new(0),
         panics_total: AtomicU64::new(0),
@@ -869,17 +873,18 @@ mod tests {
         assert!(handle.stop());
     }
 
-    /// Sends a `watch` line and returns its reply lines verbatim, up to
-    /// and including `done`.
-    fn watch_lines(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    /// Sends a request line and returns its whole reply verbatim: every
+    /// line up to and including the first that is not an `obs` (an
+    /// `eval`'s one line, or a `watch`'s stream and its terminal line).
+    fn reply_lines(conn: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> String {
         conn.write_all(format!("{line}\n").as_bytes()).unwrap();
         let mut all = String::new();
         loop {
             let mut reply = String::new();
             reader.read_line(&mut reply).unwrap();
-            let done = FlatReply::parse(&reply).unwrap().kind() == Some("done");
+            let obs = FlatReply::parse(&reply).unwrap().kind() == Some("obs");
             all.push_str(&reply);
-            if done {
+            if !obs {
                 return all;
             }
         }
@@ -891,7 +896,7 @@ mod tests {
         let evens = r#"let rec evens _ = {0} \/ (for x in evens () . {x + 2}) in evens ()"#;
         let line = format!("watch fuel=9 step=3 \"{}\"", evens.replace('\\', "\\\\"));
         let (mut conn, mut reader) = connect(&handle);
-        let first = watch_lines(&mut conn, &mut reader, &line);
+        let first = reply_lines(&mut conn, &mut reader, &line);
         assert!(first.contains("\"kind\":\"obs\""), "{first}");
         let after_first = round_trip(&mut conn, &mut reader, "stats");
         let nodes = after_first.num_of("interner_nodes").unwrap();
@@ -904,11 +909,11 @@ mod tests {
             let other = s.spawn(|| {
                 let (mut conn, mut reader) = connect(&handle);
                 (0..500)
-                    .map(|_| watch_lines(&mut conn, &mut reader, &line))
+                    .map(|_| reply_lines(&mut conn, &mut reader, &line))
                     .collect::<Vec<_>>()
             });
             let mut replies: Vec<String> = (0..499)
-                .map(|_| watch_lines(&mut conn, &mut reader, &line))
+                .map(|_| reply_lines(&mut conn, &mut reader, &line))
                 .collect();
             replies.extend(other.join().unwrap());
             replies
@@ -1174,44 +1179,98 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The load mix's streamed `evens` watch: fuel points 0, 3, 6, 9 and
+    /// 12, five distinct observations and `done`.
+    fn pool_watch_line() -> String {
+        let evens = lambda_join_core::encodings::evens().to_string();
+        format!("watch fuel=12 step=3 \"{}\"", protocol::json_escape(&evens))
+    }
+
     #[test]
     fn reply_cache_answers_a_repeated_request_byte_identically() {
-        let handle = small_server();
-        let line = tpc_line(16, 0);
-        let (mut conn, mut reader) = connect(&handle);
-        let first = raw_round_trip(&mut conn, &mut reader, &line);
-        let r = FlatReply::parse(&first).unwrap();
-        assert!(r.str_of("result") == Some(TPC_FUEL16), "{first}");
-        let memo_hits = round_trip(&mut conn, &mut reader, "stats").num_of("memo_hits");
+        // Each request line with the fuel points it looks up.
+        for (line, points) in [(tpc_line(16, 0), 1), (pool_watch_line(), 5)] {
+            let handle = small_server();
+            let (mut conn, mut reader) = connect(&handle);
+            let first = reply_lines(&mut conn, &mut reader, &line);
+            let last = FlatReply::parse(first.lines().last().unwrap()).unwrap();
+            if points == 1 {
+                assert!(last.str_of("result") == Some(TPC_FUEL16), "{first}");
+            } else {
+                assert_eq!(last.kind(), Some("done"), "{first}");
+                assert_eq!(first.lines().count(), points + 1, "{first}");
+            }
+            let memo_hits = round_trip(&mut conn, &mut reader, "stats").num_of("memo_hits");
 
-        // 199 more sends, over this connection and a concurrent second one.
-        let replies = std::thread::scope(|s| {
-            let other = s.spawn(|| {
-                let (mut conn, mut reader) = connect(&handle);
-                (0..100)
-                    .map(|_| raw_round_trip(&mut conn, &mut reader, &line))
-                    .collect::<Vec<_>>()
+            // 199 more sends, over this connection and a concurrent second one.
+            let replies = std::thread::scope(|s| {
+                let other = s.spawn(|| {
+                    let (mut conn, mut reader) = connect(&handle);
+                    (0..100)
+                        .map(|_| reply_lines(&mut conn, &mut reader, &line))
+                        .collect::<Vec<_>>()
+                });
+                let mut replies: Vec<String> = (0..99)
+                    .map(|_| reply_lines(&mut conn, &mut reader, &line))
+                    .collect();
+                replies.extend(other.join().unwrap());
+                replies
             });
-            let mut replies: Vec<String> = (0..99)
-                .map(|_| raw_round_trip(&mut conn, &mut reader, &line))
-                .collect();
-            replies.extend(other.join().unwrap());
-            replies
-        });
-        assert!(
-            replies.iter().all(|r| *r == first),
-            "every reply must be byte-identical to the first"
-        );
+            assert!(
+                replies.iter().all(|r| *r == first),
+                "every reply must be byte-identical to the first: {line}"
+            );
 
-        let stats = round_trip(&mut conn, &mut reader, "stats");
-        assert_eq!(stats.num_of("reply_cache_misses"), Some(1), "{stats:?}");
-        assert_eq!(stats.num_of("reply_cache_hits"), Some(199), "{stats:?}");
-        assert_eq!(stats.num_of("requests"), Some(200), "{stats:?}");
+            let stats = round_trip(&mut conn, &mut reader, "stats");
+            let points = points as i64;
+            assert_eq!(
+                stats.num_of("reply_cache_misses"),
+                Some(points),
+                "{stats:?}"
+            );
+            assert_eq!(
+                stats.num_of("reply_cache_hits"),
+                Some(199 * points),
+                "{stats:?}"
+            );
+            assert_eq!(stats.num_of("requests"), Some(200), "{stats:?}");
+            assert_eq!(
+                stats.num_of("memo_hits"),
+                memo_hits,
+                "a cached reply never reaches the memo: {stats:?}"
+            );
+            assert!(handle.stop());
+        }
+    }
+
+    #[test]
+    fn a_cached_watch_leaves_in_one_write() {
+        let handle = small_server();
+        let (mut conn, mut reader) = connect(&handle);
+        let line = pool_watch_line();
+        let writes = |conn: &mut TcpStream, reader: &mut BufReader<TcpStream>| {
+            round_trip(conn, reader, "stats")
+                .num_of("reply_writes")
+                .unwrap()
+        };
+        // Each `stats` reply is read before its own write is counted, so
+        // the difference between two readings includes the first one.
+        let before = writes(&mut conn, &mut reader);
+        let fresh = reply_lines(&mut conn, &mut reader, &line);
+        let after_miss = writes(&mut conn, &mut reader);
+        let cached = reply_lines(&mut conn, &mut reader, &line);
+        let after_hit = writes(&mut conn, &mut reader);
+        assert_eq!(cached, fresh);
         assert_eq!(
-            stats.num_of("memo_hits"),
-            memo_hits,
-            "a cached reply never reaches the memo: {stats:?}"
+            cached.lines().count(),
+            6,
+            "five observations and done: {cached}"
         );
+        // Every point is computed: each run first writes the observation
+        // before it, and the last observation leaves with `done`.
+        assert_eq!(after_miss - before, 5 + 1);
+        // Every point is cached: no run, so the whole stream is one write.
+        assert_eq!(after_hit - after_miss, 1 + 1);
         assert!(handle.stop());
     }
 
@@ -1277,7 +1336,7 @@ mod tests {
         let (mut conn, mut reader) = connect(&handle);
         let evens = r#"let rec evens _ = {0} \/ (for x in evens () . {x + 2}) in evens ()"#;
         let quoted = evens.replace('\\', "\\\\");
-        let lines = watch_lines(
+        let lines = reply_lines(
             &mut conn,
             &mut reader,
             &format!("watch fuel=9 step=3 \"{quoted}\""),

@@ -8,8 +8,11 @@
 //! drip-feeding client (slowloris) cannot hold a partial line open past
 //! the per-line deadline, and shutdown is noticed between ticks. Writes
 //! carry an OS write timeout, so a reader that stops draining its socket
-//! gets disconnected instead of wedging the session; for `watch`, a
-//! failed write cancels the remaining fuel steps immediately.
+//! gets disconnected instead of wedging the session. A `watch` collects
+//! its ready reply lines and writes them together just before each
+//! engine run and once after its terminal line, so a stream answered
+//! from the reply cache leaves in one write; a failed write surfaces
+//! there and cancels the remaining fuel steps before the next run.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -85,6 +88,9 @@ impl LineReader {
         let cfg = &state.cfg;
         loop {
             if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
+                if i > cfg.max_line_bytes {
+                    return LineEvent::TooLong;
+                }
                 return LineEvent::Line(self.take_line(i));
             }
             if state.shutdown.load(Ordering::Acquire) {
@@ -124,10 +130,16 @@ impl LineReader {
     }
 }
 
-/// Writes one reply line — the JSON text and its `\n` — in a single
-/// `write_all`, so with `TCP_NODELAY` each reply leaves as one segment.
-fn send(stream: &mut TcpStream, reply: Obj) -> std::io::Result<()> {
-    stream.write_all(reply.into_line().as_bytes())
+/// Writes whole reply lines in a single `write_all`, so with
+/// `TCP_NODELAY` they leave together, and counts it in `reply_writes`.
+fn write_lines(stream: &mut TcpStream, state: &ServerState, lines: &str) -> std::io::Result<()> {
+    state.reply_writes.fetch_add(1, Ordering::Relaxed);
+    stream.write_all(lines.as_bytes())
+}
+
+/// Writes one reply line — the JSON text and its `\n`.
+fn send(stream: &mut TcpStream, state: &ServerState, reply: Obj) -> std::io::Result<()> {
+    write_lines(stream, state, &reply.into_line())
 }
 
 fn err_obj(code: ErrorCode, msg: &str) -> Obj {
@@ -136,8 +148,13 @@ fn err_obj(code: ErrorCode, msg: &str) -> Obj {
     o
 }
 
-fn send_err(stream: &mut TcpStream, code: ErrorCode, msg: &str) -> std::io::Result<()> {
-    send(stream, err_obj(code, msg))
+fn send_err(
+    stream: &mut TcpStream,
+    state: &ServerState,
+    code: ErrorCode,
+    msg: &str,
+) -> std::io::Result<()> {
+    send(stream, state, err_obj(code, msg))
 }
 
 /// Runs one session to completion. Spawned on the server's `Crew`; any
@@ -162,12 +179,18 @@ pub(super) fn run_session(mut stream: TcpStream, state: Arc<ServerState>) {
             }
             LineEvent::Eof | LineEvent::Io => break,
             LineEvent::Idle => {
-                let _ = send_err(&mut stream, ErrorCode::TooLarge, "idle timeout, closing");
+                let _ = send_err(
+                    &mut stream,
+                    &state,
+                    ErrorCode::TooLarge,
+                    "idle timeout, closing",
+                );
                 break;
             }
             LineEvent::TooLong => {
                 let _ = send_err(
                     &mut stream,
+                    &state,
                     ErrorCode::TooLarge,
                     &format!("request line exceeds {} bytes", state.cfg.max_line_bytes),
                 );
@@ -176,6 +199,7 @@ pub(super) fn run_session(mut stream: TcpStream, state: Arc<ServerState>) {
             LineEvent::Slowloris => {
                 let _ = send_err(
                     &mut stream,
+                    &state,
                     ErrorCode::TooLarge,
                     &format!(
                         "request line incomplete after {} ms, closing",
@@ -185,7 +209,12 @@ pub(super) fn run_session(mut stream: TcpStream, state: Arc<ServerState>) {
                 break;
             }
             LineEvent::Shutdown => {
-                let _ = send_err(&mut stream, ErrorCode::ShuttingDown, "server shutting down");
+                let _ = send_err(
+                    &mut stream,
+                    &state,
+                    ErrorCode::ShuttingDown,
+                    "server shutting down",
+                );
                 break;
             }
         }
@@ -203,25 +232,25 @@ fn handle_line(line: &str, stream: &mut TcpStream, state: &Arc<ServerState>) -> 
         Ok(r) => r,
         Err(RequestError { code, msg }) => {
             state.rejected_total.fetch_add(1, Ordering::Relaxed);
-            return match send_err(stream, code, &msg) {
+            return match send_err(stream, state, code, &msg) {
                 Ok(()) => Flow::Continue,
                 Err(_) => Flow::Close,
             };
         }
     };
     let sent = match req.verb {
-        Verb::Ping => send(stream, Obj::kind("pong")),
-        Verb::Stats => send(stream, state.stats_obj()),
+        Verb::Ping => send(stream, state, Obj::kind("pong")),
+        Verb::Stats => send(stream, state, state.stats_obj()),
         Verb::Quit => {
             let mut o = Obj::kind("ok");
             o.push_str("msg", "bye");
-            let _ = send(stream, o);
+            let _ = send(stream, state, o);
             return Flow::Close;
         }
         Verb::Shutdown => {
             let mut o = Obj::kind("ok");
             o.push_str("msg", "shutting down");
-            let _ = send(stream, o);
+            let _ = send(stream, state, o);
             state.trigger_shutdown();
             return Flow::Close;
         }
@@ -255,31 +284,20 @@ struct Job<'a> {
 }
 
 impl Job<'_> {
-    /// The observation at `fuel`: the request cache's rendered copy when
-    /// it has one, otherwise a budgeted engine run, rendered and escaped.
-    /// A fresh observation is cached unless the request set a β valve
-    /// (where a cut falls depends on how warm the memo is); stopped and
-    /// panicked runs never are.
-    fn observe(
-        &self,
-        fuel: usize,
-        state: &Arc<ServerState>,
-        memo: &SharedInternTable,
-    ) -> StepOutcome {
-        let cacheable = self.betas.is_none();
-        if cacheable {
-            if let Some(obs) = state.cached_observation(self.source, fuel) {
-                return StepOutcome::Observed(obs);
-            }
+    /// The request cache's rendered observation at `fuel`, if it has one.
+    /// A request that set a β valve is never answered from it: where a
+    /// cut falls depends on how warm the memo is.
+    fn cached(&self, fuel: usize, state: &ServerState) -> Option<Observation> {
+        match self.betas {
+            None => state.cached_observation(self.source, fuel),
+            Some(_) => None,
         }
-        let outcome = self.run(fuel, state, memo);
-        if let (true, StepOutcome::Observed(obs)) = (cacheable, &outcome) {
-            state.cache_observation(self.source, fuel, obs.clone());
-        }
-        outcome
     }
 
-    fn run(&self, fuel: usize, state: &Arc<ServerState>, memo: &SharedInternTable) -> StepOutcome {
+    /// A budgeted engine run at `fuel`, rendered and escaped. A fresh
+    /// observation is cached unless the request set a β valve; stopped
+    /// and panicked runs never are.
+    fn run(&self, fuel: usize, state: &ServerState, memo: &SharedInternTable) -> StepOutcome {
         let result = catch_unwind(AssertUnwindSafe(|| {
             let mut budget = Budget::new(self.betas.unwrap_or(usize::MAX))
                 .with_deadline(self.deadline)
@@ -295,10 +313,16 @@ impl Job<'_> {
             }
             Ok((r, budget)) => match budget.stop_cause() {
                 Some(cause) => StepOutcome::Stopped(cause),
-                None => StepOutcome::Observed(Observation {
-                    exhausted: budget.exhausted(),
-                    escaped: json_escape(&pretty(&r)).into(),
-                }),
+                None => {
+                    let obs = Observation {
+                        exhausted: budget.exhausted(),
+                        escaped: json_escape(&pretty(&r)).into(),
+                    };
+                    if self.betas.is_none() {
+                        state.cache_observation(self.source, fuel, obs.clone());
+                    }
+                    StepOutcome::Observed(obs)
+                }
             },
         }
     }
@@ -316,7 +340,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
     let cfg = &state.cfg;
     let reject = |stream: &mut TcpStream, state: &Arc<ServerState>, code, msg: &str| {
         state.rejected_total.fetch_add(1, Ordering::Relaxed);
-        match send_err(stream, code, msg) {
+        match send_err(stream, state, code, msg) {
             Ok(()) => Flow::Continue,
             Err(_) => Flow::Close,
         }
@@ -349,7 +373,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
             state.rejected_total.fetch_add(1, Ordering::Relaxed);
             let mut o = err_obj(ErrorCode::Overloaded, "fuel credits exhausted, retry later");
             o.push_num("retry_after_ms", retry_after_ms);
-            return match send(stream, o) {
+            return match send(stream, state, o) {
                 Ok(()) => Flow::Continue,
                 Err(_) => Flow::Close,
             };
@@ -372,7 +396,10 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
 
     let flow = match req.verb {
         Verb::Eval => {
-            let outcome = job.observe(fuel, state, &memo);
+            let outcome = match job.cached(fuel, state) {
+                Some(obs) => StepOutcome::Observed(obs),
+                None => job.run(fuel, state, &memo),
+            };
             // The engine work is over: release the fuel credits before the
             // reply write, so a client that has seen its reply can rely on
             // the gate having been released.
@@ -399,7 +426,7 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
                     err_obj(ErrorCode::InternalPanic, "evaluation panicked; contained")
                 }
             };
-            match send(stream, obj) {
+            match send(stream, state, obj) {
                 Ok(()) => Flow::Continue,
                 Err(_) => Flow::Close,
             }
@@ -411,10 +438,14 @@ fn handle_eval(req: Request, stream: &mut TcpStream, state: &Arc<ServerState>) -
     flow
 }
 
-/// Streams the fixpoint observations of `job` at increasing fuel. A
-/// write failure means the client is gone (or stopped draining): the
-/// remaining steps are cancelled immediately rather than computed into
-/// the void.
+/// Streams the fixpoint observations of `job` at increasing fuel. Reply
+/// lines collect in one buffer, written just before each engine run (a
+/// reply-cache miss) and once after the terminal line: an observation is
+/// on the wire before the next run starts, and the cached points between
+/// two runs leave in one write. Only cached observations pile up between
+/// writes, so a burst is bounded by `REQUEST_CACHE_BYTES` plus framing.
+/// A write failure means the client is gone (or stopped draining): the
+/// remaining steps are cancelled rather than computed into the void.
 fn watch_loop(
     job: &Job,
     fuel: usize,
@@ -424,45 +455,49 @@ fn watch_loop(
     memo: &SharedInternTable,
 ) -> Flow {
     let step = step.unwrap_or(1).max(1);
+    let mut ready = String::new();
     let mut last: Option<Arc<str>> = None;
     let mut steps = 0u64;
     let mut f = 0usize;
-    loop {
-        match job.observe(f, state, memo) {
+    let terminal = loop {
+        let outcome = match job.cached(f, state) {
+            Some(obs) => StepOutcome::Observed(obs),
+            None => {
+                if !ready.is_empty() {
+                    if write_lines(stream, state, &ready).is_err() {
+                        // Disconnect mid-stream: stop evaluating.
+                        return Flow::Close;
+                    }
+                    ready.clear();
+                }
+                job.run(f, state, memo)
+            }
+        };
+        match outcome {
             StepOutcome::Observed(obs) => {
                 if last.as_deref() != Some(&*obs.escaped) {
                     let mut o = Obj::kind("obs");
                     o.push_num("fuel", f as u64)
                         .push_escaped("result", &obs.escaped);
-                    if send(stream, o).is_err() {
-                        // Disconnect mid-stream: stop evaluating.
-                        return Flow::Close;
-                    }
+                    ready.push_str(&o.into_line());
                     last = Some(obs.escaped);
                 }
                 steps += 1;
             }
-            StepOutcome::Stopped(cause) => {
-                let _ = send(stream, stop_reply(cause));
-                return Flow::Continue;
-            }
+            StepOutcome::Stopped(cause) => break stop_reply(cause),
             StepOutcome::Panicked => {
-                let _ = send_err(
-                    stream,
-                    ErrorCode::InternalPanic,
-                    "evaluation panicked; contained",
-                );
-                return Flow::Continue;
+                break err_obj(ErrorCode::InternalPanic, "evaluation panicked; contained")
             }
         }
         if f >= fuel {
-            break;
+            let mut o = Obj::kind("done");
+            o.push_num("fuel", fuel as u64).push_num("steps", steps);
+            break o;
         }
         f = (f + step).min(fuel);
-    }
-    let mut o = Obj::kind("done");
-    o.push_num("fuel", fuel as u64).push_num("steps", steps);
-    match send(stream, o) {
+    };
+    ready.push_str(&terminal.into_line());
+    match write_lines(stream, state, &ready) {
         Ok(()) => Flow::Continue,
         Err(_) => Flow::Close,
     }

@@ -245,23 +245,44 @@ fn slowloris_writer_is_cut_off_with_a_structured_error() {
 #[test]
 fn oversized_frames_are_rejected_with_too_large() {
     let _cpu = shared_cpu();
+    const CAP: usize = 1 << 10;
     let cfg = ServerConfig {
-        max_line_bytes: 1 << 10,
+        max_line_bytes: CAP,
         ..ServerConfig::default()
     };
     let handle = serve(cfg).unwrap();
-    let conn = TcpStream::connect(handle.addr()).unwrap();
-    conn.set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut w = conn.try_clone().unwrap();
-    let huge = format!("eval fuel=8 {}\n", quote(&"{1} \\/ ".repeat(4_000)));
-    // The server may reject and close while we are still writing; a
-    // broken pipe here is fine — the structured reply is already queued.
-    let _ = w.write_all(huge.as_bytes());
-    let mut line = String::new();
-    BufReader::new(conn).read_line(&mut line).unwrap();
-    let reply = FlatReply::parse(&line).expect("oversize rejection must be structured");
-    assert_eq!(assert_structured_err(&reply), ErrorCode::TooLarge);
+    /// An `eval` line of exactly `len` bytes before its newline.
+    fn line_of(len: usize) -> String {
+        let head = "eval fuel=8 \"{1}";
+        let line = format!("{head}{}\"", " ".repeat(len - head.len() - 1));
+        assert_eq!(line.len(), len);
+        line
+    }
+    let huge = format!("eval fuel=8 {}", quote(&"{1} \\/ ".repeat(4_000)));
+    // A frame far over the cap arrives over several reads; one just over
+    // it arrives, newline and all, in one.
+    for frame in [huge, line_of(CAP + 1)] {
+        let conn = TcpStream::connect(handle.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut w = conn.try_clone().unwrap();
+        // The server may reject and close while we are still writing; a
+        // broken pipe here is fine — the structured reply is already queued.
+        let _ = w.write_all(format!("{frame}\n").as_bytes());
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).unwrap();
+        let reply = FlatReply::parse(&line).expect("oversize rejection must be structured");
+        assert_eq!(
+            assert_structured_err(&reply),
+            ErrorCode::TooLarge,
+            "{} bytes",
+            frame.len()
+        );
+    }
+    // A line exactly at the cap is served.
+    let mut client = Client::connect(&handle);
+    let r = client.round_trip(&line_of(CAP));
+    assert_eq!(r.str_of("result"), Some("{1}"), "{r:?}");
     assert!(handle.stop());
 }
 
@@ -294,6 +315,52 @@ fn mid_stream_disconnects_leave_the_server_live() {
         handle.stop(),
         "abandoned watch streams must not wedge the drain"
     );
+}
+
+/// A `watch` writes the observations it has ready before each engine
+/// run, so a stream whose prefix is cached still streams: the cached
+/// prefix reaches the client at once, not when the last run ends.
+#[test]
+fn a_watch_past_its_cached_prefix_streams_before_its_deadline() {
+    let _cpu = shared_cpu();
+    const DEADLINE_MS: u64 = 1_000;
+    let cfg = ServerConfig {
+        max_outstanding_fuel: 1 << 20,
+        ..ServerConfig::default()
+    };
+    let handle = serve(cfg).unwrap();
+    let mut client = Client::connect(&handle);
+    let evens = quote(&encodings::evens().to_string());
+    // Cache the observations at fuel 0..=6.
+    client.send(&format!("watch fuel=6 step=1 {evens}"));
+    while client.recv().kind() == Some("obs") {}
+
+    // `evens` never converges, so fuel 60000 in steps of 1 outlasts the
+    // deadline by far.
+    client.send(&format!(
+        "watch fuel=60000 step=1 deadline_ms={DEADLINE_MS} {evens}"
+    ));
+    let first = client.recv();
+    assert_eq!(first.kind(), Some("obs"), "{first:?}");
+    let first_at = Instant::now();
+    let terminal = loop {
+        let r = client.recv();
+        if r.kind() != Some("obs") {
+            break r;
+        }
+    };
+    let terminal_at = Instant::now();
+    assert_eq!(
+        assert_structured_err(&terminal),
+        ErrorCode::DeadlineExceeded,
+        "{terminal:?}"
+    );
+    let lead = terminal_at - first_at;
+    assert!(
+        lead >= Duration::from_millis(DEADLINE_MS / 2),
+        "the first observation arrived only {lead:?} before the terminal line"
+    );
+    assert!(handle.stop());
 }
 
 #[test]
