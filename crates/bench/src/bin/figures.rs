@@ -451,13 +451,11 @@ fn perf_fig() {
         let es = chain_forest_edges(4_000, 25); // 100_000 edges
         let p = lambda_join_datalog::eval::transitive_closure_program(&es);
         let want = chain_forest_tc_size(4_000, 25);
-        results.push((
-            "datalog_tc_chains_100k",
-            time_ns(|| {
-                let (idb, _) = eval_ids(&p, Strategy::Seminaive);
-                assert_eq!(idb.fact_count("path"), want);
-            }),
-        ));
+        let rederive = || {
+            let (idb, _) = eval_ids(&p, Strategy::Seminaive);
+            assert_eq!(idb.fact_count("path"), want);
+        };
+        results.push(("datalog_tc_chains_100k", time_ns(rederive)));
 
         // --- Persistent arena snapshots (DESIGN.md §10): checkpoint this
         // 10⁵-edge TC fixpoint together with a warmed memo and time the
@@ -465,8 +463,11 @@ fn perf_fig() {
         // indexes verbatim from disk) and rebuild (derived structures
         // re-derived on load from the row data alone). The headline
         // warm-start claim — loading beats re-deriving by ≥3× — is
-        // recorded as a decimal ratio with its margin, and a negative
-        // margin fails the run once BENCH_perf.json is written. ---
+        // timed alternately (one re-derive, then one load, per pair) so
+        // both sides sample the same host phases, and each side keeps its
+        // minimum, the noise-robust cost. It is recorded as a decimal
+        // ratio with its margin, and a negative margin fails the run once
+        // BENCH_perf.json is written. ---
         let (idb, _) = eval_ids(&p, Strategy::Seminaive);
         let mut memo = MemoEval::new();
         let gm = Graph::cycle(6);
@@ -487,11 +488,12 @@ fn perf_fig() {
                 .expect("stat memo snapshot")
                 .len();
         idb.save(&dl_rebuild, false).expect("save rebuild snapshot");
-        let load_ns = time_ns(|| {
+        let load = || {
             let db = lambda_join_datalog::IdDatabase::load(&dl_stored).expect("load stored");
             assert_eq!(db.fact_count("path"), want);
             let _ = MemoEval::load_snapshot(&memo_path).expect("load memo");
-        });
+        };
+        let load_ns = time_ns(load);
         let load_rebuild_ns = time_ns(|| {
             let db = lambda_join_datalog::IdDatabase::load(&dl_rebuild).expect("load rebuild");
             assert_eq!(db.fact_count("path"), want);
@@ -500,21 +502,27 @@ fn perf_fig() {
         results.push(("snapshot_load_ns", load_ns));
         results.push(("snapshot_load_rebuild_ns", load_rebuild_ns));
         results.push(("snapshot_bytes", bytes));
-        let tc_ns = results
-            .iter()
-            .find(|(n, _)| *n == "datalog_tc_chains_100k")
-            .expect("tc entry precedes the snapshot entries")
-            .1;
-        let ratio = tc_ns as f64 / load_ns.max(1) as f64;
+        const PAIRS: usize = 7;
+        let once_ns = |f: &dyn Fn()| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as u64
+        };
+        let (mut rederive_min_ns, mut load_min_ns) = (u64::MAX, u64::MAX);
+        for _ in 0..PAIRS {
+            rederive_min_ns = rederive_min_ns.min(once_ns(&rederive));
+            load_min_ns = load_min_ns.min(once_ns(&load));
+        }
+        let ratio = rederive_min_ns as f64 / load_min_ns.max(1) as f64;
         let margin = ratio - 3.0;
         println!(
-            "  snapshot_load_vs_rederive = {ratio:.2} (re-derive {tc_ns} ns / load {load_ns} ns), \
-             margin over 3: {margin:+.2}"
+            "  snapshot_load_vs_rederive = {ratio:.2} (min of {PAIRS} re-derives {rederive_min_ns} ns / \
+             min of {PAIRS} loads {load_min_ns} ns, alternated), margin over 3: {margin:+.2}"
         );
         ratios.push(("snapshot_load_vs_rederive", ratio));
         if margin < 0.0 {
             gate_failures.push(format!(
-                "snapshot load lost its edge: {tc_ns} ns re-derive vs {load_ns} ns load ({ratio:.2}×)"
+                "snapshot load lost its edge: {rederive_min_ns} ns re-derive vs {load_min_ns} ns load ({ratio:.2}×)"
             ));
         }
         let _ = std::fs::remove_file(&dl_stored);

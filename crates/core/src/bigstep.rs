@@ -42,11 +42,14 @@ thread_local! {
     static EVAL_ARENA: RefCell<Interner> = RefCell::new(Interner::new());
 }
 
-/// Node-count bound at which the thread-local evaluation arena is dropped
-/// and restarted: a safety valve so a long-lived thread evaluating
-/// unboundedly many *distinct* terms (e.g. a fuzzing loop) cannot grow the
-/// arena without bound. Re-interning after a reset is O(term).
-const EVAL_ARENA_RESET_NODES: usize = 1 << 20;
+/// Size at which the thread-local evaluation arena is dropped and
+/// restarted: a safety valve so a long-lived thread evaluating unboundedly
+/// many terms (e.g. a fuzzing loop) cannot grow the arena without bound.
+/// The size counts nodes *and* pointer-cache entries, as the server's GC
+/// watermark does: every fresh root allocation adds an entry that pins its
+/// tree, even when its α-class is already interned and the node count
+/// stays put. Re-interning after a reset is O(term).
+const EVAL_ARENA_RESET_SIZE: usize = 1 << 20;
 
 /// Evaluates `e` to a result with the given fuel budget.
 ///
@@ -98,7 +101,7 @@ pub fn eval_with_budget(e: &TermRef, fuel: usize, max_betas: usize) -> (TermRef,
     }
     EVAL_ARENA.with(|arena| {
         let mut ar = arena.borrow_mut();
-        if ar.len() > EVAL_ARENA_RESET_NODES {
+        if ar.len() + ar.canon_ptr_len() > EVAL_ARENA_RESET_SIZE {
             *ar = Interner::new();
         }
         let id = ar.canon_id(e);
@@ -418,6 +421,24 @@ mod tests {
     use crate::builder::*;
     use crate::observe::result_leq;
     use crate::parser::parse;
+
+    #[test]
+    fn arena_valve_bounds_alpha_equal_roots() {
+        // Fresh allocations of one α-class add no node but one pointer
+        // entry each; the valve must count those too. Runs on its own
+        // thread so it starts from (and leaves behind) a fresh arena.
+        std::thread::spawn(|| {
+            let shared = int(1);
+            let size = || EVAL_ARENA.with(|a| a.borrow().len() + a.borrow().canon_ptr_len());
+            for _ in 0..EVAL_ARENA_RESET_SIZE + 16 {
+                let fresh = join(shared.clone(), shared.clone());
+                assert!(eval_fuel(&fresh, 0).alpha_eq(&shared));
+                assert!(size() <= EVAL_ARENA_RESET_SIZE + 1, "{}", size());
+            }
+        })
+        .join()
+        .expect("the arena stays within its bound");
+    }
 
     #[test]
     fn values_need_no_fuel() {

@@ -272,50 +272,6 @@ pub mod peano {
         }
         t
     }
-
-    /// Peano addition `add m n`, by recursion on the first argument.
-    pub fn add_fn() -> TermRef {
-        fix(
-            "add",
-            lams(
-                &["m", "n"],
-                let_pair(
-                    "%tag",
-                    "%pred",
-                    var("m"),
-                    join(
-                        let_sym(Symbol::name("zero"), var("%tag"), var("n")),
-                        let_sym(
-                            Symbol::name("succ"),
-                            var("%tag"),
-                            pair(name("succ"), apps(var("add"), vec![var("%pred"), var("n")])),
-                        ),
-                    ),
-                ),
-            ),
-        )
-    }
-
-    /// Converts a Peano value back to `u64` (for tests); `None` if the term
-    /// is not a numeral.
-    pub fn to_u64(t: &TermRef) -> Option<u64> {
-        use crate::term::Term;
-        let mut n = 0;
-        let mut cur = t.clone();
-        loop {
-            match &*cur {
-                Term::Pair(tag, rest) => match &**tag {
-                    Term::Sym(s) if s.is_name("zero") => return Some(n),
-                    Term::Sym(s) if s.is_name("succ") => {
-                        n += 1;
-                        cur = rest.clone();
-                    }
-                    _ => return None,
-                },
-                _ => return None,
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -407,23 +363,67 @@ mod tests {
         }
     }
 
+    /// Peano addition `add m n`, by recursion on the first argument.
+    fn peano_add() -> TermRef {
+        fix(
+            "add",
+            lams(
+                &["m", "n"],
+                let_pair(
+                    "%tag",
+                    "%pred",
+                    var("m"),
+                    join(
+                        let_sym(Symbol::name("zero"), var("%tag"), var("n")),
+                        let_sym(
+                            Symbol::name("succ"),
+                            var("%tag"),
+                            pair(name("succ"), apps(var("add"), vec![var("%pred"), var("n")])),
+                        ),
+                    ),
+                ),
+            ),
+        )
+    }
+
+    /// Converts a Peano value back to `u64`; `None` if the term is not a
+    /// numeral.
+    fn peano_value(t: &TermRef) -> Option<u64> {
+        use crate::term::Term;
+        let mut n = 0;
+        let mut cur = t.clone();
+        loop {
+            match &*cur {
+                Term::Pair(tag, rest) => match &**tag {
+                    Term::Sym(s) if s.is_name("zero") => return Some(n),
+                    Term::Sym(s) if s.is_name("succ") => {
+                        n += 1;
+                        cur = rest.clone();
+                    }
+                    _ => return None,
+                },
+                _ => return None,
+            }
+        }
+    }
+
     #[test]
     fn peano_addition() {
-        let t = apps(peano::add_fn(), vec![peano::numeral(3), peano::numeral(4)]);
+        let t = apps(peano_add(), vec![peano::numeral(3), peano::numeral(4)]);
         let r = eval_fuel(&t, 30);
-        assert_eq!(peano::to_u64(&r), Some(7));
+        assert_eq!(peano_value(&r), Some(7));
     }
 
     #[test]
     fn peano_matches_prim_arithmetic() {
         for (a, b) in [(0u64, 0u64), (1, 2), (3, 4), (5, 0)] {
             let peano_r = eval_fuel(
-                &apps(peano::add_fn(), vec![peano::numeral(a), peano::numeral(b)]),
+                &apps(peano_add(), vec![peano::numeral(a), peano::numeral(b)]),
                 60,
             );
             let prim_r = eval_fuel(&add(int(a as i64), int(b as i64)), 2);
             assert_eq!(
-                peano::to_u64(&peano_r).map(|n| n as i64),
+                peano_value(&peano_r).map(|n| n as i64),
                 prim_r_as_int(&prim_r)
             );
         }

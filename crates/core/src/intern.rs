@@ -8,31 +8,31 @@
 //! small integer id once, and from then on equality, hashing, and set
 //! membership are id comparisons.
 //!
-//! [`Interner`] is that arena. It maps structurally-equal [`Term`] nodes to
-//! a `Copy` [`TermId`] (`u32`) and caches per-node metadata — size,
-//! value-ness, the free-variable summary, and a precomputed structural
-//! hash — computed once, bottom-up, at interning time ([`TermMeta`]).
-//!
-//! Structural identity is not yet α-equivalence: `λx.x` and `λy.y` are
-//! distinct trees. [`Interner::canon_id`] closes the gap by keying every
-//! binder with one reserved sentinel and every bound occurrence with its
-//! de Bruijn *index* (the distance to its binder), so α-equivalent terms
-//! intern to the *same* id:
+//! [`Interner`] is that arena. It has **one key space**, the canonical
+//! one, so ids are α-equivalence classes: [`Interner::canon_id`] keys
+//! every binder with one reserved sentinel and every bound occurrence with
+//! its de Bruijn *index* (the distance to its binder), and α-equivalent
+//! terms intern to the *same* `Copy` [`TermId`] (`u32`):
 //!
 //! ```text
 //! canon_id(t) == canon_id(u)  ⟺  t.alpha_eq(&u)      (property-tested)
 //! ```
 //!
-//! **Invariant: only canonical ids are used as memo/tabling keys** (see
-//! [`InternTable`]) — raw structural ids would under-share α-variants of
-//! the same call. Canonical binder names use the `'\u{1}'` prefix, which
-//! the surface parser cannot produce, so they never collide with free
-//! variables of source programs.
+//! The only other way into the arena is id-native minting: evaluation
+//! ([`crate::ideval`], [`crate::engine`]) builds nodes over child ids that
+//! are already canonical, and snapshot replay ([`crate::snap`]) rejects
+//! any other binder. Every id is therefore a valid memo/tabling key (see
+//! [`InternTable`]): α-variants of one call cannot under-share. Canonical
+//! binder names use the `'\u{1}'` prefix, which the surface parser cannot
+//! produce, so they never collide with free variables of source programs.
 //!
-//! All traversals here (interning, canonicalisation) are worklist-based and
-//! the arena's storage is flat `Vec`s of shared handles, so interning a
-//! term deeper than the OS stack and dropping the arena afterwards both run
-//! in O(1) native stack (regression-tested on 512 KiB threads; term
+//! Each id carries metadata computed once, bottom-up, at minting time —
+//! size, value-ness and the free-variable summary ([`TermMeta`]).
+//!
+//! All traversals here (canonicalisation, extraction) are worklist-based
+//! and the arena's storage is flat `Vec`s of shared handles, so interning
+//! a term deeper than the OS stack and dropping the arena afterwards both
+//! run in O(1) native stack (regression-tested on 512 KiB threads; term
 //! teardown itself is handled by [`Term`]'s iterative destructor).
 //!
 //! # Example
@@ -44,10 +44,11 @@
 //! let mut arena = Interner::new();
 //! let t = lam("x", var("x"));
 //! let u = lam("y", var("y"));
-//! assert_ne!(arena.intern(&t), arena.intern(&u)); // structurally distinct
-//! assert_eq!(arena.canon_id(&t), arena.canon_id(&u)); // α-equivalent
-//! let id = arena.intern(&t);
+//! let id = arena.canon_id(&t);
+//! assert_eq!(arena.canon_id(&u), id); // α-equivalent: one id
+//! assert_ne!(arena.canon_id(&lam("x", var("y"))), id);
 //! assert!(arena.meta(id).is_value);
+//! assert!(arena.extract(id).alpha_eq(&t));
 //! ```
 
 use std::collections::HashMap;
@@ -103,13 +104,13 @@ pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
 /// default would pay for hardening the hot membership probe cannot use).
 pub type IdSet = std::collections::HashSet<TermId, BuildHasherDefault<FastHasher>>;
 
-/// A raw allocation address used as an identity key in the pointer caches.
+/// A raw allocation address used as an identity key in the pointer cache.
 ///
-/// Every map entry keyed by a `PtrKey` also retains a handle to the
-/// allocation (see the cache fields), so the address cannot be recycled by
-/// a different term while the entry lives. The pointer is never
-/// dereferenced — it is an identity token — which is what makes the caches
-/// safe to move between threads along with the arena that owns them.
+/// Every entry keyed by a `PtrKey` also retains a handle to the
+/// allocation (see [`CanonEntry`]), so the address cannot be recycled by a
+/// different term while the entry lives. The pointer is never
+/// dereferenced — it is an identity token — which is what makes the cache
+/// safe to move between threads along with the arena that owns it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct PtrKey(*const Term);
 
@@ -156,14 +157,6 @@ pub struct TermMeta {
     pub size: usize,
     /// Whether the term is a value, matching [`Term::is_value`].
     pub is_value: bool,
-    /// A structural hash combining the node shape with the child hashes.
-    /// Arena-independent: equal terms hash equally in any arena.
-    pub hash: u64,
-    /// Whether the term contains any binder (λ, `let (x1,x2)`, `⋁`,
-    /// `let frz`, `bind`). Binder-free terms canonicalise independently of
-    /// the ambient binder depth, which the canonical pointer cache relies
-    /// on.
-    pub has_binders: bool,
     /// The free variables, sorted and deduplicated (set view of
     /// [`Term::free_vars`]). Shared: closed terms all point at one empty
     /// slice.
@@ -269,7 +262,7 @@ struct CanonEntry {
 
 // Compile-time assertion: the owned arena (and the tables and engines
 // built on it) can move between worker threads — `PtrKey` carries the
-// `Send` obligation for the pointer caches.
+// `Send` obligation for the pointer cache.
 const _: () = {
     const fn require_send<T: Send>() {}
     require_send::<Interner>();
@@ -363,12 +356,13 @@ pub struct Interner {
     /// ([`crate::ideval`]) and the id frame machine ([`crate::engine`])
     /// pattern-match on these keys instead of walking trees.
     keys: Vec<NodeKey>,
-    /// Per-id representative term, **lazy**: ids minted from real trees
-    /// ([`Interner::intern`] / [`Interner::canon_id`]) record the tree they
-    /// came from; ids minted by id-native evaluation (substitution
-    /// results, joins, delta reducts) record `None` until a tree keys to
-    /// them or [`Interner::extract`] materialises one. This is what lets
-    /// the hot paths allocate arena nodes only, tree nodes never.
+    /// Per-id representative term, **lazy**: ids minted by
+    /// [`Interner::canon_id`] record the tree they came from (one member
+    /// of the id's α-class); ids minted by id-native evaluation
+    /// (substitution results, joins, delta reducts) record `None` until a
+    /// tree keys to them or [`Interner::extract`] materialises one. This
+    /// is what lets the hot paths allocate arena nodes only, tree nodes
+    /// never.
     terms: Vec<Option<TermRef>>,
     /// Per-id cached metadata.
     metas: Vec<TermMeta>,
@@ -378,16 +372,11 @@ pub struct Interner {
     leaf_bot: Option<TermId>,
     leaf_top: Option<TermId>,
     leaf_botv: Option<TermId>,
-    /// Allocation-pointer → id cache for [`Interner::intern`]. The mapped
-    /// `TermRef` retains the allocation, so a key pointer can never be
-    /// reused by a different term while its entry lives.
-    by_ptr: FastMap<PtrKey, (TermId, TermRef)>,
-    /// Allocation-pointer → *canonical* id cache for
-    /// [`Interner::canon_id`] (same retention scheme). Canonical binder
-    /// names are absolute de Bruijn levels, so every entry records the
-    /// binder depth it was minted at; see [`CanonEntry`] for the reuse
-    /// rule.
-    canon_by_ptr: FastMap<PtrKey, CanonEntry>,
+    /// Allocation-pointer → id cache for [`Interner::canon_id`]. Each
+    /// entry retains its allocation, so a key pointer can never be reused
+    /// by a different term while the entry lives; see [`CanonEntry`] for
+    /// the reuse rule.
+    ptr_cache: FastMap<PtrKey, CanonEntry>,
     /// Canonical binder names by de Bruijn level, allocated once.
     canon_names: Vec<Var>,
     /// The shared empty free-variable slice.
@@ -414,7 +403,7 @@ impl Interner {
     /// it was probed with, so this grows with every distinct allocation
     /// canonicalised, even when [`len`](Interner::len) does not.
     pub fn canon_ptr_len(&self) -> usize {
-        self.canon_by_ptr.len()
+        self.ptr_cache.len()
     }
 
     /// The cached metadata of an id.
@@ -645,129 +634,32 @@ impl Interner {
     /// index entry. Child ids must already exist (keys are saved in id
     /// order, children first) and the replayed node must mint the next
     /// dense id — a corrupt duplicate key would otherwise dedup to an
-    /// existing id and silently shift every later id.
+    /// existing id and silently shift every later id. Every binder must be
+    /// the canonical sentinel: the arena has one key space, and a named
+    /// binder would mint an id no canonical probe can reach.
     pub(crate) fn snap_decode_push(
         &mut self,
         cur: &mut crate::snap::Cur<'_>,
     ) -> Result<(), crate::snap::SnapError> {
         use crate::snap::SnapError;
         let len = self.keys.len();
-        let child = |cur: &mut crate::snap::Cur<'_>| -> Result<TermId, SnapError> {
-            let raw = cur.v32()?;
-            if (raw as usize) < len {
-                Ok(TermId::from_raw(raw))
-            } else {
-                Err(SnapError::Malformed("child id out of range"))
-            }
+        let key = snap_decode_key(cur, len)?;
+        let canonical = match &key {
+            NodeKey::Lam(x, _)
+            | NodeKey::BigJoin(x, ..)
+            | NodeKey::LetFrz(x, ..)
+            | NodeKey::LexBind(x, ..) => is_canon_binder(x),
+            NodeKey::LetPair(x1, x2, ..) => is_canon_binder(x1) && is_canon_binder(x2),
+            _ => true,
         };
-        fn sym(cur: &mut crate::snap::Cur<'_>) -> Result<Symbol, SnapError> {
-            Ok(match cur.u8()? {
-                0 => Symbol::Name(Arc::from(cur.str_()?)),
-                1 => Symbol::Str(Arc::from(cur.str_()?)),
-                2 => Symbol::Int(cur.zig()?),
-                3 => Symbol::Level(cur.v64()?),
-                _ => return Err(SnapError::Malformed("unknown symbol variant")),
-            })
+        if !canonical {
+            return Err(SnapError::Malformed("non-canonical binder"));
         }
-        fn binder(cur: &mut crate::snap::Cur<'_>) -> Result<Var, SnapError> {
-            Ok(Arc::from(cur.str_()?))
-        }
-        let key = match cur.u8()? {
-            0 => NodeKey::Bot,
-            1 => NodeKey::Top,
-            2 => NodeKey::BotV,
-            3 => NodeKey::Var(binder(cur)?),
-            4 => NodeKey::Sym(sym(cur)?),
-            5 => NodeKey::Lam(binder(cur)?, child(cur)?),
-            6 => NodeKey::Frz(child(cur)?),
-            7 => NodeKey::Pair(child(cur)?, child(cur)?),
-            8 => NodeKey::App(child(cur)?, child(cur)?),
-            9 => NodeKey::Join(child(cur)?, child(cur)?),
-            10 => NodeKey::Lex(child(cur)?, child(cur)?),
-            11 => NodeKey::LexMerge(child(cur)?, child(cur)?),
-            12 => NodeKey::LetSym(sym(cur)?, child(cur)?, child(cur)?),
-            13 => NodeKey::LetPair(binder(cur)?, binder(cur)?, child(cur)?, child(cur)?),
-            14 => NodeKey::BigJoin(binder(cur)?, child(cur)?, child(cur)?),
-            15 => NodeKey::LetFrz(binder(cur)?, child(cur)?, child(cur)?),
-            16 => NodeKey::LexBind(binder(cur)?, child(cur)?, child(cur)?),
-            17 => {
-                let n = cur.count(1)?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(child(cur)?);
-                }
-                NodeKey::Set(ids.into_boxed_slice())
-            }
-            18 => {
-                let op = match cur.u8()? {
-                    0 => Prim::Add,
-                    1 => Prim::Sub,
-                    2 => Prim::Mul,
-                    3 => Prim::Le,
-                    4 => Prim::Lt,
-                    5 => Prim::Eq,
-                    6 => Prim::Member,
-                    7 => Prim::Diff,
-                    8 => Prim::SetSize,
-                    _ => return Err(SnapError::Malformed("unknown prim")),
-                };
-                let n = cur.count(1)?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(child(cur)?);
-                }
-                NodeKey::Prim(op, ids.into_boxed_slice())
-            }
-            _ => return Err(SnapError::Malformed("unknown node variant")),
-        };
         let got = self.intern_node(key);
         if got.index() != len {
             return Err(SnapError::Malformed("duplicate node key"));
         }
         Ok(())
-    }
-
-    /// Interns a term *structurally*: equal trees (including binder names)
-    /// get equal ids. Iterative; amortised O(1) per repeated handle via the
-    /// pointer cache. For α-insensitive ids use [`Interner::canon_id`].
-    pub fn intern(&mut self, t: &TermRef) -> TermId {
-        if let Some((id, _)) = self.by_ptr.get(&PtrKey::of(t)) {
-            return *id;
-        }
-        enum Job {
-            Visit(TermRef),
-            /// Rebuild `node`'s key from the last `n` ids on the stack.
-            Build(TermRef, usize),
-        }
-        let mut jobs: Vec<Job> = vec![Job::Visit(t.clone())];
-        let mut ids: Vec<TermId> = Vec::new();
-        while let Some(job) = jobs.pop() {
-            match job {
-                Job::Visit(t) => {
-                    if let Some((id, _)) = self.by_ptr.get(&PtrKey::of(&t)) {
-                        ids.push(*id);
-                        continue;
-                    }
-                    let children: Vec<TermRef> = t.children().cloned().collect();
-                    if children.is_empty() {
-                        let id = self.intern_shallow(&t, &[]);
-                        self.by_ptr.insert(PtrKey::of(&t), (id, t));
-                        ids.push(id);
-                    } else {
-                        jobs.push(Job::Build(t, children.len()));
-                        jobs.extend(children.into_iter().rev().map(Job::Visit));
-                    }
-                }
-                Job::Build(t, n) => {
-                    let child_ids = ids.split_off(ids.len() - n);
-                    let id = self.intern_shallow(&t, &child_ids);
-                    self.by_ptr.insert(PtrKey::of(&t), (id, t));
-                    ids.push(id);
-                }
-            }
-        }
-        debug_assert_eq!(ids.len(), 1);
-        ids.pop().expect("interning produced no id")
     }
 
     /// Interns the canonical form of a term: the id is the same for all
@@ -781,14 +673,14 @@ impl Interner {
     /// any ambient depth), and already canonicalised closed subtrees
     /// short-circuit by pointer.
     pub fn canon_id(&mut self, t: &TermRef) -> TermId {
-        if let Some(e) = self.canon_by_ptr.get(&PtrKey::of(t)) {
+        if let Some(e) = self.ptr_cache.get(&PtrKey::of(t)) {
             // Root probes run with an empty ambient environment: root
             // entries were minted the same way, and interior-minted
             // entries are closed (environment-independent).
             return e.id;
         }
         let id = self.canon_intern(t);
-        self.canon_by_ptr.insert(
+        self.ptr_cache.insert(
             PtrKey::of(t),
             CanonEntry {
                 id,
@@ -829,7 +721,7 @@ impl Interner {
                     // subtrees (indices are internal, free names absent)
                     // at any depth, and anything when the environment is
                     // empty (the minting context). See [`CanonEntry`].
-                    if let Some(e) = self.canon_by_ptr.get(&PtrKey::of(t)) {
+                    if let Some(e) = self.ptr_cache.get(&PtrKey::of(t)) {
                         let id = e.id;
                         if bound.is_empty() || self.metas[id.index()].is_closed() {
                             ids.push(id);
@@ -927,7 +819,7 @@ impl Interner {
                     // keeps leaf-heavy churn out of the map.
                     let meta = &self.metas[id.index()];
                     if meta.size >= CANON_PTR_CACHE_MIN_SIZE && meta.is_closed() {
-                        self.canon_by_ptr.insert(
+                        self.ptr_cache.insert(
                             t_ptr,
                             CanonEntry {
                                 id,
@@ -952,12 +844,19 @@ impl Interner {
         self.canon_names[level].clone()
     }
 
-    /// Interns a leaf term (no children, no renaming).
+    /// Interns a leaf term (no children, no binders).
     fn intern_leaf(&mut self, t: &TermRef) -> TermId {
-        self.intern_key(node_key_of(t, &[]), t)
+        let key = match &**t {
+            Term::Bot => NodeKey::Bot,
+            Term::Top => NodeKey::Top,
+            Term::BotV => NodeKey::BotV,
+            Term::Sym(s) => NodeKey::Sym(s.clone()),
+            _ => unreachable!("only childless, non-variable terms are leaves"),
+        };
+        self.intern_key(key, t)
     }
 
-    /// Interns a pre-built (possibly binder-renamed) node key, with `t` as
+    /// Interns a canonical node key, with `t` as
     /// the α-equivalent representative if the node has none yet. Nodes
     /// minted without a tree (id-native evaluation, snapshot replay) adopt
     /// the first tree that keys to them, so a program re-interned into a
@@ -1078,20 +977,12 @@ impl Interner {
                 }
                 Job::Build(id, n) => {
                     let mut children = results.split_off(results.len() - n);
-                    // Binder names: sentinel binders are renamed to the
-                    // canonical level name of their position; structural
-                    // (named) binders keep their spelling.
-                    let binder = |x: &Var, offset: usize| -> Var {
-                        if is_canon_binder(x) {
-                            canonical_name(depth + offset)
-                        } else {
-                            x.clone()
-                        }
-                    };
+                    // Sentinel binders are named after their level.
+                    let binder = |offset: usize| canonical_name(depth + offset);
                     let built: TermRef = match &self.keys[id.index()] {
-                        NodeKey::Lam(x, _) => {
+                        NodeKey::Lam(..) => {
                             let b = children.pop().expect("extract lost a body");
-                            Arc::new(Term::Lam(binder(x, 0), b))
+                            Arc::new(Term::Lam(binder(0), b))
                         }
                         NodeKey::Frz(_) => {
                             Arc::new(Term::Frz(children.pop().expect("extract lost a payload")))
@@ -1114,17 +1005,15 @@ impl Interner {
                                 _ => unreachable!(),
                             })
                         }
-                        NodeKey::LetPair(x1, x2, ..) => {
+                        NodeKey::LetPair(..) => {
                             let body = children.pop().expect("extract lost a body");
                             let e = children.pop().expect("extract lost a scrutinee");
-                            Arc::new(Term::LetPair(binder(x1, 0), binder(x2, 1), e, body))
+                            Arc::new(Term::LetPair(binder(0), binder(1), e, body))
                         }
-                        NodeKey::BigJoin(x, ..)
-                        | NodeKey::LetFrz(x, ..)
-                        | NodeKey::LexBind(x, ..) => {
+                        NodeKey::BigJoin(..) | NodeKey::LetFrz(..) | NodeKey::LexBind(..) => {
                             let body = children.pop().expect("extract lost a body");
                             let e = children.pop().expect("extract lost a scrutinee");
-                            let x = binder(x, 0);
+                            let x = binder(0);
                             Arc::new(match &self.keys[id.index()] {
                                 NodeKey::BigJoin(..) => Term::BigJoin(x, e, body),
                                 NodeKey::LetFrz(..) => Term::LetFrz(x, e, body),
@@ -1192,10 +1081,9 @@ pub(crate) fn canon_binder() -> Var {
     CANON_BINDER.clone()
 }
 
-/// Whether a binder name is the fused key space's sentinel, i.e. the node
-/// key came from [`Interner::canon_intern`] and its body's bound
-/// occurrences are de Bruijn indices rather than names.
-pub(crate) fn is_canon_binder(x: &Var) -> bool {
+/// Whether a binder name is the key space's sentinel (snapshot replay
+/// admits no other).
+fn is_canon_binder(x: &Var) -> bool {
     &**x == "\u{1}"
 }
 
@@ -1205,17 +1093,121 @@ pub(crate) fn canon_index(x: &Var) -> Option<usize> {
     x.strip_prefix('\u{1}').and_then(|d| d.parse().ok())
 }
 
+/// Decodes one snapshot node key written by [`Interner::snap_encode_key`];
+/// its child ids must be below `len`. Lives here because `NodeKey` is
+/// crate-private.
+pub(crate) fn snap_decode_key(
+    cur: &mut crate::snap::Cur<'_>,
+    len: usize,
+) -> Result<NodeKey, crate::snap::SnapError> {
+    use crate::snap::{Cur, SnapError};
+    let child = |cur: &mut Cur<'_>| -> Result<TermId, SnapError> {
+        let raw = cur.v32()?;
+        if (raw as usize) < len {
+            Ok(TermId::from_raw(raw))
+        } else {
+            Err(SnapError::Malformed("child id out of range"))
+        }
+    };
+    fn sym(cur: &mut Cur<'_>) -> Result<Symbol, SnapError> {
+        Ok(match cur.u8()? {
+            0 => Symbol::Name(Arc::from(cur.str_()?)),
+            1 => Symbol::Str(Arc::from(cur.str_()?)),
+            2 => Symbol::Int(cur.zig()?),
+            3 => Symbol::Level(cur.v64()?),
+            _ => return Err(SnapError::Malformed("unknown symbol variant")),
+        })
+    }
+    fn binder(cur: &mut Cur<'_>) -> Result<Var, SnapError> {
+        Ok(Arc::from(cur.str_()?))
+    }
+    Ok(match cur.u8()? {
+        0 => NodeKey::Bot,
+        1 => NodeKey::Top,
+        2 => NodeKey::BotV,
+        3 => NodeKey::Var(binder(cur)?),
+        4 => NodeKey::Sym(sym(cur)?),
+        5 => NodeKey::Lam(binder(cur)?, child(cur)?),
+        6 => NodeKey::Frz(child(cur)?),
+        7 => NodeKey::Pair(child(cur)?, child(cur)?),
+        8 => NodeKey::App(child(cur)?, child(cur)?),
+        9 => NodeKey::Join(child(cur)?, child(cur)?),
+        10 => NodeKey::Lex(child(cur)?, child(cur)?),
+        11 => NodeKey::LexMerge(child(cur)?, child(cur)?),
+        12 => NodeKey::LetSym(sym(cur)?, child(cur)?, child(cur)?),
+        13 => NodeKey::LetPair(binder(cur)?, binder(cur)?, child(cur)?, child(cur)?),
+        14 => NodeKey::BigJoin(binder(cur)?, child(cur)?, child(cur)?),
+        15 => NodeKey::LetFrz(binder(cur)?, child(cur)?, child(cur)?),
+        16 => NodeKey::LexBind(binder(cur)?, child(cur)?, child(cur)?),
+        17 => {
+            let n = cur.count(1)?;
+            let mut ids = Vec::with_capacity(n);
+            for _ in 0..n {
+                ids.push(child(cur)?);
+            }
+            NodeKey::Set(ids.into_boxed_slice())
+        }
+        18 => {
+            let op = match cur.u8()? {
+                0 => Prim::Add,
+                1 => Prim::Sub,
+                2 => Prim::Mul,
+                3 => Prim::Le,
+                4 => Prim::Lt,
+                5 => Prim::Eq,
+                6 => Prim::Member,
+                7 => Prim::Diff,
+                8 => Prim::SetSize,
+                _ => return Err(SnapError::Malformed("unknown prim")),
+            };
+            let n = cur.count(1)?;
+            let mut ids = Vec::with_capacity(n);
+            for _ in 0..n {
+                ids.push(child(cur)?);
+            }
+            NodeKey::Prim(op, ids.into_boxed_slice())
+        }
+        _ => return Err(SnapError::Malformed("unknown node variant")),
+    })
+}
+
+/// The tree of a *structural* node key — one with named binders and
+/// named bound occurrences, as legacy shared-memo checkpoints stored
+/// them — over its children's trees, indexed by id. Such keys are never
+/// interned: the legacy reader ([`crate::snap::shared_from_bytes`]) builds
+/// their trees and canonicalises those.
+pub(crate) fn structural_tree(key: NodeKey, trees: &[TermRef]) -> TermRef {
+    let t = |id: TermId| trees[id.index()].clone();
+    let all = |ids: &[TermId]| ids.iter().map(|&id| t(id)).collect();
+    Arc::new(match key {
+        NodeKey::Bot => Term::Bot,
+        NodeKey::Top => Term::Top,
+        NodeKey::BotV => Term::BotV,
+        NodeKey::Var(x) => Term::Var(x),
+        NodeKey::Sym(s) => Term::Sym(s),
+        NodeKey::Lam(x, b) => Term::Lam(x, t(b)),
+        NodeKey::Frz(e) => Term::Frz(t(e)),
+        NodeKey::Pair(a, b) => Term::Pair(t(a), t(b)),
+        NodeKey::App(a, b) => Term::App(t(a), t(b)),
+        NodeKey::Join(a, b) => Term::Join(t(a), t(b)),
+        NodeKey::Lex(a, b) => Term::Lex(t(a), t(b)),
+        NodeKey::LexMerge(a, b) => Term::LexMerge(t(a), t(b)),
+        NodeKey::LetSym(s, a, b) => Term::LetSym(s, t(a), t(b)),
+        NodeKey::LetPair(x1, x2, e, b) => Term::LetPair(x1, x2, t(e), t(b)),
+        NodeKey::BigJoin(x, e, b) => Term::BigJoin(x, t(e), t(b)),
+        NodeKey::LetFrz(x, e, b) => Term::LetFrz(x, t(e), t(b)),
+        NodeKey::LexBind(x, e, b) => Term::LexBind(x, t(e), t(b)),
+        NodeKey::Set(ids) => Term::Set(all(&ids)),
+        NodeKey::Prim(op, ids) => Term::Prim(op, all(&ids)),
+    })
+}
+
 /// Minimum cached size for closed interior nodes in the canonical pointer
 /// cache (see [`Interner::canon_intern`]). Small nodes re-key cheaply;
 /// caching them would cost more memory than the probes they save.
 const CANON_PTR_CACHE_MIN_SIZE: usize = 16;
 
 impl Interner {
-    /// Interns one node whose children are already interned.
-    fn intern_shallow(&mut self, t: &TermRef, child_ids: &[TermId]) -> TermId {
-        self.intern_key(node_key_of(t, child_ids), t)
-    }
-
     /// Allocates a fresh id for a new node key, computing the cached
     /// metadata bottom-up from the children recorded in the key. The
     /// representative tree is optional: id-native evaluation mints nodes
@@ -1256,32 +1248,6 @@ impl Interner {
     }
 }
 
-/// The shallow hash-consing key of `t` over already-interned child ids (in
-/// [`Term::children`] order).
-fn node_key_of(t: &Term, ids: &[TermId]) -> NodeKey {
-    match t {
-        Term::Bot => NodeKey::Bot,
-        Term::Top => NodeKey::Top,
-        Term::BotV => NodeKey::BotV,
-        Term::Var(x) => NodeKey::Var(x.clone()),
-        Term::Sym(s) => NodeKey::Sym(s.clone()),
-        Term::Lam(x, _) => NodeKey::Lam(x.clone(), ids[0]),
-        Term::Frz(_) => NodeKey::Frz(ids[0]),
-        Term::Pair(..) => NodeKey::Pair(ids[0], ids[1]),
-        Term::App(..) => NodeKey::App(ids[0], ids[1]),
-        Term::Join(..) => NodeKey::Join(ids[0], ids[1]),
-        Term::Lex(..) => NodeKey::Lex(ids[0], ids[1]),
-        Term::LexMerge(..) => NodeKey::LexMerge(ids[0], ids[1]),
-        Term::LetSym(s, ..) => NodeKey::LetSym(s.clone(), ids[0], ids[1]),
-        Term::LetPair(x1, x2, ..) => NodeKey::LetPair(x1.clone(), x2.clone(), ids[0], ids[1]),
-        Term::BigJoin(x, ..) => NodeKey::BigJoin(x.clone(), ids[0], ids[1]),
-        Term::LetFrz(x, ..) => NodeKey::LetFrz(x.clone(), ids[0], ids[1]),
-        Term::LexBind(x, ..) => NodeKey::LexBind(x.clone(), ids[0], ids[1]),
-        Term::Set(_) => NodeKey::Set(ids.into()),
-        Term::Prim(op, _) => NodeKey::Prim(*op, ids.into()),
-    }
-}
-
 /// Computes a node's metadata from its children's metadata (in
 /// [`Term::children`] order).
 fn compute_meta_from(key: &NodeKey, children: &[&TermMeta], no_vars: &Arc<[Var]>) -> TermMeta {
@@ -1295,21 +1261,10 @@ fn compute_meta_from(key: &NodeKey, children: &[&TermMeta], no_vars: &Arc<[Var]>
         }
         _ => false,
     };
-    let has_binders = matches!(
-        key,
-        NodeKey::Lam(..)
-            | NodeKey::LetPair(..)
-            | NodeKey::BigJoin(..)
-            | NodeKey::LetFrz(..)
-            | NodeKey::LexBind(..)
-    ) || children.iter().any(|m| m.has_binders);
     let free_vars = compute_free_vars(key, children, no_vars);
-    let hash = compute_hash(key, children);
     TermMeta {
         size,
         is_value,
-        hash,
-        has_binders,
         free_vars,
     }
 }
@@ -1331,38 +1286,17 @@ fn shift_indices(fv: &[Var], k: usize) -> Vec<Var> {
 }
 
 /// The free variables of a node, from its children's summaries:
-/// sorted-merge of child sets minus the node's binders. Sentinel binders
-/// (fused de Bruijn-index keys) bind by index shift instead of by name.
+/// sorted-merge of child sets, with each binder's body shifted past it
+/// (binders are sentinels; bound occurrences are de Bruijn indices).
 fn compute_free_vars(key: &NodeKey, children: &[&TermMeta], no_vars: &Arc<[Var]>) -> Arc<[Var]> {
     let child = |i: usize| -> &[Var] { &children[i].free_vars };
     let out: Vec<Var> = match key {
         NodeKey::Bot | NodeKey::Top | NodeKey::BotV | NodeKey::Sym(_) => Vec::new(),
         NodeKey::Var(x) => vec![x.clone()],
-        NodeKey::Lam(x, _) => {
-            let body = child(0);
-            if is_canon_binder(x) {
-                shift_indices(body, 1)
-            } else {
-                minus(body, std::slice::from_ref(x))
-            }
-        }
-        NodeKey::LetPair(x1, x2, ..) => {
-            let (e, body) = (child(0), child(1));
-            let body = if is_canon_binder(x1) {
-                shift_indices(body, 2)
-            } else {
-                minus(body, &[x1.clone(), x2.clone()])
-            };
-            merge(e, &body)
-        }
-        NodeKey::BigJoin(x, ..) | NodeKey::LetFrz(x, ..) | NodeKey::LexBind(x, ..) => {
-            let (e, body) = (child(0), child(1));
-            let body = if is_canon_binder(x) {
-                shift_indices(body, 1)
-            } else {
-                minus(body, std::slice::from_ref(x))
-            };
-            merge(e, &body)
+        NodeKey::Lam(..) => shift_indices(child(0), 1),
+        NodeKey::LetPair(..) => merge(child(0), &shift_indices(child(1), 2)),
+        NodeKey::BigJoin(..) | NodeKey::LetFrz(..) | NodeKey::LexBind(..) => {
+            merge(child(0), &shift_indices(child(1), 1))
         }
         NodeKey::Frz(_) => child(0).to_vec(),
         NodeKey::Pair(..)
@@ -1387,33 +1321,6 @@ fn compute_free_vars(key: &NodeKey, children: &[&TermMeta], no_vars: &Arc<[Var]>
     } else {
         Arc::from(out)
     }
-}
-
-/// A structural hash: node tag + local data + child hashes. Equal terms
-/// hash equally regardless of arena.
-fn compute_hash(key: &NodeKey, children: &[&TermMeta]) -> u64 {
-    // The arena's fast hasher: this runs once per *new* node, but the id
-    // engine mints nodes on every substitution rebuild, so SipHash setup
-    // cost here was measurable on the seminaive round loop.
-    let mut h = FastHasher::default();
-    std::mem::discriminant(key).hash(&mut h);
-    match key {
-        NodeKey::Var(x) | NodeKey::Lam(x, _) => x.hash(&mut h),
-        NodeKey::Sym(s) | NodeKey::LetSym(s, ..) => s.hash(&mut h),
-        NodeKey::LetPair(x1, x2, ..) => {
-            x1.hash(&mut h);
-            x2.hash(&mut h);
-        }
-        NodeKey::BigJoin(x, ..) | NodeKey::LetFrz(x, ..) | NodeKey::LexBind(x, ..) => {
-            x.hash(&mut h)
-        }
-        NodeKey::Prim(op, _) => op.hash(&mut h),
-        _ => {}
-    }
-    for m in children {
-        h.write_u64(m.hash);
-    }
-    h.finish()
 }
 
 /// Sorted-set union of two sorted, deduplicated slices.
@@ -1446,12 +1353,6 @@ fn merge(a: &[Var], b: &[Var]) -> Vec<Var> {
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
     out
-}
-
-/// Sorted-set difference `a \ remove` (`remove` need not be sorted; it is
-/// at most two binder names).
-fn minus(a: &[Var], remove: &[Var]) -> Vec<Var> {
-    a.iter().filter(|x| !remove.contains(x)).cloned().collect()
 }
 
 /// One memo entry in transit between arenas: its key and result as
@@ -1646,12 +1547,13 @@ mod tests {
 
     #[test]
     fn structural_sharing() {
+        // Equal trees in distinct allocations get one id.
         let mut arena = Interner::new();
         let a = pair(int(1), int(2));
         let b = pair(int(1), int(2));
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(arena.intern(&a), arena.intern(&b));
-        assert_ne!(arena.intern(&a), arena.intern(&pair(int(2), int(1))));
+        assert_eq!(arena.canon_id(&a), arena.canon_id(&b));
+        assert_ne!(arena.canon_id(&a), arena.canon_id(&pair(int(2), int(1))));
     }
 
     #[test]
@@ -1680,7 +1582,7 @@ mod tests {
             set(vec![int(1), lam("x", var("x"))]),
             let_pair("a", "b", var("p"), app(var("a"), var("c"))),
         ] {
-            let id = arena.intern(&t);
+            let id = arena.canon_id(&t);
             let meta = arena.meta(id).clone();
             assert_eq!(meta.size, t.size());
             assert_eq!(meta.is_value, t.is_value());

@@ -27,9 +27,9 @@
 //!   evaluation engine over arena ids, the one λ∨ machine behind
 //!   [`bigstep`], the runtime's memoised evaluator and `lambdav serve`:
 //!   depth scales with the heap, not the OS thread stack;
-//! * [`intern`] — the hash-consing arena: `Copy` term ids with O(1)
-//!   equality/hashing, cached subterm metadata, and canonical ids that
-//!   decide α-equivalence by id comparison (the memo/tabling key type);
+//! * [`intern`] — the hash-consing arena: canonical `Copy` term ids, so
+//!   α-equivalence, equality and hashing are O(1) id comparisons (every
+//!   id is a memo/tabling key), with cached subterm metadata;
 //! * [`ideval`] — the id-native evaluation toolkit behind
 //!   [`engine::run_id`]: substitution, result joins, the streaming order,
 //!   and delta rules computed directly over arena nodes (tree
@@ -46,7 +46,7 @@
 //! * [`encodings`] — the paper's example programs (`fromN`, `evens`,
 //!   parallel or, `reaches`, two-phase commit, Peano numerals);
 //! * [`stdlib`] — streaming list/set combinators built from the core
-//!   syntax (map, append, take, filter, closure).
+//!   syntax (map, filter, union, closure, ranges).
 //!
 //! # Quick start
 //!

@@ -943,10 +943,17 @@ fn desugar_case(scrut: TermRef, arms: Vec<(String, Pattern, TermRef)>) -> TermRe
 mod tests {
     use super::*;
     use crate::builder::*;
-    use crate::machine::{converges_to, eval_result};
+    use crate::machine::Machine;
 
     fn p(s: &str) -> TermRef {
         parse(s).unwrap_or_else(|e| panic!("{e} in {s:?}"))
+    }
+
+    /// The machine's observation of `t` after up to `fuel` passes.
+    fn run(t: TermRef, fuel: usize) -> TermRef {
+        let mut m = Machine::new(t);
+        m.run(fuel);
+        m.observe()
     }
 
     #[test]
@@ -1042,11 +1049,11 @@ mod tests {
         assert!(p("let 'ok = c in 1").alpha_eq(&let_sym(Symbol::name("ok"), var("c"), int(1))));
         // Pair pattern becomes LetPair + inner lets.
         let t = p("let (a, b) = p in a");
-        let r = eval_result(app(lam("p", t), pair(int(1), int(2))), 10).unwrap();
+        let r = run(app(lam("p", t), pair(int(1), int(2))), 10);
         assert!(r.alpha_eq(&int(1)));
         // Compound pattern: let ('cons, (h, t)) = …
         let t = p("let ('cons, (h, t)) = ('cons, (5, 'nil)) in h");
-        assert!(eval_result(t, 10).unwrap().alpha_eq(&int(5)));
+        assert!(run(t, 10).alpha_eq(&int(5)));
     }
 
     #[test]
@@ -1061,7 +1068,7 @@ mod tests {
     #[test]
     fn if_desugars_to_threshold_joins() {
         let t = p("if true then 1 else 2");
-        assert!(converges_to(t, &int(1), 10));
+        assert!(run(t, 10).alpha_eq(&int(1)));
     }
 
     #[test]
@@ -1072,7 +1079,7 @@ mod tests {
     #[test]
     fn case_sugar_runs() {
         let t = p("case 1 :: ('nil, botv) of { 'nil _ -> 0 | 'cons (h, _) -> h + 10 }");
-        assert!(converges_to(t, &int(11), 20));
+        assert!(run(t, 20).alpha_eq(&int(11)));
     }
 
     #[test]

@@ -41,8 +41,9 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use crate::intern::{InternTable, Interner, Survivor, TermId};
+use crate::intern::{snap_decode_key, structural_tree, InternTable, Interner, Survivor, TermId};
 use crate::sharded::SharedInternTable;
+use crate::term::TermRef;
 
 /// The four magic bytes every snapshot starts with.
 pub const MAGIC: [u8; 4] = *b"LJSN";
@@ -444,9 +445,13 @@ pub fn write_interner(w: &mut Writer, it: &Interner) {
 /// Decodes a [`tag::INTERNER`] section by replaying each key through the
 /// arena's insertion path — metadata and the hash-cons index are
 /// recomputed, ids come out exactly as saved. Out-of-range children,
-/// unknown variants, and duplicate keys are rejected.
+/// unknown variants, named binders, and duplicate keys are rejected.
 pub fn read_interner(r: &mut Reader<'_>) -> Result<Interner, SnapError> {
-    let mut cur = r.section(tag::INTERNER)?;
+    decode_interner(r.section(tag::INTERNER)?)
+}
+
+/// The body of [`read_interner`], over an already-opened section.
+fn decode_interner(mut cur: Cur<'_>) -> Result<Interner, SnapError> {
     let n = cur.count(1)?;
     let mut it = Interner::new();
     for _ in 0..n {
@@ -454,6 +459,20 @@ pub fn read_interner(r: &mut Reader<'_>) -> Result<Interner, SnapError> {
     }
     cur.expect_end()?;
     Ok(it)
+}
+
+/// Decodes the *structural* interner section of a legacy
+/// [`tag::SHARED_MEMO`] checkpoint into one tree per saved id. Its keys
+/// carry named binders, so they are rebuilt as trees, never interned.
+fn decode_structural_trees(mut cur: Cur<'_>) -> Result<Vec<TermRef>, SnapError> {
+    let n = cur.count(1)?;
+    let mut trees = Vec::with_capacity(n);
+    for _ in 0..n {
+        let key = snap_decode_key(&mut cur, trees.len())?;
+        trees.push(structural_tree(key, &trees));
+    }
+    cur.expect_end()?;
+    Ok(trees)
 }
 
 /// One memo row: the `(function, argument, fuel)` key, the result id,
@@ -609,25 +628,27 @@ pub fn shared_to_bytes(table: &SharedInternTable, keep_last: u64) -> Vec<u8> {
 
 /// Restores a [`SharedInternTable`] from bytes: a memo snapshot comes back
 /// with its ids exactly as saved; a legacy [`tag::SHARED_MEMO`] checkpoint
-/// has every entry's terms extracted from its structural arena and
-/// canonically re-interned. Either way the restored table answers exactly
+/// has every entry's terms rebuilt from its structural key column and
+/// canonically interned. Either way the restored table answers exactly
 /// the probes the saved one did — generation counter and hit/miss
 /// statistics included.
 pub fn shared_from_bytes(bytes: &[u8]) -> Result<SharedInternTable, SnapError> {
     let mut r = Reader::new(bytes)?;
-    let mut arena = read_interner(&mut r)?;
+    let keys = r.section(tag::INTERNER)?;
     let (it, t) = if r.peek_tag() == Some(tag::SHARED_MEMO) {
+        let trees = decode_structural_trees(keys)?;
+        let tree = |id: TermId| trees[id.index()].clone();
         let mut survivors = Vec::new();
         let (hits, misses, generation) = read_memo_rows(
             &mut r,
             tag::SHARED_MEMO,
-            arena.len(),
+            trees.len(),
             |((f, a, fuel), (res, exhausted, stamp))| {
                 survivors.push(Survivor {
-                    f: arena.extract(f),
-                    a: arena.extract(a),
+                    f: tree(f),
+                    a: tree(a),
                     fuel,
-                    r: arena.extract(res),
+                    r: tree(res),
                     exhausted,
                     stamp,
                 });
@@ -639,6 +660,7 @@ pub fn shared_from_bytes(bytes: &[u8]) -> Result<SharedInternTable, SnapError> {
         t.adopt(survivors, &mut it);
         (it, t)
     } else {
+        let arena = decode_interner(keys)?;
         let t = read_table(&mut r, &arena)?;
         (arena, t)
     };
@@ -765,6 +787,26 @@ mod tests {
         assert!(matches!(
             memo_from_bytes(&bad),
             Err(SnapError::Version { found: 99 })
+        ));
+    }
+
+    #[test]
+    fn named_binders_are_rejected() {
+        // `λx. x` keyed structurally: a named binder over a named
+        // occurrence. The memo layout admits only the canonical sentinel.
+        let mut p = Vec::new();
+        put_v64(&mut p, 2);
+        p.push(3); // Var
+        put_str(&mut p, "x");
+        p.push(5); // Lam
+        put_str(&mut p, "x");
+        put_v32(&mut p, 0);
+        let mut w = Writer::new();
+        w.section(tag::INTERNER, &p);
+        write_table(&mut w, &InternTable::new());
+        assert!(matches!(
+            memo_from_bytes(&w.finish()),
+            Err(SnapError::Malformed("non-canonical binder"))
         ));
     }
 

@@ -12,49 +12,6 @@ use crate::builder::*;
 use crate::symbol::Symbol;
 use crate::term::TermRef;
 
-/// `append : list → list → list`, streaming the first list's prefix
-/// immediately.
-pub fn list_append() -> TermRef {
-    fix(
-        "append",
-        lams(
-            &["xs", "ys"],
-            let_in(
-                "%s",
-                var("xs"),
-                join(
-                    // nil case: the result is ys.
-                    let_pair(
-                        "%tag",
-                        "_",
-                        var("%s"),
-                        let_sym(Symbol::name("nil"), var("%tag"), var("ys")),
-                    ),
-                    // cons case: emit the head, recurse on the tail.
-                    let_pair(
-                        "%tag",
-                        "%p",
-                        var("%s"),
-                        let_sym(
-                            Symbol::name("cons"),
-                            var("%tag"),
-                            let_pair(
-                                "h",
-                                "t",
-                                var("%p"),
-                                join(
-                                    cons(var("h"), apps(var("append"), vec![var("t"), var("ys")])),
-                                    botv(),
-                                ),
-                            ),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-}
-
 /// `map : (a → b) → list a → list b`, streaming.
 pub fn list_map() -> TermRef {
     fix(
@@ -73,48 +30,6 @@ pub fn list_map() -> TermRef {
                     ),
                     botv(),
                 ),
-            ),
-        ),
-    )
-}
-
-/// `take : int → list → list` — monotone because integers are discrete.
-pub fn list_take() -> TermRef {
-    fix(
-        "take",
-        lams(
-            &["n", "xs"],
-            ite(
-                le(var("n"), int(0)),
-                nil(),
-                case_list(
-                    var("xs"),
-                    nil(),
-                    "h",
-                    "t",
-                    cons(
-                        var("h"),
-                        apps(var("take"), vec![sub(var("n"), int(1)), var("t")]),
-                    ),
-                ),
-            ),
-        ),
-    )
-}
-
-/// `length : list → int` — needs the whole (finite) list; returns `⊥`
-/// until the `'nil` arrives. Still monotone: discrete output.
-pub fn list_length() -> TermRef {
-    fix(
-        "length",
-        lam(
-            "xs",
-            case_list(
-                var("xs"),
-                int(0),
-                "_h",
-                "t",
-                add(int(1), app(var("length"), var("t"))),
             ),
         ),
     )
@@ -145,18 +60,6 @@ pub fn set_filter() -> TermRef {
 /// powerdomain.
 pub fn set_union_all() -> TermRef {
     lam("ss", big_join("s", var("ss"), var("s")))
-}
-
-/// `cross : set a → set b → set (a, b)` — the relational product.
-pub fn set_cross() -> TermRef {
-    lams(
-        &["a", "b"],
-        big_join(
-            "x",
-            var("a"),
-            big_join("y", var("b"), set(vec![pair(var("x"), var("y"))])),
-        ),
-    )
 }
 
 /// `iterate : (a → set a) → a → set a` — the reflexive-transitive closure
@@ -211,22 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn append_concatenates() {
-        let t = apps(list_append(), vec![ints(&[1, 2]), ints(&[3])]);
-        let r = eval_fuel(&t, 30);
-        assert!(result_leq(&ints(&[1, 2, 3]), &r), "got {r}");
-    }
-
-    #[test]
-    fn append_streams_prefix_of_infinite_lists() {
-        // append (fromN 0) ys streams 0 :: 1 :: … without ever needing ys.
-        let t = apps(list_append(), vec![app(from_n(), int(0)), ints(&[99])]);
-        let r = eval_fuel(&t, 25);
-        let prefix = cons(int(0), cons(int(1), botv()));
-        assert!(result_leq(&prefix, &r), "got {r}");
-    }
-
-    #[test]
     fn map_applies_and_streams() {
         let double = lam("x", mul(var("x"), int(2)));
         let t = apps(list_map(), vec![double.clone(), ints(&[1, 2, 3])]);
@@ -242,23 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn take_truncates_infinite_streams() {
-        let t = apps(list_take(), vec![int(3), app(from_n(), int(0))]);
-        let r = eval_fuel(&t, 40);
-        assert!(result_equiv(&r, &ints(&[0, 1, 2])), "got {r}");
-    }
-
-    #[test]
-    fn length_of_finite_list() {
-        let t = app(list_length(), ints(&[7, 8, 9]));
-        assert!(eval_fuel(&t, 40).alpha_eq(&int(3)));
-        // On an infinite list, length streams nothing — and that is the
-        // monotone truth.
-        let t = app(list_length(), app(from_n(), int(0)));
-        assert!(eval_fuel(&t, 25).alpha_eq(&bot()));
-    }
-
-    #[test]
     fn set_map_filter_union_cross() {
         let sq = lam("x", mul(var("x"), var("x")));
         let t = apps(set_map(), vec![sq, intset(&[1, 2, 3])]);
@@ -270,10 +140,6 @@ mod tests {
 
         let t = app(set_union_all(), set(vec![intset(&[1]), intset(&[2, 3])]));
         assert!(result_equiv(&eval_fuel(&t, 30), &intset(&[1, 2, 3])));
-
-        let t = apps(set_cross(), vec![intset(&[1, 2]), intset(&[10])]);
-        let expect = set(vec![pair(int(1), int(10)), pair(int(2), int(10))]);
-        assert!(result_equiv(&eval_fuel(&t, 30), &expect));
     }
 
     #[test]
@@ -305,14 +171,10 @@ mod tests {
     #[test]
     fn stdlib_values_are_closed() {
         for f in [
-            list_append(),
             list_map(),
-            list_take(),
-            list_length(),
             set_map(),
             set_filter(),
             set_union_all(),
-            set_cross(),
             iterate(),
             nats_upto(),
         ] {

@@ -7,7 +7,9 @@ mod common;
 
 use common::rename_binders;
 use lambda_join_core::builder as b;
+use lambda_join_core::engine::{self, Budget, NoIdTable};
 use lambda_join_core::intern::{InternTable, Interner};
+use lambda_join_core::snap::{memo_from_bytes, memo_to_bytes};
 use lambda_join_core::symbol::Symbol;
 use lambda_join_core::term::TermRef;
 use proptest::prelude::*;
@@ -72,11 +74,13 @@ proptest! {
         prop_assert_eq!(arena.canon_id(&rt), arena.canon_id(&t));
     }
 
-    /// Interned metadata agrees with the iterative term-layer walks.
+    /// Interned metadata agrees with the iterative term-layer walks
+    /// (bound occurrences are de Bruijn indices, which the binders above
+    /// them shift away, so the free variables are exactly the term's).
     #[test]
     fn metadata_matches_term_layer(t in arb_term()) {
         let mut arena = Interner::new();
-        let id = arena.intern(&t);
+        let id = arena.canon_id(&t);
         let meta = arena.meta(id).clone();
         prop_assert_eq!(meta.size, t.size());
         prop_assert_eq!(meta.is_value, t.is_value());
@@ -86,16 +90,22 @@ proptest! {
         prop_assert_eq!(meta.is_closed(), t.is_closed());
     }
 
-    /// Metadata is also correct on ids minted through the canonical path
-    /// (binder names differ, sizes/valueness/closedness must not).
+    /// The metadata also describes the id's canonical representative:
+    /// the tree [`Interner::extract`] rebuilds has canonical binder names
+    /// in place of the source's, and the same size, valueness and free
+    /// variables.
     #[test]
     fn canon_metadata_matches_term_layer(t in arb_term()) {
         let mut arena = Interner::new();
         let id = arena.canon_id(&t);
         let meta = arena.meta(id).clone();
-        prop_assert_eq!(meta.size, t.size());
-        prop_assert_eq!(meta.is_value, t.is_value());
-        prop_assert_eq!(meta.is_closed(), t.is_closed());
+        let rep = arena.extract(id);
+        prop_assert_eq!(meta.size, rep.size());
+        prop_assert_eq!(meta.is_value, rep.is_value());
+        let mut fv = rep.free_vars();
+        fv.sort();
+        prop_assert_eq!(meta.free_vars.to_vec(), fv);
+        prop_assert_eq!(meta.is_closed(), rep.is_closed());
     }
 
     /// Interning twice (same or α-equivalent handles) never grows the
@@ -131,7 +141,10 @@ proptest! {
     }
 
     /// Extraction is a section of canonical interning: `extract(canon_id(t))`
-    /// is α-equivalent to `t` and re-interns to the same id.
+    /// is α-equivalent to `t` and re-interns to the same id. The arena
+    /// has one key space: after interning, evaluating and extracting,
+    /// every binder in it is the canonical sentinel (snapshot replay
+    /// admits no other).
     #[test]
     fn extract_round_trips(t in arb_term()) {
         let mut arena = Interner::new();
@@ -139,6 +152,9 @@ proptest! {
         let back = arena.extract(id);
         prop_assert!(back.alpha_eq(&t), "{} extracted as {}", t, back);
         prop_assert_eq!(arena.canon_id(&back), id);
+        let r = engine::run_id(&mut arena, id, 4, &mut Budget::new(10_000), &mut NoIdTable);
+        let _ = arena.extract(r);
+        prop_assert!(memo_from_bytes(&memo_to_bytes(&arena, &InternTable::new())).is_ok());
     }
 }
 
@@ -170,9 +186,8 @@ fn deep_term_interning_fits_tiny_stack() {
             lams = b::lam(if i % 2 == 0 { "x" } else { "y" }, lams);
         }
         let mut arena = Interner::new();
-        let d1 = arena.intern(&deep);
-        let d2 = arena.canon_id(&deep);
-        assert_eq!(arena.meta(d1).size, arena.meta(d2).size);
+        let d = arena.canon_id(&deep);
+        assert_eq!(arena.meta(d).size, 300_001);
         let l1 = arena.canon_id(&lams);
         // The α-variant with uniformly renamed binders canonicalises to
         // the same id.

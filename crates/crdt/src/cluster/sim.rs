@@ -194,11 +194,6 @@ impl<S: DeltaCrdt + Clone> Cluster<S> {
         &self.nodes[i].durable
     }
 
-    /// Whether replica `i` is currently crashed.
-    pub fn is_down(&self, i: usize) -> bool {
-        self.nodes[i].down_until.is_some()
-    }
-
     /// Traffic counters so far.
     pub fn stats(&self) -> &SyncStats {
         &self.stats

@@ -99,13 +99,6 @@ impl<E: Clone + PartialEq + std::fmt::Debug> Chain<E> {
             .iter()
             .all(|e| other.entries.iter().any(|f| basis.leq(e, f)))
     }
-
-    /// Is the compact element `↓x` below the chain's limit *and* reached at
-    /// a finite stage? (Always equivalent for compact elements — this is
-    /// what compactness *means*; exposed for tests.)
-    pub fn compact_below<B: FinitaryBasis<Elem = E>>(&self, basis: &B, x: &E) -> Option<usize> {
-        self.entries.iter().position(|e| basis.leq(x, e))
-    }
 }
 
 /// Checks that a finite set is an ideal of the given fragment: non-empty,
@@ -146,6 +139,7 @@ mod tests {
     use crate::basis::{SymBasis, VFormBasis};
     use lambda_join_core::Symbol;
     use lambda_join_filter::formula::build::*;
+    use lambda_join_filter::formula::VFormRef;
 
     #[test]
     fn principal_ideal_membership() {
@@ -194,10 +188,12 @@ mod tests {
             vset(vec![vint(0), vint(2), vint(4)]),
         ];
         let c = Chain::new(&VFormBasis, entries).unwrap();
-        // Compact elements below the limit are reached at finite stages.
-        assert_eq!(c.compact_below(&VFormBasis, &vset(vec![vint(2)])), Some(2));
-        assert_eq!(c.compact_below(&VFormBasis, &vset(vec![vint(4)])), Some(3));
-        assert_eq!(c.compact_below(&VFormBasis, &vset(vec![vint(1)])), None);
+        // Compact elements below the limit are reached at finite stages
+        // (this is what compactness means): the first stage above `x`.
+        let stage = |x: &VFormRef| c.entries.iter().position(|e| VFormBasis.leq(x, e));
+        assert_eq!(stage(&vset(vec![vint(2)])), Some(2));
+        assert_eq!(stage(&vset(vec![vint(4)])), Some(3));
+        assert_eq!(stage(&vset(vec![vint(1)])), None);
         assert!(c.contains(&VFormBasis, &vset(vec![vint(0), vint(4)])));
     }
 

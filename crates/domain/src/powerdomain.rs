@@ -30,11 +30,6 @@ impl<E: Clone + PartialEq + std::fmt::Debug> HoareSet<E> {
         HoareSet { gens }
     }
 
-    /// The generators.
-    pub fn generators(&self) -> &[E] {
-        &self.gens
-    }
-
     /// Membership of a compact element in the represented down-set.
     pub fn contains<B: FinitaryBasis<Elem = E>>(&self, basis: &B, x: &E) -> bool {
         self.gens.iter().any(|g| basis.leq(x, g))
@@ -59,22 +54,6 @@ impl<E: Clone + PartialEq + std::fmt::Debug> HoareSet<E> {
             }
         }
         HoareSet { gens }
-    }
-
-    /// Normalises by dropping generators dominated by others.
-    pub fn normalise<B: FinitaryBasis<Elem = E>>(&self, basis: &B) -> Self {
-        let mut keep: Vec<E> = Vec::new();
-        for (i, g) in self.gens.iter().enumerate() {
-            let dominated = self
-                .gens
-                .iter()
-                .enumerate()
-                .any(|(j, h)| j != i && basis.leq(g, h) && !(basis.leq(h, g) && j > i));
-            if !dominated && !keep.iter().any(|k| basis.equiv(k, g)) {
-                keep.push(g.clone());
-            }
-        }
-        HoareSet { gens: keep }
     }
 }
 
@@ -119,9 +98,6 @@ mod tests {
         let a = HoareSet::from_generators(vec![Symbol::Level(3)]);
         let b = HoareSet::from_generators(vec![Symbol::Level(1), Symbol::Level(3)]);
         assert!(a.set_eq(&SymBasis, &b));
-        let n = b.normalise(&SymBasis);
-        assert_eq!(n.generators().len(), 1);
-        assert!(n.set_eq(&SymBasis, &a));
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl CForm {
             CForm::Val(v) => v.size(),
         }
     }
-
-    /// The value formula inside, if any.
-    pub fn as_val(&self) -> Option<&VFormRef> {
-        match self {
-            CForm::Val(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 impl From<VFormRef> for CForm {

@@ -46,11 +46,6 @@ pub fn vleq(a: &VFormRef, b: &VFormRef) -> bool {
     }
 }
 
-/// Order-equivalence `φ1 ⊑ φ2 ∧ φ2 ⊑ φ1` (the preorder's kernel).
-pub fn cequiv(a: &CForm, b: &CForm) -> bool {
-    cleq(a, b) && cleq(b, a)
-}
-
 /// An environment `Γ`: a finite map from variables to value formulae.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Env {
@@ -190,9 +185,9 @@ mod tests {
         // τ → (ψ1 ⊔ ψ2) ⊑ (τ → ψ1) ∨ (τ → ψ2): the canonical subset must
         // combine both clauses of the right side.
         let t = vname("a");
-        let p1 = val(vset(vec![vint(1)]));
-        let p2 = val(vset(vec![vint(2)]));
-        let joined = vjoin(p1.as_val().unwrap(), p2.as_val().unwrap());
+        let (v1, v2) = (vset(vec![vint(1)]), vset(vec![vint(2)]));
+        let joined = vjoin(&v1, &v2);
+        let (p1, p2) = (val(v1), val(v2));
         let lhs = varrow(t.clone(), joined);
         let rhs = vfun(vec![(t.clone(), p1), (t, p2)]);
         assert!(vleq(&lhs, &rhs), "Lemma 4.1 distributivity");

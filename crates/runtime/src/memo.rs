@@ -171,11 +171,6 @@ impl MemoEval {
     }
 }
 
-/// One-shot convenience: memoised evaluation with a fresh cache.
-pub fn eval_fuel_memo(e: &TermRef, fuel: usize) -> TermRef {
-    MemoEval::new().eval_fuel(e, fuel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,7 +193,7 @@ mod tests {
             let e = parse(p).unwrap();
             for fuel in [0, 3, 10, 25] {
                 let plain = eval_fuel(&e, fuel);
-                let memo = eval_fuel_memo(&e, fuel);
+                let memo = MemoEval::new().eval_fuel(&e, fuel);
                 assert!(
                     plain.alpha_eq(&memo),
                     "{p} at fuel {fuel}: {plain} vs {memo}"
@@ -309,7 +304,7 @@ mod tests {
             let e = parse(p).unwrap();
             for fuel in [0, 1, 5, 12] {
                 let spec = eval_fuel_recursive(&e, fuel);
-                let memo = eval_fuel_memo(&e, fuel);
+                let memo = MemoEval::new().eval_fuel(&e, fuel);
                 assert!(spec.alpha_eq(&memo), "{p} at fuel {fuel}: {spec} vs {memo}");
             }
         }

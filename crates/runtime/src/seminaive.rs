@@ -273,11 +273,6 @@ impl SeminaiveEngine {
         self.table.stats()
     }
 
-    /// The number of cached β-results currently held.
-    pub fn memo_len(&self) -> usize {
-        self.table.len()
-    }
-
     /// Checkpoints the engine — arena, memo, fixpoint, pending delta, and
     /// counters — to `path` (atomically); returns the byte size. A later
     /// [`SeminaiveEngine::load_snapshot`] resumes the fixpoint exactly
@@ -600,12 +595,15 @@ mod tests {
         e.push(vec![int(0)]);
         e.run(100);
         let (hits_before, misses_before) = e.memo_stats();
-        assert!(e.memo_len() > 0, "rounds should have populated the memo");
+        assert!(!e.table.is_empty(), "rounds should have populated the memo");
 
         // compact() used to discard the memo wholesale; now entries
         // touched within the recency window migrate...
         e.compact();
-        assert!(e.memo_len() > 0, "recent memo entries must survive compact");
+        assert!(
+            !e.table.is_empty(),
+            "recent memo entries must survive compact"
+        );
         assert_eq!(
             e.memo_stats(),
             (hits_before, misses_before),
