@@ -9,8 +9,16 @@
 //! [`stratify`](crate::strata::stratify)): each negated premise must be
 //! fully derived by a lower stratum before any rule reads its absence, so
 //! evaluation is a sequence of monotone fixpoints rather than one.
+//!
+//! Only genuine rules are syntax trees. Ground facts go straight into the
+//! program's column store (see the private `facts` module): interned `u32`
+//! rows in one block per `(predicate, arity)`, which compilation adopts as
+//! they are. [`Program::facts`] decodes them again for boundary code and
+//! oracles.
 
 use std::fmt;
+
+use crate::facts::{ConstRef, FactStore};
 
 /// A constant: an integer or an interned string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -51,6 +59,13 @@ pub enum AtomTerm {
     Const(Const),
 }
 
+/// Whether a variable name is one the parser minted for an occurrence of
+/// `_`: each such occurrence is its own variable, and `#` cannot appear in
+/// a written name, so none of them can collide with a named variable.
+pub(crate) fn is_anonymous(name: &str) -> bool {
+    name.starts_with("_#")
+}
+
 /// Builds a variable term.
 pub fn var(name: &str) -> AtomTerm {
     AtomTerm::Var(name.to_string())
@@ -88,6 +103,7 @@ impl fmt::Display for Atom {
                 f.write_str(", ")?;
             }
             match a {
+                AtomTerm::Var(v) if is_anonymous(v) => f.write_str("_")?,
                 AtomTerm::Var(v) => write!(f, "{v}")?,
                 AtomTerm::Const(c) => write!(f, "{c}")?,
             }
@@ -96,8 +112,9 @@ impl fmt::Display for Atom {
     }
 }
 
-/// A clause `head :- body1, …, bodyn, not neg1, …, not negm` (facts have
-/// empty bodies; negation-free rules have an empty `neg`).
+/// A clause `head :- body1, …, bodyn, not neg1, …, not negm`
+/// (negation-free rules have an empty `neg`). Ground facts are not rules:
+/// they live in the program's fact store (see [`Program::fact`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// The derived atom.
@@ -161,8 +178,11 @@ impl Rule {
 /// A Datalog program: a set of rules plus ground facts.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
-    /// The rules (facts are rules with empty bodies and ground heads).
+    /// The rules. Ground facts are not here: they are stored column-wise
+    /// (see [`Program::fact`] and [`Program::facts`]).
     pub rules: Vec<Rule>,
+    /// The ground facts, interned at the moment they are added.
+    pub(crate) facts: FactStore,
 }
 
 impl Program {
@@ -183,7 +203,8 @@ impl Program {
         self
     }
 
-    /// Adds a ground fact.
+    /// Adds a ground fact to the fact store — the same path the parser
+    /// takes, so a built program and its source text compile alike.
     ///
     /// # Panics
     ///
@@ -193,12 +214,25 @@ impl Program {
             atom.args.iter().all(|t| matches!(t, AtomTerm::Const(_))),
             "facts must be ground"
         );
-        self.rules.push(Rule {
-            head: atom,
-            body: vec![],
-            neg: vec![],
+        let args = atom.args.iter().map(|t| match t {
+            AtomTerm::Const(Const::Int(n)) => ConstRef::Int(*n),
+            AtomTerm::Const(Const::Str(s)) => ConstRef::Str(s),
+            AtomTerm::Var(_) => unreachable!("checked ground above"),
         });
+        self.facts.push(&atom.pred, args);
         self
+    }
+
+    /// The ground facts, decoded: `(predicate, tuple)` per fact, duplicates
+    /// included, grouped by `(predicate, arity)` in order of first
+    /// appearance and in insertion order within a group.
+    pub fn facts(&self) -> impl Iterator<Item = (&str, Vec<Const>)> + '_ {
+        self.facts.iter()
+    }
+
+    /// Number of ground facts, duplicates included.
+    pub fn fact_count(&self) -> usize {
+        self.facts.len()
     }
 }
 
@@ -254,6 +288,8 @@ mod tests {
             Atom::new("path", vec![var("X"), var("Y")]),
             vec![Atom::new("edge", vec![var("X"), var("Y")])],
         );
-        assert_eq!(p.rules.len(), 2);
+        assert_eq!((p.rules.len(), p.fact_count()), (1, 1));
+        let facts: Vec<(&str, Vec<Const>)> = p.facts().collect();
+        assert_eq!(facts, vec![("edge", vec![Const::Int(0), Const::Int(1)])]);
     }
 }

@@ -18,10 +18,13 @@
 //! rule variables become dense binding slots, and each rule gets one join
 //! plan per evaluation mode. Acyclic bodies run the planned **binary
 //! nested-loop join**: atoms reordered by bound-variable propagation, each
-//! a chain of word-compares and index probes over `Copy` ids, with the
-//! linear-recursive shape (`path(X,Z) :- Δpath(X,Y), edge(Y,Z)`) running
-//! merge-style — the delta sorted by its probe key, one index probe per
-//! distinct key run. Cyclic bodies — at least two join variables shared
+//! a chain of word-compares, index probes and trie lookups over `Copy`
+//! ids, with the linear-recursive shape (`path(X,Z) :- Δpath(X,Y),
+//! edge(Y,Z)`) running merge-style — the delta sorted by its probe key
+//! and walked forward against the complete relation's sorted trie, one
+//! seek per distinct key run. Ground facts arrive as interned blocks
+//! and load into each stratum's relations before its first round.
+//! Cyclic bodies — at least two join variables shared
 //! by at least two atoms, e.g. triangles — run a **worst-case-optimal
 //! leapfrog triejoin** ([`JoinMode::Auto`] picks per rule): one sorted
 //! trie per atom over a global variable elimination order, intersected
@@ -41,7 +44,7 @@ use crate::ast::{Atom, Const, Program};
 use crate::plan::{
     compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojPlan,
 };
-use crate::store::{hash_cols, DeltaRel, Relation, Trie};
+use crate::store::{gallop, hash_cols, DeltaRel, Relation, Trie};
 
 pub use crate::plan::JoinMode;
 pub use crate::store::IdDatabase;
@@ -129,11 +132,11 @@ pub fn eval_ids_mode(
     (seal(cp, rels), stats)
 }
 
-fn compile_or_panic(program: &Program, mode: JoinMode) -> CompiledProgram {
+fn compile_or_panic(program: &Program, mode: JoinMode) -> CompiledProgram<'_> {
     compile(program, mode).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn seal(cp: CompiledProgram, rels: Vec<Relation>) -> IdDatabase {
+fn seal(cp: CompiledProgram<'_>, rels: Vec<Relation>) -> IdDatabase {
     IdDatabase {
         rels,
         names: cp.rel_names,
@@ -151,7 +154,7 @@ fn seal(cp: CompiledProgram, rels: Vec<Relation>) -> IdDatabase {
 /// one round, which is exactly the delta's lifetime — no invalidation
 /// logic needed.
 struct Cx<'a> {
-    prog: &'a CompiledProgram,
+    prog: &'a CompiledProgram<'a>,
     db: &'a [Relation],
     delta: Option<&'a [DeltaRel]>,
     delta_tries: std::cell::RefCell<Vec<(u32, Trie)>>,
@@ -159,7 +162,7 @@ struct Cx<'a> {
 
 impl Cx<'_> {
     fn new<'a>(
-        prog: &'a CompiledProgram,
+        prog: &'a CompiledProgram<'a>,
         db: &'a [Relation],
         delta: Option<&'a [DeltaRel]>,
     ) -> Cx<'a> {
@@ -272,6 +275,20 @@ fn join(
                 }
             }
         }
+        Access::Trie {
+            trie_slot,
+            ref key,
+            ref binds,
+        } => {
+            scratch.clear();
+            scratch.extend(key.iter().map(|&s| bindings[s]));
+            let t = &rel.tries[trie_slot];
+            let (lo, hi) = t.prefix_range(scratch, None);
+            for r in lo..hi {
+                bind_trie_row(t, r, key.len(), binds, bindings);
+                join(cx, rest, negs, rule, bindings, scratch, out, stats);
+            }
+        }
         Access::Scan => {
             for i in 0..rel.len() as u32 {
                 if match_row(&atom.ops, rel.row(i), bindings) {
@@ -279,6 +296,16 @@ fn join(
                 }
             }
         }
+    }
+}
+
+/// Binds `binds` from trie row `r`'s levels after the `key_len` key
+/// levels — an [`Access::Trie`] match.
+#[inline]
+fn bind_trie_row(t: &Trie, r: usize, key_len: usize, binds: &[usize], bindings: &mut [u32]) {
+    let row = &t.data()[r * t.width() + key_len..(r + 1) * t.width()];
+    for (&s, &v) in binds.iter().zip(row) {
+        bindings[s] = v;
     }
 }
 
@@ -436,22 +463,7 @@ impl<'a> TrieIter<'a> {
     fn seek(&mut self, v: u32) {
         let &(cur, hi) = self.stack.last().expect("open level");
         let e = if self.stack.len() == 1 {
-            // Gallop the dense key directory.
-            let (mut lo, mut step) = (cur, 1usize);
-            while lo + step < hi && self.dir0[lo + step] < v {
-                lo += step;
-                step <<= 1;
-            }
-            let mut end = hi.min(lo + step);
-            while lo < end {
-                let mid = lo + (end - lo) / 2;
-                if self.dir0[mid] < v {
-                    lo = mid + 1;
-                } else {
-                    end = mid;
-                }
-            }
-            lo
+            gallop(&self.dir0[..hi], cur, v)
         } else {
             self.gallop(self.col(), cur, hi, v, false)
         };
@@ -753,8 +765,10 @@ fn wcoj_level(
 
 /// Runs one plan. Merge-eligible seminaive binary plans (the
 /// linear-recursive shape) sort the delta by the downstream probe key and
-/// probe the index once per distinct key run; other binary plans go
-/// straight to the nested-loop join; leapfrog plans run the triejoin.
+/// probe once per distinct key run — a forward seek in the probed trie,
+/// or one hash probe when the probed relation grows within the stratum;
+/// other binary plans go straight to the nested-loop join; leapfrog plans
+/// run the triejoin.
 fn run_plan(
     cx: &Cx<'_>,
     rule: &CompiledRule,
@@ -812,10 +826,10 @@ fn run_plan(
             order
         };
         let patom = &atoms[1];
-        let Access::Index { index_slot } = patom.access else {
-            unreachable!("merge plans probe an index")
-        };
         let prel = &cx.db[patom.rel as usize];
+        let (rest, rest_neg) = (&atoms[2..], &neg_after[2..]);
+        let mut hint = 0usize;
+        let mut key: Vec<u32> = Vec::with_capacity(merge_key.len());
         let mut run = 0usize;
         while run < order.len() {
             let first = d.row(order[run] as usize, arity);
@@ -827,35 +841,56 @@ fn run_plan(
             {
                 end += 1;
             }
-            let h = hash_cols(
-                patom
-                    .key_ops
-                    .iter()
-                    .zip(merge_key)
-                    .map(|(op, &dc)| match *op {
-                        ArgOp::CheckConst(c) => c,
-                        _ => first[dc],
-                    }),
-            );
-            let bucket = prel.indexes[index_slot].probe(h);
-            if !bucket.is_empty() {
-                for &di in &order[run..end] {
-                    if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
-                        for &r in bucket {
-                            if match_row(&patom.ops, prel.row(r), bindings) {
-                                join(
-                                    cx,
-                                    &atoms[2..],
-                                    &neg_after[2..],
-                                    rule,
-                                    bindings,
-                                    scratch,
-                                    out,
-                                    stats,
-                                );
+            match patom.access {
+                // The probed relation is complete: the runs walk its
+                // sorted trie forward, and each run's matches are one
+                // contiguous range of trie rows.
+                Access::Trie {
+                    trie_slot,
+                    ref binds,
+                    ..
+                } => {
+                    key.clear();
+                    key.extend(merge_key.iter().map(|&dc| first[dc]));
+                    let t = &prel.tries[trie_slot];
+                    let (lo, hi) = t.prefix_range(&key, Some(&mut hint));
+                    if lo < hi {
+                        for &di in &order[run..end] {
+                            if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
+                                for r in lo..hi {
+                                    bind_trie_row(t, r, key.len(), binds, bindings);
+                                    join(cx, rest, rest_neg, rule, bindings, scratch, out, stats);
+                                }
                             }
                         }
                     }
+                }
+                // The probed relation grows within the stratum: one hash
+                // probe of its index per run.
+                Access::Index { index_slot } => {
+                    let h = hash_cols(patom.key_ops.iter().zip(merge_key).map(
+                        |(op, &dc)| match *op {
+                            ArgOp::CheckConst(c) => c,
+                            _ => first[dc],
+                        },
+                    ));
+                    let bucket = prel.indexes[index_slot].probe(h);
+                    if !bucket.is_empty() {
+                        for &di in &order[run..end] {
+                            if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
+                                for &r in bucket {
+                                    if match_row(&patom.ops, prel.row(r), bindings) {
+                                        join(
+                                            cx, rest, rest_neg, rule, bindings, scratch, out, stats,
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+                Access::Contains | Access::Scan => {
+                    unreachable!("merge plans probe an index or a trie")
                 }
             }
             run = end;
@@ -869,7 +904,7 @@ fn run_plan(
 /// facts are appended to `next_delta` (when given). Returns whether
 /// anything was new.
 fn merge_out(
-    cp: &CompiledProgram,
+    cp: &CompiledProgram<'_>,
     db: &mut [Relation],
     out: &[DeltaRel],
     mut next_delta: Option<&mut [DeltaRel]>,
@@ -890,34 +925,32 @@ fn merge_out(
     changed
 }
 
-/// Brings every relation's registered tries up to date — called at round
-/// start so leapfrog plans read current data. Relations without tries
-/// pay one empty-loop check.
-fn refresh_all_tries(db: &mut [Relation]) {
-    for r in db {
-        r.refresh_tries();
+/// Brings the tries stratum `si` reads up to date — called at round start
+/// so leapfrog plans, sorted lookups and merges read current data.
+fn refresh_tries(cp: &CompiledProgram<'_>, si: usize, db: &mut [Relation]) {
+    for &(rel, t) in &cp.tries[si] {
+        db[rel as usize].refresh_trie(t);
     }
 }
 
-fn binding_frame(cp: &CompiledProgram) -> Vec<u32> {
+fn binding_frame(cp: &CompiledProgram<'_>) -> Vec<u32> {
     vec![0; cp.rules.iter().map(|r| r.nvars).max().unwrap_or(0)]
 }
 
-/// Appends the stratum's compiled fact blocks to a naive round's output —
-/// the fast path for ground facts, which carry no plans. Counted as one
-/// derivation per row, exactly as when each fact was a bodyless rule.
-/// (Seminaive evaluation inserts the blocks once, in `stratum_round0`.)
-fn fire_facts(cp: &CompiledProgram, si: usize, out: &mut [DeltaRel], stats: &mut EvalStats) {
-    for (rel, flat) in &cp.facts[si] {
-        let arity = cp.arities[*rel as usize];
-        let o = &mut out[*rel as usize];
-        o.data.extend_from_slice(flat);
-        o.rows += flat.len() / arity;
-        stats.derivations += flat.len() / arity;
+/// Appends the stratum's fact blocks to a naive round's output, counted
+/// as one derivation per fact. (Seminaive evaluation inserts the blocks
+/// once, in `stratum_round0`.)
+fn fire_facts(cp: &CompiledProgram<'_>, si: usize, out: &mut [DeltaRel], stats: &mut EvalStats) {
+    for &rel in &cp.facts[si] {
+        let b = &cp.fact_blocks[rel as usize];
+        let o = &mut out[rel as usize];
+        o.data.extend_from_slice(&b.data);
+        o.rows += b.rows;
+        stats.derivations += b.rows;
     }
 }
 
-fn eval_naive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
+fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
     let mut stats = EvalStats::default();
     let mut bindings = binding_frame(cp);
@@ -925,7 +958,7 @@ fn eval_naive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
     for (si, stratum) in cp.strata.iter().enumerate() {
         loop {
             stats.rounds += 1;
-            refresh_all_tries(&mut db);
+            refresh_tries(cp, si, &mut db);
             let mut out = cp.fresh_delta();
             fire_facts(cp, si, &mut out, &mut stats);
             let cx = Cx::new(cp, &db, None);
@@ -956,7 +989,7 @@ fn eval_naive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
 /// the planner give delta plans only to same-stratum body atoms; the
 /// returned delta holds only rule-derived rows.
 fn stratum_round0(
-    cp: &CompiledProgram,
+    cp: &CompiledProgram<'_>,
     si: usize,
     db: &mut [Relation],
     stats: &mut EvalStats,
@@ -964,15 +997,12 @@ fn stratum_round0(
     scratch: &mut Vec<u32>,
 ) -> Vec<DeltaRel> {
     stats.rounds += 1;
-    for (rel, flat) in &cp.facts[si] {
-        let arity = cp.arities[*rel as usize];
-        let r = &mut db[*rel as usize];
-        for row in flat.chunks_exact(arity) {
-            r.insert(row);
-        }
-        stats.derivations += flat.len() / arity;
+    for &rel in &cp.facts[si] {
+        let b = &cp.fact_blocks[rel as usize];
+        db[rel as usize].load(&b.data, b.rows);
+        stats.derivations += b.rows;
     }
-    refresh_all_tries(db);
+    refresh_tries(cp, si, db);
     let mut out = cp.fresh_delta();
     {
         let cx = Cx::new(cp, db, None);
@@ -986,7 +1016,7 @@ fn stratum_round0(
     delta
 }
 
-fn eval_seminaive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
+fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
     let mut stats = EvalStats::default();
     let mut bindings = binding_frame(cp);
@@ -995,7 +1025,7 @@ fn eval_seminaive_ids(cp: &CompiledProgram) -> (Vec<Relation>, EvalStats) {
         let mut delta = stratum_round0(cp, si, &mut db, &mut stats, &mut bindings, &mut scratch);
         while delta.iter().any(|d| d.rows > 0) {
             stats.rounds += 1;
-            refresh_all_tries(&mut db);
+            refresh_tries(cp, si, &mut db);
             let mut out = cp.fresh_delta();
             let cx = Cx::new(cp, &db, Some(&delta));
             // Fire every seminaive plan whose delta relation is non-empty

@@ -7,13 +7,17 @@
 //! premises are allowed when the program is stratified (checked by
 //! [`stratify`]); evaluation then runs one monotone fixpoint per stratum.
 //!
-//! The engine is **id-native** (DESIGN.md §6): programs compile onto
-//! interned `u32` ids — constants, predicates, and variable slots — and
-//! relations are flat columnar tuple stores with hash-based multi-column
-//! indexes, maintained incrementally as the fixpoint grows. Acyclic rule
-//! bodies follow a per-rule binary-join plan ordered by bound-variable
-//! propagation, with a merge-style delta path for the linear-recursive
-//! (transitive-closure) shape; cyclic bodies (≥ 2 atoms sharing ≥ 2 join
+//! The engine is **id-native** (DESIGN.md §6): ground facts are interned
+//! into `u32` column blocks as they are parsed or built (they never
+//! become rule syntax trees), programs compile onto interned ids —
+//! constants, predicates, and variable slots — and relations are flat
+//! columnar tuple stores. A relation that grows during its stratum is
+//! probed through hash-based multi-column indexes, maintained
+//! incrementally as the fixpoint grows; a relation complete before the
+//! stratum is probed through a sorted trie. Acyclic rule bodies follow a
+//! per-rule binary-join plan ordered by bound-variable propagation, with
+//! a sorted merge of the delta against the probed trie for the
+//! linear-recursive (transitive-closure) shape; cyclic bodies (≥ 2 atoms sharing ≥ 2 join
 //! variables, e.g. triangles) run a **worst-case-optimal leapfrog
 //! triejoin** over incrementally maintained sorted-column tries
 //! (DESIGN.md §7). Tree-shaped [`Database`] results are decoded
@@ -54,6 +58,7 @@
 
 pub mod ast;
 pub mod eval;
+mod facts;
 pub mod parser;
 mod plan;
 pub mod snap;

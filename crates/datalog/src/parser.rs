@@ -5,20 +5,33 @@
 //! path(X, Y) :- edge(X, Y).      -- rule
 //! path(X, Z) :- path(X, Y), edge(Y, Z).
 //! unreached(X) :- node(X), not path(0, X).   -- stratified negation
+//! linked(X) :- edge(X, _), edge(_, X).       -- each `_` is its own variable
 //! % line comments with '%' or '--'
 //! ```
 //!
-//! Identifiers starting with an uppercase letter are variables (Prolog
-//! convention); lowercase identifiers and quoted strings are string
+//! Identifiers starting with an uppercase letter or `_` are variables
+//! (Prolog convention); a lone `_` is **anonymous** — every occurrence is
+//! a fresh variable, so `e(X, _), e(_, X)` does not join the two `_`
+//! positions. Lowercase identifiers and quoted strings are string
 //! constants; integer literals are integer constants. A body literal may
 //! be negated with `not` or `!`; every variable of a negated atom must
-//! also occur in a positive body atom (safety), and the whole program must
+//! also occur in a positive body atom (safety — an anonymous variable
+//! under negation or in a head never does), and the whole program must
 //! be stratified — the parser checks safety, the evaluator (or
 //! [`stratify`](crate::strata::stratify)) checks stratification.
+//!
+//! **Facts become columns at parse time.** A clause's head is first read
+//! into a reusable buffer of borrowed terms. If a `.` follows and every
+//! term is a constant, the terms are interned straight into the program's
+//! fact store — one `u32` per column in the block of the fact's
+//! `(predicate, arity)`, the predicate name copied only when it opens a
+//! new block — and no [`Atom`] or [`Rule`](crate::ast::Rule) is ever
+//! built for it. Only rules become syntax trees.
 
 use std::fmt;
 
-use crate::ast::{Atom, AtomTerm, Const, Program};
+use crate::ast::{is_anonymous, Atom, AtomTerm, Const, Program};
+use crate::facts::ConstRef;
 
 /// A Datalog parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,31 +54,43 @@ impl std::error::Error for DatalogParseError {}
 ///
 /// # Errors
 ///
-/// Returns the first syntax error; also rejects non-range-restricted rules
-/// and non-ground facts (via the `ast` constructors).
+/// Returns the first syntax error; also rejects non-range-restricted rules,
+/// unsafe negation and non-ground facts.
 pub fn parse_program(src: &str) -> Result<Program, DatalogParseError> {
     let mut p = P {
+        text: src,
         src: src.as_bytes(),
         pos: 0,
+        anon: 0,
     };
     let mut program = Program::new();
+    // The head atom's terms, reused from clause to clause: a fact goes
+    // from here into the fact store without ever becoming an `Atom`.
+    let mut head: Vec<Tok<'_>> = Vec::new();
     loop {
         p.skip_ws();
         if p.eof() {
             return Ok(program);
         }
-        let head = p.atom()?;
+        let pred = p.atom_terms(&mut head)?;
         p.skip_ws();
         if p.eat_str(":-") {
+            let head = p.rule_atom(pred, &head);
             let mut body = vec![];
             let mut neg = vec![];
+            let mut terms = Vec::new();
             loop {
                 p.skip_ws();
-                if p.eat_negation() {
+                let negated = p.eat_negation();
+                if negated {
                     p.skip_ws();
-                    neg.push(p.atom()?);
+                }
+                let pred = p.atom_terms(&mut terms)?;
+                let atom = p.rule_atom(pred, &terms);
+                if negated {
+                    neg.push(atom);
                 } else {
-                    body.push(p.atom()?);
+                    body.push(atom);
                 }
                 p.skip_ws();
                 if !p.eat(b',') {
@@ -84,12 +109,13 @@ pub fn parse_program(src: &str) -> Result<Program, DatalogParseError> {
                         .any(|bt| matches!(bt, AtomTerm::Var(w) if w == v))
                 })
             };
+            let shown = |v: &str| if is_anonymous(v) { "_" } else { v }.to_string();
             for t in &head.args {
                 if let AtomTerm::Var(v) = t {
                     if !bound(v) {
                         return Err(DatalogParseError {
                             pos: p.pos,
-                            msg: format!("head variable {v} unbound in body"),
+                            msg: format!("head variable {} unbound in body", shown(v)),
                         });
                     }
                 }
@@ -101,7 +127,8 @@ pub fn parse_program(src: &str) -> Result<Program, DatalogParseError> {
                             return Err(DatalogParseError {
                                 pos: p.pos,
                                 msg: format!(
-                                    "variable {v} of negated atom {a} unbound in positive body"
+                                    "variable {} of negated atom {a} unbound in positive body",
+                                    shown(v)
                                 ),
                             });
                         }
@@ -111,20 +138,36 @@ pub fn parse_program(src: &str) -> Result<Program, DatalogParseError> {
             program.rule_neg(head, body, neg);
         } else {
             p.expect(b'.')?;
-            if head.args.iter().any(|t| matches!(t, AtomTerm::Var(_))) {
+            if head.iter().any(|t| !matches!(t, Tok::Const(_))) {
                 return Err(DatalogParseError {
                     pos: p.pos,
                     msg: "facts must be ground".into(),
                 });
             }
-            program.fact(head);
+            let args = head.iter().map(|t| match *t {
+                Tok::Const(c) => c,
+                _ => unreachable!("checked ground above"),
+            });
+            program.facts.push(pred, args);
         }
     }
 }
 
+/// A term as read from the source, borrowing its text.
+#[derive(Debug, Clone, Copy)]
+enum Tok<'a> {
+    Const(ConstRef<'a>),
+    Var(&'a str),
+    /// `_`: a fresh variable at each occurrence.
+    Anon,
+}
+
 struct P<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
+    /// Anonymous variables minted so far; each `_` gets the next number.
+    anon: usize,
 }
 
 impl<'a> P<'a> {
@@ -205,7 +248,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String, DatalogParseError> {
+    fn ident(&mut self) -> Result<&'a str, DatalogParseError> {
         let start = self.pos;
         while !self.eof() && ((self.peek() as char).is_ascii_alphanumeric() || self.peek() == b'_')
         {
@@ -217,14 +260,15 @@ impl<'a> P<'a> {
                 msg: "expected identifier".into(),
             });
         }
-        Ok(std::str::from_utf8(&self.src[start..self.pos])
-            .expect("ascii")
-            .to_string())
+        // Identifier bytes are ASCII, so both ends are char boundaries.
+        Ok(&self.text[start..self.pos])
     }
 
-    fn atom(&mut self) -> Result<Atom, DatalogParseError> {
+    /// Parses `pred(t1, …, tn)`, leaving the terms in `terms`; returns the
+    /// predicate name.
+    fn atom_terms(&mut self, terms: &mut Vec<Tok<'a>>) -> Result<&'a str, DatalogParseError> {
         let pred = self.ident()?;
-        if !(pred.chars().next().unwrap().is_ascii_lowercase()) {
+        if !pred.as_bytes()[0].is_ascii_lowercase() {
             return Err(DatalogParseError {
                 pos: self.pos,
                 msg: format!("predicate {pred} must start lowercase"),
@@ -232,20 +276,37 @@ impl<'a> P<'a> {
         }
         self.skip_ws();
         self.expect(b'(')?;
-        let mut args = vec![];
+        terms.clear();
         loop {
             self.skip_ws();
-            args.push(self.term()?);
+            terms.push(self.term()?);
             self.skip_ws();
             if !self.eat(b',') {
                 break;
             }
         }
         self.expect(b')')?;
-        Ok(Atom { pred, args })
+        Ok(pred)
     }
 
-    fn term(&mut self) -> Result<AtomTerm, DatalogParseError> {
+    /// Builds a rule atom, minting a fresh variable for each `_`.
+    fn rule_atom(&mut self, pred: &str, terms: &[Tok<'_>]) -> Atom {
+        let args = terms
+            .iter()
+            .map(|t| match *t {
+                Tok::Const(ConstRef::Int(n)) => AtomTerm::Const(Const::Int(n)),
+                Tok::Const(ConstRef::Str(s)) => AtomTerm::Const(Const::Str(s.to_string())),
+                Tok::Var(v) => AtomTerm::Var(v.to_string()),
+                Tok::Anon => {
+                    self.anon += 1;
+                    AtomTerm::Var(format!("_#{}", self.anon))
+                }
+            })
+            .collect();
+        Atom::new(pred, args)
+    }
+
+    fn term(&mut self) -> Result<Tok<'a>, DatalogParseError> {
         let c = self.peek() as char;
         if c == '-' || c.is_ascii_digit() {
             let start = self.pos;
@@ -255,12 +316,13 @@ impl<'a> P<'a> {
             while (self.peek() as char).is_ascii_digit() {
                 self.pos += 1;
             }
-            let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ascii");
-            let n: i64 = text.parse().map_err(|_| DatalogParseError {
-                pos: start,
-                msg: "bad integer".into(),
-            })?;
-            return Ok(AtomTerm::Const(Const::Int(n)));
+            let n: i64 = self.text[start..self.pos]
+                .parse()
+                .map_err(|_| DatalogParseError {
+                    pos: start,
+                    msg: "bad integer".into(),
+                })?;
+            return Ok(Tok::Const(ConstRef::Int(n)));
         }
         if c == '"' {
             self.pos += 1;
@@ -274,17 +336,18 @@ impl<'a> P<'a> {
                     msg: "unterminated string".into(),
                 });
             }
-            let s = std::str::from_utf8(&self.src[start..self.pos])
-                .expect("ascii")
-                .to_string();
+            // Both quotes are ASCII, so the contents are whole chars.
+            let s = &self.text[start..self.pos];
             self.pos += 1;
-            return Ok(AtomTerm::Const(Const::Str(s)));
+            return Ok(Tok::Const(ConstRef::Str(s)));
         }
         let word = self.ident()?;
-        if word.chars().next().unwrap().is_ascii_uppercase() || word.starts_with('_') {
-            Ok(AtomTerm::Var(word))
+        if word == "_" {
+            Ok(Tok::Anon)
+        } else if word.as_bytes()[0].is_ascii_uppercase() || word.starts_with('_') {
+            Ok(Tok::Var(word))
         } else {
-            Ok(AtomTerm::Const(Const::Str(word)))
+            Ok(Tok::Const(ConstRef::Str(word)))
         }
     }
 }
@@ -303,7 +366,7 @@ mod tests {
             path(X, Z) :- path(X, Y), edge(Y, Z).
         ";
         let p = parse_program(src).unwrap();
-        assert_eq!(p.rules.len(), 4);
+        assert_eq!((p.rules.len(), p.fact_count()), (2, 2));
         let (db, _) = eval(&p, Strategy::Seminaive);
         assert_eq!(rows(&db, "path").len(), 3);
     }
@@ -345,5 +408,53 @@ mod tests {
         let (db1, _) = eval(&parsed, Strategy::Seminaive);
         let (db2, _) = eval(&built, Strategy::Seminaive);
         assert_eq!(db1["reaches"], db2["reaches"]);
+    }
+
+    #[test]
+    fn underscore_is_anonymous() {
+        // Each `_` is its own variable: e(1, 2) gives the first atom with
+        // X = 1 and e(3, 1) the second, so p(1) holds. Were the two `_`
+        // one variable, it would need a single value for both, and p
+        // would be empty.
+        let anon = parse_program("e(1, 2). e(3, 1). p(X) :- e(X, _), e(_, X).").unwrap();
+        let named = parse_program("e(1, 2). e(3, 1). p(X) :- e(X, A), e(B, X).").unwrap();
+        for strategy in [Strategy::Naive, Strategy::Seminaive] {
+            let (db, _) = eval(&anon, strategy);
+            assert_eq!(rows(&db, "p"), vec![&vec![Const::Int(1)]], "{strategy:?}");
+            assert_eq!(db, eval(&named, strategy).0, "{strategy:?}");
+        }
+        // Named underscore variables still join.
+        let shared = parse_program("e(1, 2). e(3, 1). p(X) :- e(X, _Y), e(_Y, X).").unwrap();
+        assert!(rows(&eval(&shared, Strategy::Naive).0, "p").is_empty());
+        // An anonymous variable is never bound where it must be.
+        for (src, msg) in [
+            ("p(_) :- e(X, Y).", "head variable _ unbound in body"),
+            (
+                "p(X) :- e(X, Y), not e(Y, _).",
+                "variable _ of negated atom e(Y, _) unbound in positive body",
+            ),
+            ("e(1, _).", "facts must be ground"),
+        ] {
+            let src = format!("e(1, 2). {src}");
+            assert_eq!(parse_program(&src).unwrap_err().msg, msg, "{src}");
+        }
+    }
+
+    #[test]
+    fn error_positions_are_pinned() {
+        for (src, pos, msg) in [
+            ("p(X).", 5, "facts must be ground"),
+            ("p(X) :- q(Y).", 13, "head variable X unbound in body"),
+            ("P(x).", 1, "predicate P must start lowercase"),
+            ("p(1,", 4, "expected identifier"),
+            ("p(\"abc).", 3, "unterminated string"),
+            ("p(-).", 2, "bad integer"),
+            ("p(99999999999999999999).", 2, "bad integer"),
+            ("p(1) q(2).", 5, "expected '.'"),
+            ("p (1) :- q(1) r.", 14, "expected '.'"),
+        ] {
+            let err = parse_program(src).unwrap_err();
+            assert_eq!((err.pos, err.msg.as_str()), (pos, msg), "{src}");
+        }
     }
 }

@@ -1,9 +1,13 @@
 //! Rule compilation and join planning over the interned substrate.
 //!
-//! Compilation interns every constant and `(predicate, arity)` pair to a
-//! `u32` id, resolves each rule's variables to dense binding slots, checks
-//! stratification (negated premises must be fully derived by a lower
-//! stratum), and produces one **join plan** per evaluation mode: a naive
+//! Compilation adopts the program's fact store as it is — its constant
+//! table and its `(predicate, arity)` blocks, already interned by the
+//! parser or the builder, become the compiled constant table and
+//! relations `0..` — and interns only what rules add: their few new
+//! constants and relations. It resolves each rule's variables to dense
+//! binding slots, checks stratification (negated premises must be fully
+//! derived by a lower stratum), and produces one **join plan** per
+//! evaluation mode: a naive
 //! plan (all atoms against the full database) plus one seminaive plan per
 //! **same-stratum body position** — an atom whose relation is the head of
 //! some rule in the rule's own stratum. That atom reads the round's delta,
@@ -23,14 +27,20 @@
 //!   each atom is evaluated with the largest possible bound prefix. Each
 //!   planned database atom then gets an access path chosen statically:
 //!   all columns bound → membership probe ([`Access::Contains`]); some
-//!   bound → a probe of the multi-column index over exactly those columns
-//!   ([`Access::Index`]), registered with the relation so it is maintained
-//!   incrementally on insert; none bound → a full scan ([`Access::Scan`]).
-//!   A seminaive plan whose delta atom feeds a single index probe — the
-//!   linear-recursive shape, `path(X,Z) :- Δpath(X,Y), edge(Y,Z)` — is
-//!   additionally marked with the delta columns that form the probe key,
-//!   so the evaluator can run it merge-style: sort the delta by key, probe
-//!   the index once per distinct key run instead of once per delta tuple.
+//!   bound → a lookup keyed by exactly those columns; none bound → a full
+//!   scan ([`Access::Scan`]). The keyed lookup depends on whether the
+//!   relation grows while the rule's stratum runs: if the stratum derives
+//!   it, a multi-column hash index ([`Access::Index`]), registered with
+//!   the relation so it is maintained incrementally on insert; if it is
+//!   complete before the stratum (EDB or a lower stratum), a sorted trie
+//!   ([`Access::Trie`]) built once, whose levels are the key, then the
+//!   variables the atom binds. No hash index is registered that no plan
+//!   probes. A seminaive plan whose delta atom feeds a single keyed probe
+//!   — the linear-recursive shape, `path(X,Z) :- Δpath(X,Y), edge(Y,Z)` —
+//!   is additionally marked with the delta columns that form the probe
+//!   key, so the evaluator can run it merge-style: sort the delta by key
+//!   and probe once per distinct key run instead of once per delta tuple;
+//!   against a trie, that is a sorted merge whose seeks only move forward.
 //!
 //! * **Leapfrog triejoin** ([`Plan::Wcoj`]) for cyclic bodies — those
 //!   where at least two join variables are each shared by at least two
@@ -54,7 +64,8 @@
 use std::collections::HashMap;
 
 use crate::ast::{AtomTerm, Const, Program};
-use crate::store::{DeltaRel, Relation, TrieSpec};
+use crate::facts::FactBlock;
+use crate::store::{DeltaRel, Relation, TrieSpec, EMPTY};
 use crate::strata::{stratify, StratificationError};
 
 /// How rule bodies are joined.
@@ -86,9 +97,22 @@ pub(crate) enum ArgOp {
 pub(crate) enum Access {
     /// Every column bound: one membership probe, no enumeration.
     Contains,
-    /// Probe the relation's index `index_slot` with the values of the
-    /// bound columns (in indexed-column order).
+    /// Probe the relation's hash index `index_slot` with the values of
+    /// the bound columns (in indexed-column order). Only for relations the
+    /// rule's own stratum derives: the index grows with them, one entry
+    /// per insert.
     Index { index_slot: usize },
+    /// Look the bound values up in the relation's sorted trie
+    /// `trie_slot`, for relations complete before the stratum starts (EDB
+    /// and lower strata), which a trie sorts once. The trie's levels are
+    /// the `key` slots, then the `binds` slots; constants and repeated
+    /// variables are filtered into its spec, so every row of the matching
+    /// range is a match that binds `binds` from its remaining levels.
+    Trie {
+        trie_slot: usize,
+        key: Vec<usize>,
+        binds: Vec<usize>,
+    },
     /// No column bound: enumerate the whole relation.
     Scan,
 }
@@ -159,12 +183,14 @@ pub(crate) enum Plan {
         /// Body atoms in join order.
         atoms: Vec<PlannedAtom>,
         /// `Some(delta_cols)` when the plan is the linear-recursive shape —
-        /// a delta atom followed by an index probe keyed entirely by
-        /// constants and delta-bound variables. `delta_cols[i]` is the
-        /// delta column whose value feeds key op `i` (`usize::MAX` for
-        /// constant key ops). The evaluator may then sort the delta by
-        /// these columns and probe once per distinct key run. Only
-        /// computed for negation-free rules.
+        /// a delta atom followed by an index or trie probe keyed entirely
+        /// by constants and delta-bound variables. `delta_cols[i]` is the
+        /// delta column whose value feeds probe key `i`: key op `i` of an
+        /// [`Access::Index`] (`usize::MAX` for constant key ops), key slot
+        /// `i` of an [`Access::Trie`]. The evaluator then sorts the delta
+        /// by these columns and probes once per distinct key run — for a
+        /// trie, a merge that only ever seeks forward. Only computed for
+        /// negation-free rules.
         merge_key: Option<Vec<usize>>,
         /// `neg_after[d]` runs once the first `d` atoms have matched
         /// (`neg_after[0]` = ground checks, before any atom).
@@ -175,6 +201,25 @@ pub(crate) enum Plan {
 }
 
 impl Plan {
+    /// The database tries this plan reads, as `(relation, trie slot)`.
+    fn tries(&self) -> Vec<(u32, usize)> {
+        match self {
+            Plan::Binary { atoms, .. } => atoms
+                .iter()
+                .filter_map(|a| match a.access {
+                    Access::Trie { trie_slot, .. } if !a.is_delta => Some((a.rel, trie_slot)),
+                    _ => None,
+                })
+                .collect(),
+            Plan::Wcoj(wp) => wp
+                .atoms
+                .iter()
+                .filter(|a| !a.is_delta)
+                .map(|a| (a.rel, a.trie_slot))
+                .collect(),
+        }
+    }
+
     /// The relation id whose delta this plan reads, if any.
     pub(crate) fn delta_rel(&self) -> Option<u32> {
         match self {
@@ -203,9 +248,9 @@ pub(crate) struct CompiledRule {
 }
 
 /// The whole program lowered onto ids, plus the symbol tables to decode
-/// results at the boundary.
+/// results at the boundary. Borrows the program's fact blocks.
 #[derive(Debug, Clone)]
-pub(crate) struct CompiledProgram {
+pub(crate) struct CompiledProgram<'p> {
     pub(crate) rules: Vec<CompiledRule>,
     /// Relation id → predicate name (one relation per name *and* arity).
     pub(crate) rel_names: Vec<String>,
@@ -220,15 +265,20 @@ pub(crate) struct CompiledProgram {
     /// complete fixpoint per group; negation-free programs have exactly
     /// one group holding every rule.
     pub(crate) strata: Vec<Vec<usize>>,
-    /// Ground facts, per stratum: `(relation, flat interned rows)`.
-    /// Source rules with an empty body and an all-constant head compile
-    /// here instead of into [`CompiledRule`]s — at 10⁵–10⁶ facts, one
-    /// plan object and one plan dispatch per fact per round is a real
-    /// cost, while a flat row block is a `memcpy` into round 0's output.
-    pub(crate) facts: Vec<Vec<(u32, Vec<u32>)>>,
+    /// The program's fact blocks, read in place: block `i` holds the
+    /// facts of relation `i` (fact relations are numbered first), already
+    /// interned against the constant table above.
+    pub(crate) fact_blocks: &'p [FactBlock],
+    /// Per stratum, the relations whose fact blocks load at its start.
+    pub(crate) facts: Vec<Vec<u32>>,
+    /// Per stratum, the database tries its plans read, as `(relation,
+    /// trie slot)`. Only these are refreshed during the stratum's rounds,
+    /// so a trie a later stratum reads does not re-sort while a lower
+    /// stratum is still growing its relation.
+    pub(crate) tries: Vec<Vec<(u32, usize)>>,
 }
 
-impl CompiledProgram {
+impl CompiledProgram<'_> {
     /// Fresh, empty relations with every planned index registered.
     pub(crate) fn fresh_store(&self) -> Vec<Relation> {
         self.template.clone()
@@ -238,16 +288,6 @@ impl CompiledProgram {
     pub(crate) fn fresh_delta(&self) -> Vec<DeltaRel> {
         vec![DeltaRel::default(); self.template.len()]
     }
-}
-
-fn intern_const(consts: &mut Vec<Const>, ids: &mut HashMap<Const, u32>, c: &Const) -> u32 {
-    if let Some(&id) = ids.get(c) {
-        return id;
-    }
-    let id = u32::try_from(consts.len()).expect("constant table overflow");
-    consts.push(c.clone());
-    ids.insert(c.clone(), id);
-    id
 }
 
 /// Greedy bound-propagation ordering: repeatedly pick the unplaced atom
@@ -331,15 +371,57 @@ fn schedule_negs(
     neg_after
 }
 
+/// The [`Access::Trie`] path for a database atom with ops `ops`, of which
+/// the slots in `newly` are bound by the atom itself: a trie whose levels
+/// are the already-bound variables (the lookup key), then the newly
+/// bound ones, with constants and within-atom repeats as filters.
+fn trie_access(ops: &[ArgOp], newly: &[usize], rel: &mut Relation) -> Access {
+    let (mut consts, mut eqs) = (Vec::new(), Vec::new());
+    let mut first_col: Vec<(usize, usize)> = Vec::new();
+    let (mut key, mut key_cols, mut binds, mut bind_cols) = (vec![], vec![], vec![], vec![]);
+    for (col, op) in ops.iter().enumerate() {
+        match *op {
+            ArgOp::CheckConst(c) => consts.push((col, c)),
+            ArgOp::Bind(s) | ArgOp::CheckVar(s) => {
+                if let Some(&(_, c0)) = first_col.iter().find(|(t, _)| *t == s) {
+                    eqs.push((c0, col));
+                } else if newly.contains(&s) {
+                    first_col.push((s, col));
+                    binds.push(s);
+                    bind_cols.push(col);
+                } else {
+                    first_col.push((s, col));
+                    key.push(s);
+                    key_cols.push(col);
+                }
+            }
+        }
+    }
+    key_cols.extend(bind_cols);
+    let trie_slot = rel.register_trie(TrieSpec {
+        cols: key_cols,
+        consts,
+        eqs,
+    });
+    Access::Trie {
+        trie_slot,
+        key,
+        binds,
+    }
+}
+
 /// Lowers the ordered atoms to a binary [`Plan`], rewriting each atom's
 /// ops against the bound-slot state at its position and choosing its
-/// access path. Registers any needed index on the template relation.
+/// access path. Registers any needed index or trie on the template
+/// relation: a hash index when the relation grows within the rule's
+/// stratum (`grows[rel]`), a trie when it is complete before it.
 fn build_plan(
     raw: &[(u32, Vec<ArgOp>)],
     neg: &[(u32, Vec<ArgOp>)],
     order: &[usize],
     delta_at: Option<usize>,
     nvars: usize,
+    grows: &[bool],
     template: &mut [Relation],
 ) -> Plan {
     let mut bound = vec![false; nvars];
@@ -382,7 +464,6 @@ fn build_plan(
             })
             .map(|(c, _)| c)
             .collect();
-        binds.push(newly);
         let key_ops: Vec<ArgOp> = key_cols.iter().map(|&c| ops[c]).collect();
         let access = if is_delta {
             Access::Scan // deltas are small and unindexed: always scanned
@@ -390,10 +471,13 @@ fn build_plan(
             Access::Contains
         } else if key_cols.is_empty() {
             Access::Scan
-        } else {
+        } else if grows[*rel as usize] {
             let index_slot = template[*rel as usize].register_index(key_cols);
             Access::Index { index_slot }
+        } else {
+            trie_access(&ops, &newly, &mut template[*rel as usize])
         };
+        binds.push(newly);
         atoms.push(PlannedAtom {
             rel: *rel,
             is_delta,
@@ -408,20 +492,25 @@ fn build_plan(
     // The merge path skips the per-depth negation hooks, so it is only
     // taken for negation-free rules.
     let merge_key = match atoms.as_slice() {
-        [d, p, ..] if neg.is_empty() && d.is_delta && matches!(p.access, Access::Index { .. }) => {
+        [d, p, ..] if neg.is_empty() && d.is_delta => {
             let delta_col_of = |slot: usize| {
                 d.ops
                     .iter()
                     .position(|op| matches!(op, ArgOp::Bind(s) if *s == slot))
             };
-            p.key_ops
-                .iter()
-                .map(|op| match op {
-                    ArgOp::CheckConst(_) => Some(usize::MAX),
-                    ArgOp::CheckVar(s) => delta_col_of(*s),
-                    ArgOp::Bind(_) => None,
-                })
-                .collect::<Option<Vec<usize>>>()
+            match &p.access {
+                Access::Index { .. } => p
+                    .key_ops
+                    .iter()
+                    .map(|op| match op {
+                        ArgOp::CheckConst(_) => Some(usize::MAX),
+                        ArgOp::CheckVar(s) => delta_col_of(*s),
+                        ArgOp::Bind(_) => None,
+                    })
+                    .collect::<Option<Vec<usize>>>(),
+                Access::Trie { key, .. } => key.iter().map(|&s| delta_col_of(s)).collect(),
+                Access::Contains | Access::Scan => None,
+            }
         }
         _ => None,
     };
@@ -502,7 +591,11 @@ fn build_wcoj(
 }
 
 /// Compiles a whole program: stratification, interning, slot assignment,
-/// planning, and index/trie registration.
+/// planning, and index/trie registration. The program's fact store is
+/// adopted as it is: its constant table starts the compiled one (rule
+/// constants look themselves up in the same map, and only the few it
+/// lacks are appended), and its blocks become relations `0..` and are
+/// read in place by the evaluator.
 ///
 /// # Errors
 ///
@@ -511,15 +604,37 @@ fn build_wcoj(
 pub(crate) fn compile<'p>(
     program: &'p Program,
     mode: JoinMode,
-) -> Result<CompiledProgram, StratificationError> {
+) -> Result<CompiledProgram<'p>, StratificationError> {
     let strata_assignment = stratify(program)?;
-    let mut consts: Vec<Const> = Vec::new();
-    let mut const_ids: HashMap<Const, u32> = HashMap::new();
+    let store = &program.facts;
+    let mut consts: Vec<Const> = store.consts.clone();
+    // Rule constants the fact store has not seen.
+    let mut extra_consts: HashMap<&'p Const, u32> = HashMap::new();
+    let mut const_id = |c: &'p Const, consts: &mut Vec<Const>| {
+        store.lookup(c).unwrap_or_else(|| {
+            *extra_consts.entry(c).or_insert_with(|| {
+                consts.push(c.clone());
+                u32::try_from(consts.len() - 1)
+                    .ok()
+                    .filter(|&id| id != EMPTY)
+                    .expect("constant table overflow")
+            })
+        })
+    };
     // Keyed on names borrowed from the program: a name is cloned only for
-    // a new relation.
+    // a new relation. The fact blocks' relations come first, so relation
+    // `i < blocks.len()` is block `i`.
     let mut rel_ids: HashMap<(&'p str, usize), u32> = HashMap::new();
     let mut rel_names: Vec<String> = Vec::new();
     let mut arities: Vec<usize> = Vec::new();
+    let mut facts: Vec<Vec<u32>> = vec![Vec::new(); strata_assignment.count];
+    for (i, b) in store.blocks.iter().enumerate() {
+        let rel = u32::try_from(i).expect("relation table overflow");
+        rel_ids.insert((&b.pred, b.arity), rel);
+        rel_names.push(b.pred.clone());
+        arities.push(b.arity);
+        facts[strata_assignment.stratum_of[&(b.pred.clone(), b.arity)]].push(rel);
+    }
 
     let mut rel_of =
         |pred: &'p str, arity: usize, rel_names: &mut Vec<String>, arities: &mut Vec<usize>| {
@@ -530,57 +645,7 @@ pub(crate) fn compile<'p>(
             })
         };
 
-    // Pass 0: peel off ground facts (empty body, all-constant head) into
-    // flat per-stratum row blocks; only genuine rules get plans. Facts
-    // usually arrive in runs of one predicate, so the previous fact's
-    // `(name, arity, stratum, block)` is remembered and a run looks its
-    // relation and stratum up once.
-    let mut facts: Vec<Vec<(u32, Vec<u32>)>> = vec![Vec::new(); strata_assignment.count];
-    let mut kept: Vec<&crate::ast::Rule> = Vec::new();
-    let mut last: Option<(&str, usize, usize, usize)> = None;
-    for rule in &program.rules {
-        // Nullary facts stay rules: a flat row block can't count rows of
-        // width zero.
-        let is_fact = rule.body.is_empty()
-            && rule.neg.is_empty()
-            && !rule.head.args.is_empty()
-            && rule
-                .head
-                .args
-                .iter()
-                .all(|t| matches!(t, AtomTerm::Const(_)));
-        if !is_fact {
-            kept.push(rule);
-            continue;
-        }
-        let (pred, arity) = (rule.head.pred.as_str(), rule.head.args.len());
-        let (si, bi) = match last {
-            Some((p, a, si, bi)) if p == pred && a == arity => (si, bi),
-            _ => {
-                let rel = rel_of(pred, arity, &mut rel_names, &mut arities);
-                let si = strata_assignment.rule_stratum(rule);
-                let stratum = &mut facts[si];
-                let bi = match stratum.iter().position(|(r, _)| *r == rel) {
-                    Some(i) => i,
-                    None => {
-                        stratum.push((rel, Vec::new()));
-                        stratum.len() - 1
-                    }
-                };
-                last = Some((pred, arity, si, bi));
-                (si, bi)
-            }
-        };
-        let block = &mut facts[si][bi].1;
-        for t in &rule.head.args {
-            let AtomTerm::Const(c) = t else {
-                unreachable!()
-            };
-            block.push(intern_const(&mut consts, &mut const_ids, c));
-        }
-    }
-
-    // Pass 1: intern all atoms so relation ids exist before planning.
+    // Lower every rule atom first, so relation ids exist before planning.
     struct RawRule {
         head_rel: u32,
         head: Vec<ArgOp>,
@@ -588,8 +653,8 @@ pub(crate) fn compile<'p>(
         neg: Vec<(u32, Vec<ArgOp>)>,
         nvars: usize,
     }
-    let mut raw_rules = Vec::with_capacity(kept.len());
-    for rule in &kept {
+    let mut raw_rules = Vec::with_capacity(program.rules.len());
+    for rule in &program.rules {
         let mut slots: HashMap<String, usize> = HashMap::new();
         let mut lower_atom = |atom: &'p crate::ast::Atom,
                               slots: &mut HashMap<String, usize>,
@@ -601,9 +666,7 @@ pub(crate) fn compile<'p>(
                 .args
                 .iter()
                 .map(|arg| match arg {
-                    AtomTerm::Const(c) => {
-                        ArgOp::CheckConst(intern_const(&mut consts, &mut const_ids, c))
-                    }
+                    AtomTerm::Const(c) => ArgOp::CheckConst(const_id(c, &mut consts)),
                     AtomTerm::Var(v) => {
                         let next = slots.len();
                         let slot = *slots.entry(v.clone()).or_insert(next);
@@ -660,7 +723,8 @@ pub(crate) fn compile<'p>(
     // Which stratum's rules derive each relation (`None`: facts only).
     // A body atom gets a delta plan only when its relation is derived in
     // the rule's own stratum.
-    let rule_strata: Vec<usize> = kept
+    let rule_strata: Vec<usize> = program
+        .rules
         .iter()
         .map(|rule| strata_assignment.rule_stratum(rule))
         .collect();
@@ -668,15 +732,21 @@ pub(crate) fn compile<'p>(
     for (r, &si) in raw_rules.iter().zip(&rule_strata) {
         derived_in[r.head_rel as usize] = Some(si);
     }
+    // Per stratum: which relations grow while it runs.
+    let grows: Vec<Vec<bool>> = (0..strata_assignment.count)
+        .map(|si| derived_in.iter().map(|d| *d == Some(si)).collect())
+        .collect();
 
-    // Pass 2: plan each rule's modes, registering indexes on the template.
+    // Then plan each rule's modes, registering indexes and tries on the
+    // template.
     let mut template: Vec<Relation> = arities.iter().map(|&a| Relation::new(a)).collect();
     let rules: Vec<CompiledRule> = raw_rules
         .into_iter()
         .zip(&rule_strata)
         .map(|(r, &si)| {
+            let grows = &grows[si];
             let delta_at: Vec<usize> = (0..r.body.len())
-                .filter(|&j| derived_in[r.body[j].0 as usize] == Some(si))
+                .filter(|&j| grows[r.body[j].0 as usize])
                 .collect();
             // WCOJ trigger: at least two join variables, each occurring in
             // at least two distinct body atoms.
@@ -736,12 +806,28 @@ pub(crate) fn compile<'p>(
                 }
             } else {
                 let naive_order = order_atoms(&r.body, None, r.nvars);
-                let naive = build_plan(&r.body, &r.neg, &naive_order, None, r.nvars, &mut template);
+                let naive = build_plan(
+                    &r.body,
+                    &r.neg,
+                    &naive_order,
+                    None,
+                    r.nvars,
+                    grows,
+                    &mut template,
+                );
                 let delta_plans = delta_at
                     .iter()
                     .map(|&j| {
                         let order = order_atoms(&r.body, Some(j), r.nvars);
-                        build_plan(&r.body, &r.neg, &order, Some(j), r.nvars, &mut template)
+                        build_plan(
+                            &r.body,
+                            &r.neg,
+                            &order,
+                            Some(j),
+                            r.nvars,
+                            grows,
+                            &mut template,
+                        )
                     })
                     .collect();
                 CompiledRule {
@@ -756,8 +842,17 @@ pub(crate) fn compile<'p>(
         .collect();
 
     let mut strata: Vec<Vec<usize>> = vec![vec![]; strata_assignment.count];
+    let mut tries: Vec<Vec<(u32, usize)>> = vec![vec![]; strata_assignment.count];
     for (i, &si) in rule_strata.iter().enumerate() {
         strata[si].push(i);
+        let rule = &rules[i];
+        for plan in std::iter::once(&rule.naive).chain(&rule.delta_plans) {
+            tries[si].extend(plan.tries());
+        }
+    }
+    for t in &mut tries {
+        t.sort_unstable();
+        t.dedup();
     }
 
     Ok(CompiledProgram {
@@ -767,7 +862,9 @@ pub(crate) fn compile<'p>(
         consts,
         template,
         strata,
+        fact_blocks: &store.blocks,
         facts,
+        tries,
     })
 }
 
@@ -789,14 +886,16 @@ mod tests {
         for mode in [JoinMode::Auto, JoinMode::Binary] {
             // Triangles read only the facts-only `e`: one naive join, no
             // delta plan.
-            let cp = compile(&triangle_program(&[(0, 1), (1, 2), (0, 2)]), mode).unwrap();
+            let p = triangle_program(&[(0, 1), (1, 2), (0, 2)]);
+            let cp = compile(&p, mode).unwrap();
             assert_eq!(cp.rules.len(), 1);
             assert!(cp.rules[0].delta_plans.is_empty(), "{mode:?}");
 
             // Transitive closure: the base rule reads only `edge`; the
             // recursive rule gets exactly the Δpath plan, and nothing
             // probes `path` by column 1.
-            let cp = compile(&transitive_closure_program(&[(0, 1), (1, 2)]), mode).unwrap();
+            let p = transitive_closure_program(&[(0, 1), (1, 2)]);
+            let cp = compile(&p, mode).unwrap();
             let path = rel(&cp, "path");
             let base = &cp.rules[0];
             let recursive = &cp.rules[1];
@@ -814,17 +913,14 @@ mod tests {
             // A stratum-1 rule reading only stratum-0 relations (`node`,
             // and `reach` under negation) has no delta plan; the stratum-0
             // recursive rule keeps its Δreach plan.
-            let cp = compile(
-                &parse_program(
-                    "node(0). node(1). edge(0, 1). start(0). \
-                     reach(X) :- start(X). \
-                     reach(Y) :- reach(X), edge(X, Y). \
-                     unreached(X) :- node(X), not reach(X).",
-                )
-                .unwrap(),
-                mode,
+            let p = parse_program(
+                "node(0). node(1). edge(0, 1). start(0). \
+                 reach(X) :- start(X). \
+                 reach(Y) :- reach(X), edge(X, Y). \
+                 unreached(X) :- node(X), not reach(X).",
             )
             .unwrap();
+            let cp = compile(&p, mode).unwrap();
             assert_eq!(cp.strata.len(), 2);
             let reach = rel(&cp, "reach");
             for (ri, rule) in cp.rules.iter().enumerate() {
@@ -836,6 +932,57 @@ mod tests {
                 assert_eq!(got, want, "{mode:?}: rule {ri}");
             }
             assert_eq!(cp.strata[1], vec![2]);
+        }
+    }
+
+    #[test]
+    fn complete_relations_are_probed_through_tries() {
+        let probe = |plan: &Plan| match plan {
+            Plan::Binary {
+                atoms, merge_key, ..
+            } => (atoms[1].access.clone(), merge_key.clone()),
+            Plan::Wcoj(_) => unreachable!("binary bodies"),
+        };
+        // Linear recursion over a complete `edge`: the delta plan merges
+        // Δpath's column 1 against a trie of `edge` keyed on column 0,
+        // and no plan (the naive one included) needs a hash index.
+        let p = transitive_closure_program(&[(0, 1), (1, 2)]);
+        let cp = compile(&p, JoinMode::Auto).unwrap();
+        let edge = rel(&cp, "edge") as usize;
+        assert!(cp.template.iter().all(|r| r.indexes.is_empty()));
+        assert_eq!(cp.template[edge].tries.len(), 1);
+        assert_eq!(cp.template[edge].tries[0].spec.cols, [0, 1]);
+        let (access, merge_key) = probe(&cp.rules[1].delta_plans[0]);
+        assert_eq!(merge_key, Some(vec![1]));
+        assert!(matches!(access, Access::Trie { trie_slot: 0, .. }));
+        assert_eq!(cp.tries, vec![vec![(edge as u32, 0)]]);
+
+        // A constant in the probe becomes a trie filter; the key is the
+        // delta-bound variable alone.
+        let p = parse_program("e(0, 1, 2). p(X, Y) :- e(0, X, Y). p(X, Z) :- p(X, Y), e(Y, 7, Z).")
+            .unwrap();
+        let cp = compile(&p, JoinMode::Auto).unwrap();
+        let e = rel(&cp, "e") as usize;
+        let (access, merge_key) = probe(&cp.rules[1].delta_plans[0]);
+        let Access::Trie { trie_slot, key, .. } = access else {
+            panic!("trie access expected, got {access:?}");
+        };
+        assert_eq!(merge_key, Some(vec![1]));
+        assert_eq!(key.len(), 1);
+        // The fact store interned 0, 1, 2; the rule's 7 is appended.
+        assert_eq!(cp.consts[3], Const::Int(7));
+        let spec = &cp.template[e].tries[trie_slot].spec;
+        assert_eq!(
+            (spec.cols.as_slice(), spec.consts.as_slice()),
+            (&[0, 2][..], &[(1, 3)][..])
+        );
+
+        // Non-linear recursion probes `path` itself, which grows within
+        // the stratum: that probe stays on the hash index.
+        let p = parse_program("e(0, 1). t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z).").unwrap();
+        let cp = compile(&p, JoinMode::Auto).unwrap();
+        for plan in &cp.rules[1].delta_plans {
+            assert!(matches!(probe(plan).0, Access::Index { .. }));
         }
     }
 }

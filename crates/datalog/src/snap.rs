@@ -20,7 +20,7 @@
 //!   rebuild recipe is exactly the incremental-growth recipe).
 //!
 //! Sorted-column tries are stored as their specs in both modes and catch
-//! up lazily on the first `refresh_tries` — the same staleness contract
+//! up lazily on their first refresh — the same staleness contract
 //! they already honour when registered after population. `figures --
 //! perf` measures both modes (`snapshot_load_ns` for stored,
 //! `snapshot_load_rebuild_ns` for rebuilt).

@@ -1,14 +1,16 @@
 //! Flat, interned tuple storage — the id-native database substrate.
 //!
 //! Every constant and every `(predicate, arity)` pair is interned to a
-//! `u32` id at compile time (see the private `plan` module), so a tuple is
-//! a fixed-width run of `u32`s and a relation is one contiguous
+//! `u32` id — a fact's when it is parsed or built (the private `facts`
+//! module), a rule's at compile time (the private `plan` module) — so a
+//! tuple is a fixed-width run of `u32`s and a relation is one contiguous
 //! `Vec<u32>` in derivation order. Tuple equality is a word-by-word
-//! compare, membership is one probe of an open-addressed hash table of row
-//! indexes, and every multi-column index the join plan needs is a
+//! compare, membership is one probe of an open-addressed hash table of
+//! row indexes, every multi-column hash index the join plan needs is a
 //! `key-hash → row-index` map maintained **incrementally on insert** —
-//! exactly once per new fact, never rebuilt per round. This is the
-//! Datalog instance of the workspace-wide id-native design (DESIGN.md
+//! exactly once per new fact, never rebuilt per round — and every sorted
+//! trie merges in only the rows added since its last refresh. This is
+//! the Datalog instance of the workspace-wide id-native design (DESIGN.md
 //! §3/§5/§6): trees at the API boundary, `Copy` ids everywhere the
 //! fixpoint loop runs.
 //!
@@ -167,8 +169,9 @@ impl TrieSpec {
 ///
 /// Tries are **lazily built and incrementally maintained**: inserts into
 /// the relation merely make the trie stale (`src_rows` lags the
-/// relation's row count); [`Relation::refresh_tries`] — called by the
-/// evaluator right before a leapfrog plan runs — projects only the rows
+/// relation's row count); [`Relation::refresh_trie`] — called by the
+/// evaluator at the start of each round of a stratum that reads the trie
+/// (a leapfrog plan, or a sorted lookup or merge) — projects only the rows
 /// added since the last refresh, sorts that chunk, and merges it with the
 /// already-sorted bulk, so a fixpoint pays O(new · log new + total) per
 /// round instead of a full re-sort.
@@ -231,6 +234,54 @@ impl Trie {
     #[inline]
     pub(crate) fn dir0_start(&self) -> &[u32] {
         &self.dir0_start
+    }
+
+    /// The rows `lo..hi` whose first `key.len()` levels equal `key`.
+    /// Without a hint the root level binary-searches the key directory (a
+    /// point lookup); with one it gallops forward from `*hint` and leaves
+    /// `*hint` at the key's directory position, so a caller looking up
+    /// nondecreasing first keys (a merge) only ever moves forward. Deeper
+    /// levels binary-search inside the root key's run.
+    pub(crate) fn prefix_range(&self, key: &[u32], hint: Option<&mut usize>) -> (usize, usize) {
+        let Some((&k0, rest)) = key.split_first() else {
+            return (0, self.rows);
+        };
+        let d = match hint {
+            None => self.dir0.partition_point(|&k| k < k0),
+            Some(hint) => {
+                *hint = gallop(&self.dir0, *hint, k0);
+                *hint
+            }
+        };
+        if d >= self.dir0.len() || self.dir0[d] != k0 {
+            return (0, 0);
+        }
+        let (mut lo, mut hi) = (self.dir0_start[d] as usize, self.dir0_start[d + 1] as usize);
+        let w = self.width();
+        for (l, &k) in rest.iter().enumerate() {
+            let at = |r: usize| self.data[r * w + l + 1];
+            let (mut a, mut b) = (lo, hi);
+            while a < b {
+                let mid = a + (b - a) / 2;
+                if at(mid) < k {
+                    a = mid + 1;
+                } else {
+                    b = mid;
+                }
+            }
+            lo = a;
+            b = hi;
+            while a < b {
+                let mid = a + (b - a) / 2;
+                if at(mid) <= k {
+                    a = mid + 1;
+                } else {
+                    b = mid;
+                }
+            }
+            hi = a;
+        }
+        (lo, hi)
     }
 
     /// Builds a standalone trie (no backing relation) from flat rows of
@@ -377,6 +428,31 @@ impl Trie {
     }
 }
 
+/// First position at or after `lo` whose key is `>= v` in the sorted
+/// `keys` (`keys.len()` if none): exponential probing from `lo`, then
+/// binary search, so the cost is logarithmic in the distance moved.
+pub(crate) fn gallop(keys: &[u32], mut lo: usize, v: u32) -> usize {
+    let n = keys.len();
+    let mut step = 1usize;
+    while lo + step < n && keys[lo + step] < v {
+        lo += step;
+        step <<= 1;
+    }
+    if lo < n && keys[lo] >= v {
+        return lo;
+    }
+    let mut end = n.min(lo + step);
+    while lo < end {
+        let mid = lo + (end - lo) / 2;
+        if keys[mid] < v {
+            lo = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    lo
+}
+
 /// One relation: a fixed arity, all tuples flat in `data` (insertion =
 /// derivation order), an open-addressed membership table of row indexes,
 /// the multi-column hash indexes registered by the join planner, and the
@@ -408,7 +484,7 @@ impl Relation {
     /// Registers a sorted-column trie (deduplicated by spec) and returns
     /// its slot. Unlike hash indexes, tries may be registered after rows
     /// exist — they start empty and catch up on the first
-    /// [`refresh_tries`](Relation::refresh_tries).
+    /// [`refresh_trie`](Relation::refresh_trie).
     pub(crate) fn register_trie(&mut self, spec: TrieSpec) -> usize {
         if let Some(i) = self.tries.iter().position(|t| t.spec == spec) {
             return i;
@@ -417,15 +493,14 @@ impl Relation {
         self.tries.len() - 1
     }
 
-    /// Brings every registered trie up to date with the relation. Cheap
-    /// when nothing changed; otherwise each trie projects + sorts only the
+    /// Brings the trie in slot `t` up to date with the relation. Cheap
+    /// when nothing changed; otherwise the trie projects + sorts only the
     /// rows inserted since its last refresh and merges them in.
-    pub(crate) fn refresh_tries(&mut self) {
+    pub(crate) fn refresh_trie(&mut self, t: usize) {
         let (rows, arity) = (self.rows, self.arity);
-        for t in &mut self.tries {
-            if t.src_rows < rows {
-                t.absorb(&self.data, arity, rows);
-            }
+        let trie = &mut self.tries[t];
+        if trie.src_rows < rows {
+            trie.absorb(&self.data, arity, rows);
         }
     }
 
@@ -500,6 +575,26 @@ impl Relation {
         true
     }
 
+    /// Inserts `rows` flat rows (a fact block) in order. The membership
+    /// table is sized for all of them in one rebuild instead of doubling
+    /// its way up, and shrunk back afterwards if duplicates left it
+    /// larger than the table a rebuild of the result would have — tables
+    /// stay exactly the ones snapshot rebuild-on-load reproduces.
+    pub(crate) fn load(&mut self, data: &[u32], rows: usize) {
+        let want = Relation::natural_slot_len(self.rows + rows);
+        if want > self.slots.len() {
+            self.rebuild_slots(want);
+        }
+        self.data.reserve(data.len());
+        for i in 0..rows {
+            self.insert(&data[i * self.arity..(i + 1) * self.arity]);
+        }
+        let fit = Relation::natural_slot_len(self.rows);
+        if fit < self.slots.len() {
+            self.rebuild_slots(fit);
+        }
+    }
+
     #[cold]
     fn grow(&mut self) {
         self.rebuild_slots(self.slots.len() * 2);
@@ -541,7 +636,7 @@ impl Relation {
     /// caller against `rows`) or `None` to rebuild it from the data —
     /// the two sides of the snapshot `store_derived` flag. Hash indexes
     /// arrive pre-assembled the same way; tries are registered empty and
-    /// catch up lazily on the first [`Relation::refresh_tries`], exactly
+    /// catch up lazily on their first [`Relation::refresh_trie`], exactly
     /// like registration after population.
     pub(crate) fn from_parts(
         arity: usize,
@@ -752,7 +847,7 @@ mod tests {
         for row in [[3, 1], [1, 2], [2, 1], [1, 9], [0, 2]] {
             r.insert(&row);
         }
-        r.refresh_tries();
+        r.refresh_trie(t);
         // Levels are (col 1, col 0): sorted lexicographically on that.
         assert_eq!(
             r.tries[t].data(),
@@ -771,17 +866,17 @@ mod tests {
         for row in [[5, 0], [1, 1], [3, 3]] {
             r.insert(&row);
         }
-        r.refresh_tries();
+        r.refresh_trie(t);
         assert_eq!(r.tries[t].data(), &[1, 1, 3, 3, 5, 0]);
         for row in [[2, 2], [5, 0], [0, 9], [4, 4]] {
             r.insert(&row); // [5,0] is a duplicate: relation rejects it
         }
-        r.refresh_tries();
+        r.refresh_trie(t);
         let fresh = Trie::build(plain_spec(vec![0, 1]), &r.data, 2, r.len());
         assert_eq!(r.tries[t].data(), fresh.data());
         assert_eq!(r.tries[t].data(), &[0, 9, 1, 1, 2, 2, 3, 3, 4, 4, 5, 0]);
         // A refresh with nothing new is a no-op.
-        r.refresh_tries();
+        r.refresh_trie(t);
         assert_eq!(r.tries[t].len(), 6);
     }
 
@@ -798,7 +893,7 @@ mod tests {
         for row in [[7, 4, 4], [7, 2, 3], [6, 1, 1], [7, 1, 1]] {
             r.insert(&row);
         }
-        r.refresh_tries();
+        r.refresh_trie(t);
         assert_eq!(r.tries[t].data(), &[1, 4]);
     }
 
@@ -808,7 +903,45 @@ mod tests {
         r.insert(&[9]);
         r.insert(&[4]);
         let t = r.register_trie(plain_spec(vec![0]));
-        r.refresh_tries();
+        r.refresh_trie(t);
         assert_eq!(r.tries[t].data(), &[4, 9]);
+    }
+
+    #[test]
+    fn prefix_range_finds_each_key_run() {
+        // Levels (col 0, col 1, col 2); rows sorted lexicographically.
+        let mut r = Relation::new(3);
+        let t = r.register_trie(plain_spec(vec![0, 1, 2]));
+        for row in [
+            [5, 1, 1],
+            [2, 7, 0],
+            [2, 3, 9],
+            [2, 3, 4],
+            [8, 0, 0],
+            [2, 7, 7],
+        ] {
+            r.insert(&row);
+        }
+        r.refresh_trie(t);
+        let t = &r.tries[t];
+        // Sorted: (2,3,4) (2,3,9) (2,7,0) (2,7,7) (5,1,1) (8,0,0)
+        let range = |key: &[u32]| t.prefix_range(key, None);
+        assert_eq!(range(&[]), (0, 6));
+        assert_eq!(range(&[2]), (0, 4));
+        assert_eq!(range(&[2, 3]), (0, 2));
+        assert_eq!(range(&[2, 7]), (2, 4));
+        assert_eq!(range(&[2, 7, 7]), (3, 4));
+        assert_eq!(range(&[2, 5]).0, range(&[2, 5]).1);
+        assert_eq!(range(&[3]), (0, 0));
+        assert_eq!(range(&[9]), (0, 0));
+        // A merge seeks forward from the previous key's position.
+        let mut hint = 0;
+        assert_eq!(t.prefix_range(&[1], Some(&mut hint)), (0, 0));
+        assert_eq!(t.prefix_range(&[5], Some(&mut hint)), (4, 5));
+        assert_eq!(hint, 1);
+        assert_eq!(t.prefix_range(&[8, 0], Some(&mut hint)), (5, 6));
+        assert_eq!(t.prefix_range(&[8, 1], Some(&mut hint)).0, 6);
+        let (lo, hi) = t.prefix_range(&[9], Some(&mut hint));
+        assert_eq!((lo, hi, hint), (0, 0, 3));
     }
 }

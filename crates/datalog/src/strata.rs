@@ -55,7 +55,8 @@ impl std::error::Error for StratificationError {}
 /// The result of a successful stratification.
 #[derive(Debug, Clone)]
 pub struct Strata {
-    /// Stratum of every predicate occurring in the program.
+    /// Stratum of every predicate occurring in the program, fact
+    /// predicates included.
     pub stratum_of: HashMap<Pred, usize>,
     /// Number of strata (`1` for negation-free programs).
     pub count: usize,
@@ -106,6 +107,12 @@ pub fn stratify(program: &Program) -> Result<Strata, StratificationError> {
             edges.resize(preds.len().max(edges.len()), (vec![], vec![]));
             edges[h].1.push(b);
         }
+    }
+    // Fact predicates are nodes without dependencies of their own: a
+    // facts-only predicate lands in stratum 0, one that rules also derive
+    // in its rules' stratum — where its facts are loaded.
+    for b in &program.facts.blocks {
+        id_of(&b.pred, b.arity, &mut preds);
     }
     let n = preds.len();
     edges.resize(n, (vec![], vec![]));

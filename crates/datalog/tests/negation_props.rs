@@ -17,7 +17,8 @@ const DOMAIN: i64 = 5;
 /// suite), then per stratum run a naive fixpoint where each rule is
 /// applied by enumerating *every* assignment of its variables to the
 /// constant domain `0..DOMAIN` and checking the body literally. No
-/// plans, no indexes, no tries — a genuinely different mechanism.
+/// plans, no indexes, no tries — a genuinely different mechanism. The
+/// facts come from [`Program::facts`], decoded from the fact store.
 fn reference_eval(p: &Program) -> BTreeMap<(String, usize), BTreeSet<Vec<i64>>> {
     let strata = stratify(p).expect("reference_eval takes stratified programs");
     let mut db: BTreeMap<(String, usize), BTreeSet<Vec<i64>>> = BTreeMap::new();
@@ -47,6 +48,16 @@ fn reference_eval(p: &Program) -> BTreeMap<(String, usize), BTreeSet<Vec<i64>>> 
             })
             .collect()
     };
+    // Ground facts are not rules; seed them all before the first stratum.
+    // That is the same model as loading each with its predicate's
+    // stratum: a positive dependency never goes up a stratum and a
+    // negated one goes strictly down, so no stratum below a fact's own
+    // can read its predicate.
+    for (pred, tuple) in p.facts() {
+        db.entry((pred.to_string(), tuple.len()))
+            .or_default()
+            .insert(tuple.iter().map(as_int).collect());
+    }
     for stratum in 0..strata.count {
         loop {
             let mut new: Vec<((String, usize), Vec<i64>)> = Vec::new();
