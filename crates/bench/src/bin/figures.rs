@@ -411,7 +411,7 @@ fn perf_fig() {
         ));
     }
 
-    // Scale-free (preferential attachment): skewed index buckets.
+    // Scale-free (preferential attachment): skewed trie key runs.
     {
         let es = scale_free_edges(50_000, 2, 0xDA7A); // ≈ 10⁵ edges
         let p = dl_reaches(&es, 0);
@@ -465,6 +465,27 @@ fn perf_fig() {
         ));
     }
 
+    // Non-linear transitive closure over the 1,000×25 chain forest:
+    // `path(X,Z) :- path(X,Y), path(Y,Z)` probes the growing `path`
+    // itself, from both delta positions, through sorted tries refreshed
+    // each round. Asserts the exact 325,000 `path` facts.
+    {
+        let mut src = String::new();
+        for (a, b) in chain_forest_edges(1_000, 25) {
+            src.push_str(&format!("edge({a}, {b}).\n"));
+        }
+        src.push_str("path(X, Y) :- edge(X, Y).\npath(X, Z) :- path(X, Y), path(Y, Z).\n");
+        let p = lambda_join_datalog::parse_program(&src).expect("generated source parses");
+        let want = chain_forest_tc_size(1_000, 25);
+        results.push((
+            "datalog_tc_nonlinear_chains_25k",
+            time_ns(|| {
+                let (idb, _) = eval_ids(&p, Strategy::Seminaive);
+                assert_eq!(idb.fact_count("path"), want);
+            }),
+        ));
+    }
+
     // Full transitive closure over a 10⁵-edge chain forest — the
     // closure-size-controlled family (1.3M path tuples, exact count
     // asserted). The headline ≥10⁵-edge TC entry.
@@ -480,9 +501,9 @@ fn perf_fig() {
 
         // --- Persistent arena snapshots (DESIGN.md §10): checkpoint this
         // 10⁵-edge TC fixpoint together with a warmed memo and time the
-        // save plus both load modes — stored (membership slots and hash
-        // indexes verbatim from disk) and rebuild (derived structures
-        // re-derived on load from the row data alone). The headline
+        // save plus both load modes — stored (membership slots verbatim
+        // from disk) and rebuild (membership tables re-derived on load
+        // from the row data alone). The headline
         // warm-start claim — loading beats re-deriving by ≥3× — is
         // timed alternately (one re-derive, then one load, per pair) so
         // both sides sample the same host phases, and each side keeps its

@@ -72,7 +72,10 @@ pub mod tag {
     /// Datalog constant table (payload defined in `lambda-join-datalog`).
     pub const DL_CONSTS: u16 = 16;
     /// Datalog relations (payload defined in `lambda-join-datalog`).
-    pub const DL_RELS: u16 = 17;
+    /// Tag 17 held the earlier layout that also carried hash-index
+    /// buckets and trie specs; such sections now fail with
+    /// [`SectionOrder`](super::SnapError::SectionOrder).
+    pub const DL_RELS: u16 = 18;
 }
 
 /// Why a snapshot failed to save or load. Corrupt inputs are always

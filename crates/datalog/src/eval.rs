@@ -18,21 +18,22 @@
 //! rule variables become dense binding slots, and each rule gets one join
 //! plan per evaluation mode. Acyclic bodies run the planned **binary
 //! nested-loop join**: atoms reordered by bound-variable propagation, each
-//! a chain of word-compares, index probes and trie lookups over `Copy`
-//! ids, with the linear-recursive shape (`path(X,Z) :- Δpath(X,Y),
-//! edge(Y,Z)`) running merge-style — the delta sorted by its probe key
-//! and walked forward against the complete relation's sorted trie, one
-//! seek per distinct key run. Ground facts arrive as interned blocks
-//! and load into each stratum's relations before its first round.
-//! Cyclic bodies — at least two join variables shared
-//! by at least two atoms, e.g. triangles — run a **worst-case-optimal
-//! leapfrog triejoin** ([`JoinMode::Auto`] picks per rule): one sorted
-//! trie per atom over a global variable elimination order, intersected
-//! level by level with galloping seeks, never enumerating a partial
-//! binding no atom can extend. Tries are maintained incrementally: each
-//! round only the newly derived rows are projected, sorted, and merged
-//! in. Negated premises execute as anti-join membership probes at the
-//! earliest plan point where their variables are bound. Decoded,
+//! a chain of word-compares, membership probes and trie lookups over
+//! `Copy` ids, with the transitive-closure shapes (`path(X,Z) :-
+//! Δpath(X,Y), edge(Y,Z)`, or `path(Y,Z)` in the second atom) running
+//! merge-style — the delta sorted by its probe key and walked forward
+//! against the probed relation's sorted trie, one seek per distinct key
+//! run. Ground facts arrive as interned blocks and load into each
+//! stratum's relations before its first round. Cyclic bodies — at least
+//! two join variables shared by at least two atoms, e.g. triangles — run
+//! a **worst-case-optimal leapfrog triejoin** ([`JoinMode::Auto`] picks
+//! per rule): one sorted trie per atom over a global variable
+//! elimination order, intersected level by level with galloping seeks,
+//! never enumerating a partial binding no atom can extend. Tries are
+//! maintained incrementally: before a round, the tries its plans read —
+//! and only those — project, sort and merge in the rows derived since
+//! their last refresh. Negated premises execute as anti-join membership
+//! probes at the earliest plan point where their variables are bound. Decoded,
 //! tree-shaped results ([`Database`]) are materialised only at the API
 //! boundary; [`eval_ids`] skips even that, which is what the
 //! 10⁵–10⁶-fact benchmarks run. DESIGN.md §6–§7 document the layout, the
@@ -44,7 +45,7 @@ use crate::ast::{Atom, Const, Program};
 use crate::plan::{
     compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojPlan,
 };
-use crate::store::{gallop, hash_cols, DeltaRel, Relation, Trie};
+use crate::store::{gallop, DeltaRel, Relation, Trie};
 
 pub use crate::plan::JoinMode;
 pub use crate::store::IdDatabase;
@@ -136,7 +137,13 @@ fn compile_or_panic(program: &Program, mode: JoinMode) -> CompiledProgram<'_> {
     compile(program, mode).unwrap_or_else(|e| panic!("{e}"))
 }
 
-fn seal(cp: CompiledProgram<'_>, rels: Vec<Relation>) -> IdDatabase {
+/// The evaluated relations as an [`IdDatabase`]. Their tries are
+/// dropped: only evaluation reads them, so a result, a snapshot of it and
+/// a loaded snapshot all hold the same structures.
+fn seal(cp: CompiledProgram<'_>, mut rels: Vec<Relation>) -> IdDatabase {
+    for rel in &mut rels {
+        rel.tries = Vec::new();
+    }
     IdDatabase {
         rels,
         names: cp.rel_names,
@@ -265,14 +272,6 @@ fn join(
             scratch.extend(atom.ops.iter().map(|op| op_value(op, bindings)));
             if rel.contains(scratch) {
                 join(cx, rest, negs, rule, bindings, scratch, out, stats);
-            }
-        }
-        Access::Index { index_slot } => {
-            let h = hash_cols(atom.key_ops.iter().map(|op| op_value(op, bindings)));
-            for &r in rel.indexes[index_slot].probe(h) {
-                if match_row(&atom.ops, rel.row(r), bindings) {
-                    join(cx, rest, negs, rule, bindings, scratch, out, stats);
-                }
             }
         }
         Access::Trie {
@@ -488,14 +487,16 @@ fn run_wcoj(
     }
     // When the round's delta IS the whole relation (round 1 for a
     // relation whose every row was rule-derived in round 0, e.g. `sg`
-    // after its base rule), the refreshed database trie with the same
-    // spec already holds exactly the delta's projection — reuse it
-    // instead of re-sorting the world.
+    // after its base rule), a current database trie with the same spec
+    // already holds exactly the delta's projection — reuse it instead of
+    // re-sorting the world. Only plans that run this round refresh their
+    // tries, so a trie only the round-0 naive plan read lags and is
+    // skipped.
     let db_substitute = |a: &crate::plan::WcojAtom| {
         let d = &cx.delta.expect("delta atom outside a seminaive round")[a.rel as usize];
         let rel = &cx.db[a.rel as usize];
         if d.rows == rel.len() {
-            rel.tries.iter().find(|t| t.spec == a.spec)
+            rel.current_trie(&a.spec)
         } else {
             None
         }
@@ -763,12 +764,10 @@ fn wcoj_level(
     }
 }
 
-/// Runs one plan. Merge-eligible seminaive binary plans (the
-/// linear-recursive shape) sort the delta by the downstream probe key and
-/// probe once per distinct key run — a forward seek in the probed trie,
-/// or one hash probe when the probed relation grows within the stratum;
-/// other binary plans go straight to the nested-loop join; leapfrog plans
-/// run the triejoin.
+/// Runs one plan. Merge-eligible seminaive binary plans sort the delta by
+/// the downstream probe key and seek the probed trie forward once per
+/// distinct key run; other binary plans go straight to the nested-loop
+/// join; leapfrog plans run the triejoin.
 fn run_plan(
     cx: &Cx<'_>,
     rule: &CompiledRule,
@@ -796,12 +795,7 @@ fn run_plan(
             return;
         }
         let arity = cx.prog.arities[datom.rel as usize];
-        let key_cols: Vec<usize> = merge_key
-            .iter()
-            .copied()
-            .filter(|&c| c != usize::MAX)
-            .collect();
-        let order: Vec<u32> = if let [c] = key_cols[..] {
+        let order: Vec<u32> = if let [c] = merge_key[..] {
             // One key column (the transitive-closure shape): sort packed
             // `(key << 32) | row` scalars, several times faster than the
             // indirect row comparator.
@@ -818,15 +812,23 @@ fn run_plan(
             order.sort_unstable_by(|&a, &b| {
                 let ra = d.row(a as usize, arity);
                 let rb = d.row(b as usize, arity);
-                key_cols
+                merge_key
                     .iter()
                     .map(|&c| ra[c])
-                    .cmp(key_cols.iter().map(|&c| rb[c]))
+                    .cmp(merge_key.iter().map(|&c| rb[c]))
             });
             order
         };
         let patom = &atoms[1];
-        let prel = &cx.db[patom.rel as usize];
+        let Access::Trie {
+            trie_slot,
+            ref binds,
+            ..
+        } = patom.access
+        else {
+            unreachable!("merge plans probe a trie")
+        };
+        let t = &cx.db[patom.rel as usize].tries[trie_slot];
         let (rest, rest_neg) = (&atoms[2..], &neg_after[2..]);
         let mut hint = 0usize;
         let mut key: Vec<u32> = Vec::with_capacity(merge_key.len());
@@ -835,62 +837,24 @@ fn run_plan(
             let first = d.row(order[run] as usize, arity);
             let mut end = run + 1;
             while end < order.len()
-                && key_cols
+                && merge_key
                     .iter()
                     .all(|&c| d.row(order[end] as usize, arity)[c] == first[c])
             {
                 end += 1;
             }
-            match patom.access {
-                // The probed relation is complete: the runs walk its
-                // sorted trie forward, and each run's matches are one
-                // contiguous range of trie rows.
-                Access::Trie {
-                    trie_slot,
-                    ref binds,
-                    ..
-                } => {
-                    key.clear();
-                    key.extend(merge_key.iter().map(|&dc| first[dc]));
-                    let t = &prel.tries[trie_slot];
-                    let (lo, hi) = t.prefix_range(&key, Some(&mut hint));
-                    if lo < hi {
-                        for &di in &order[run..end] {
-                            if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
-                                for r in lo..hi {
-                                    bind_trie_row(t, r, key.len(), binds, bindings);
-                                    join(cx, rest, rest_neg, rule, bindings, scratch, out, stats);
-                                }
-                            }
+            // Each run's matches are one contiguous range of trie rows.
+            key.clear();
+            key.extend(merge_key.iter().map(|&dc| first[dc]));
+            let (lo, hi) = t.prefix_range(&key, Some(&mut hint));
+            if lo < hi {
+                for &di in &order[run..end] {
+                    if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
+                        for r in lo..hi {
+                            bind_trie_row(t, r, key.len(), binds, bindings);
+                            join(cx, rest, rest_neg, rule, bindings, scratch, out, stats);
                         }
                     }
-                }
-                // The probed relation grows within the stratum: one hash
-                // probe of its index per run.
-                Access::Index { index_slot } => {
-                    let h = hash_cols(patom.key_ops.iter().zip(merge_key).map(
-                        |(op, &dc)| match *op {
-                            ArgOp::CheckConst(c) => c,
-                            _ => first[dc],
-                        },
-                    ));
-                    let bucket = prel.indexes[index_slot].probe(h);
-                    if !bucket.is_empty() {
-                        for &di in &order[run..end] {
-                            if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
-                                for &r in bucket {
-                                    if match_row(&patom.ops, prel.row(r), bindings) {
-                                        join(
-                                            cx, rest, rest_neg, rule, bindings, scratch, out, stats,
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Access::Contains | Access::Scan => {
-                    unreachable!("merge plans probe an index or a trie")
                 }
             }
             run = end;
@@ -925,12 +889,21 @@ fn merge_out(
     changed
 }
 
-/// Brings the tries stratum `si` reads up to date — called at round start
-/// so leapfrog plans, sorted lookups and merges read current data.
-fn refresh_tries(cp: &CompiledProgram<'_>, si: usize, db: &mut [Relation]) {
-    for &(rel, t) in &cp.tries[si] {
-        db[rel as usize].refresh_trie(t);
+/// Brings the database tries `plans` read up to date — called before a
+/// round with exactly the plans that round runs, so leapfrog plans,
+/// sorted lookups and merges read current data and no other trie is
+/// re-merged.
+fn refresh_tries<'a>(plans: impl IntoIterator<Item = &'a Plan>, db: &mut [Relation]) {
+    for plan in plans {
+        for (rel, t) in plan.tries() {
+            db[rel as usize].refresh_trie(t);
+        }
     }
+}
+
+/// The naive plans of a stratum's rules.
+fn naive_plans<'a>(cp: &'a CompiledProgram<'_>, si: usize) -> impl Iterator<Item = &'a Plan> {
+    cp.strata[si].iter().map(|&ri| &cp.rules[ri].naive)
 }
 
 fn binding_frame(cp: &CompiledProgram<'_>) -> Vec<u32> {
@@ -958,7 +931,7 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     for (si, stratum) in cp.strata.iter().enumerate() {
         loop {
             stats.rounds += 1;
-            refresh_tries(cp, si, &mut db);
+            refresh_tries(naive_plans(cp, si), &mut db);
             let mut out = cp.fresh_delta();
             fire_facts(cp, si, &mut out, &mut stats);
             let cx = Cx::new(cp, &db, None);
@@ -1002,7 +975,7 @@ fn stratum_round0(
         db[rel as usize].load(&b.data, b.rows);
         stats.derivations += b.rows;
     }
-    refresh_tries(cp, si, db);
+    refresh_tries(naive_plans(cp, si), db);
     let mut out = cp.fresh_delta();
     {
         let cx = Cx::new(cp, db, None);
@@ -1025,27 +998,32 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
         let mut delta = stratum_round0(cp, si, &mut db, &mut stats, &mut bindings, &mut scratch);
         while delta.iter().any(|d| d.rows > 0) {
             stats.rounds += 1;
-            refresh_tries(cp, si, &mut db);
-            let mut out = cp.fresh_delta();
-            let cx = Cx::new(cp, &db, Some(&delta));
             // Fire every seminaive plan whose delta relation is non-empty
             // this round.
-            for &ri in stratum {
-                let rule = &cp.rules[ri];
-                for plan in &rule.delta_plans {
-                    let dr = plan.delta_rel().expect("delta plans read a delta") as usize;
-                    if delta[dr].rows > 0 {
-                        run_plan(
-                            &cx,
-                            rule,
-                            plan,
-                            &mut bindings,
-                            &mut scratch,
-                            &mut out,
-                            &mut stats,
-                        );
-                    }
-                }
+            let firing: Vec<(&CompiledRule, &Plan)> = stratum
+                .iter()
+                .flat_map(|&ri| {
+                    let rule = &cp.rules[ri];
+                    rule.delta_plans.iter().map(move |plan| (rule, plan))
+                })
+                .filter(|(_, plan)| {
+                    let dr = plan.delta_rel().expect("delta plans read a delta");
+                    delta[dr as usize].rows > 0
+                })
+                .collect();
+            refresh_tries(firing.iter().map(|&(_, plan)| plan), &mut db);
+            let mut out = cp.fresh_delta();
+            let cx = Cx::new(cp, &db, Some(&delta));
+            for &(rule, plan) in &firing {
+                run_plan(
+                    &cx,
+                    rule,
+                    plan,
+                    &mut bindings,
+                    &mut scratch,
+                    &mut out,
+                    &mut stats,
+                );
             }
             let mut next = cp.fresh_delta();
             merge_out(cp, &mut db, &out, Some(&mut next));

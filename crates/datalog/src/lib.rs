@@ -11,15 +11,15 @@
 //! into `u32` column blocks as they are parsed or built (they never
 //! become rule syntax trees), programs compile onto interned ids —
 //! constants, predicates, and variable slots — and relations are flat
-//! columnar tuple stores. A relation that grows during its stratum is
-//! probed through hash-based multi-column indexes, maintained
-//! incrementally as the fixpoint grows; a relation complete before the
-//! stratum is probed through a sorted trie. Acyclic rule bodies follow a
-//! per-rule binary-join plan ordered by bound-variable propagation, with
-//! a sorted merge of the delta against the probed trie for the
-//! linear-recursive (transitive-closure) shape; cyclic bodies (≥ 2 atoms sharing ≥ 2 join
-//! variables, e.g. triangles) run a **worst-case-optimal leapfrog
-//! triejoin** over incrementally maintained sorted-column tries
+//! columnar tuple stores. Every keyed probe reads a sorted-column trie,
+//! the one secondary index, whether the relation is complete before its
+//! stratum or grows during it: a trie merges in only the rows derived
+//! since its last refresh, and is refreshed only before a round whose
+//! plans read it. Acyclic rule bodies follow a per-rule binary-join plan
+//! ordered by bound-variable propagation, with a sorted merge of the
+//! delta against the probed trie for the transitive-closure shapes;
+//! cyclic bodies (≥ 2 atoms sharing ≥ 2 join variables, e.g. triangles)
+//! run a **worst-case-optimal leapfrog triejoin** over the same tries
 //! (DESIGN.md §7). Tree-shaped [`Database`] results are decoded
 //! only at the API boundary; [`eval::eval_ids`] stays flat end to end,
 //! which is what the 10⁵–10⁶-fact workloads in the bench suite use.

@@ -14,8 +14,8 @@
 //! the rest read the database. Every other relation (facts-only EDB
 //! relations, relations of lower strata) is complete before the stratum's
 //! first round — the evaluator loads a stratum's facts before its naive
-//! round — so its delta is always empty and it gets no plan, and no index
-//! or trie that only such a plan would probe.
+//! round — so its delta is always empty and it gets no plan, and no trie
+//! that only such a plan would probe.
 //!
 //! Two plan kinds exist, chosen per rule by [`JoinMode::Auto`]:
 //!
@@ -27,20 +27,19 @@
 //!   each atom is evaluated with the largest possible bound prefix. Each
 //!   planned database atom then gets an access path chosen statically:
 //!   all columns bound → membership probe ([`Access::Contains`]); some
-//!   bound → a lookup keyed by exactly those columns; none bound → a full
-//!   scan ([`Access::Scan`]). The keyed lookup depends on whether the
-//!   relation grows while the rule's stratum runs: if the stratum derives
-//!   it, a multi-column hash index ([`Access::Index`]), registered with
-//!   the relation so it is maintained incrementally on insert; if it is
-//!   complete before the stratum (EDB or a lower stratum), a sorted trie
-//!   ([`Access::Trie`]) built once, whose levels are the key, then the
-//!   variables the atom binds. No hash index is registered that no plan
-//!   probes. A seminaive plan whose delta atom feeds a single keyed probe
-//!   — the linear-recursive shape, `path(X,Z) :- Δpath(X,Y), edge(Y,Z)` —
-//!   is additionally marked with the delta columns that form the probe
-//!   key, so the evaluator can run it merge-style: sort the delta by key
-//!   and probe once per distinct key run instead of once per delta tuple;
-//!   against a trie, that is a sorted merge whose seeks only move forward.
+//!   bound → a lookup in a sorted trie ([`Access::Trie`]) whose levels
+//!   are the bound variables, then the variables the atom binds; none bound
+//!   → a full scan ([`Access::Scan`]). The trie is the only secondary
+//!   index, whether the relation is complete before the rule's stratum
+//!   (EDB or a lower stratum) or grows while it runs: the evaluator
+//!   refreshes a trie before each round whose plans read it, merging in
+//!   only the rows derived since. A seminaive plan whose delta atom feeds
+//!   a single keyed probe — the linear-recursive shape, `path(X,Z) :-
+//!   Δpath(X,Y), edge(Y,Z)`, or the non-linear `path(X,Z) :- Δpath(X,Y),
+//!   path(Y,Z)` — is additionally marked with the delta columns that form
+//!   the probe key, so the evaluator can run it merge-style: sort the
+//!   delta by key and walk the trie forward, one seek per distinct key
+//!   run instead of one lookup per delta tuple.
 //!
 //! * **Leapfrog triejoin** ([`Plan::Wcoj`]) for cyclic bodies — those
 //!   where at least two join variables are each shared by at least two
@@ -97,17 +96,11 @@ pub(crate) enum ArgOp {
 pub(crate) enum Access {
     /// Every column bound: one membership probe, no enumeration.
     Contains,
-    /// Probe the relation's hash index `index_slot` with the values of
-    /// the bound columns (in indexed-column order). Only for relations the
-    /// rule's own stratum derives: the index grows with them, one entry
-    /// per insert.
-    Index { index_slot: usize },
     /// Look the bound values up in the relation's sorted trie
-    /// `trie_slot`, for relations complete before the stratum starts (EDB
-    /// and lower strata), which a trie sorts once. The trie's levels are
-    /// the `key` slots, then the `binds` slots; constants and repeated
-    /// variables are filtered into its spec, so every row of the matching
-    /// range is a match that binds `binds` from its remaining levels.
+    /// `trie_slot`. The trie's levels are the `key` slots, then the
+    /// `binds` slots; constants and repeated variables are filtered into
+    /// its spec, so every row of the matching range is a match that binds
+    /// `binds` from its remaining levels.
     Trie {
         trie_slot: usize,
         key: Vec<usize>,
@@ -128,9 +121,6 @@ pub(crate) struct PlannedAtom {
     pub(crate) ops: Vec<ArgOp>,
     /// Access path (meaningful for database atoms only).
     pub(crate) access: Access,
-    /// The ops over the bound ("key") columns, in indexed-column order —
-    /// what the evaluator hashes to form the probe key.
-    pub(crate) key_ops: Vec<ArgOp>,
 }
 
 /// A compiled negated premise: a membership probe against a relation that
@@ -178,19 +168,17 @@ pub(crate) struct WcojPlan {
 /// A fully ordered join for one rule in one evaluation mode.
 #[derive(Debug, Clone)]
 pub(crate) enum Plan {
-    /// Nested-loop join over index/membership access paths.
+    /// Nested-loop join over trie/membership access paths.
     Binary {
         /// Body atoms in join order.
         atoms: Vec<PlannedAtom>,
-        /// `Some(delta_cols)` when the plan is the linear-recursive shape —
-        /// a delta atom followed by an index or trie probe keyed entirely
-        /// by constants and delta-bound variables. `delta_cols[i]` is the
-        /// delta column whose value feeds probe key `i`: key op `i` of an
-        /// [`Access::Index`] (`usize::MAX` for constant key ops), key slot
-        /// `i` of an [`Access::Trie`]. The evaluator then sorts the delta
-        /// by these columns and probes once per distinct key run — for a
-        /// trie, a merge that only ever seeks forward. Only computed for
-        /// negation-free rules.
+        /// `Some(delta_cols)` when the plan is the merge shape — a delta
+        /// atom followed by a trie probe keyed entirely by delta-bound
+        /// variables. `delta_cols[i]` is the delta column whose value
+        /// feeds key slot `i` of the [`Access::Trie`]. The evaluator then
+        /// sorts the delta by these columns and walks the trie forward,
+        /// one seek per distinct key run. Only computed for negation-free
+        /// rules.
         merge_key: Option<Vec<usize>>,
         /// `neg_after[d]` runs once the first `d` atoms have matched
         /// (`neg_after[0]` = ground checks, before any atom).
@@ -201,8 +189,9 @@ pub(crate) enum Plan {
 }
 
 impl Plan {
-    /// The database tries this plan reads, as `(relation, trie slot)`.
-    fn tries(&self) -> Vec<(u32, usize)> {
+    /// The database tries this plan reads, as `(relation, trie slot)` —
+    /// the ones the evaluator refreshes before a round that runs it.
+    pub(crate) fn tries(&self) -> Vec<(u32, usize)> {
         match self {
             Plan::Binary { atoms, .. } => atoms
                 .iter()
@@ -258,8 +247,8 @@ pub(crate) struct CompiledProgram<'p> {
     pub(crate) arities: Vec<usize>,
     /// Id → constant.
     pub(crate) consts: Vec<Const>,
-    /// Pre-registered relations (indexes and tries already attached),
-    /// cloned into the evaluator's database and delta stores.
+    /// Pre-registered relations (tries already attached), cloned into
+    /// the evaluator's database.
     pub(crate) template: Vec<Relation>,
     /// Rule indexes grouped by stratum, lowest first. Evaluation runs one
     /// complete fixpoint per group; negation-free programs have exactly
@@ -271,20 +260,15 @@ pub(crate) struct CompiledProgram<'p> {
     pub(crate) fact_blocks: &'p [FactBlock],
     /// Per stratum, the relations whose fact blocks load at its start.
     pub(crate) facts: Vec<Vec<u32>>,
-    /// Per stratum, the database tries its plans read, as `(relation,
-    /// trie slot)`. Only these are refreshed during the stratum's rounds,
-    /// so a trie a later stratum reads does not re-sort while a lower
-    /// stratum is still growing its relation.
-    pub(crate) tries: Vec<Vec<(u32, usize)>>,
 }
 
 impl CompiledProgram<'_> {
-    /// Fresh, empty relations with every planned index registered.
+    /// Fresh, empty relations with every planned trie registered.
     pub(crate) fn fresh_store(&self) -> Vec<Relation> {
         self.template.clone()
     }
 
-    /// Fresh per-relation delta buffers (flat rows, no indexes).
+    /// Fresh per-relation delta buffers (flat rows, no tries).
     pub(crate) fn fresh_delta(&self) -> Vec<DeltaRel> {
         vec![DeltaRel::default(); self.template.len()]
     }
@@ -412,16 +396,13 @@ fn trie_access(ops: &[ArgOp], newly: &[usize], rel: &mut Relation) -> Access {
 
 /// Lowers the ordered atoms to a binary [`Plan`], rewriting each atom's
 /// ops against the bound-slot state at its position and choosing its
-/// access path. Registers any needed index or trie on the template
-/// relation: a hash index when the relation grows within the rule's
-/// stratum (`grows[rel]`), a trie when it is complete before it.
+/// access path. Registers any needed trie on the template relation.
 fn build_plan(
     raw: &[(u32, Vec<ArgOp>)],
     neg: &[(u32, Vec<ArgOp>)],
     order: &[usize],
     delta_at: Option<usize>,
     nvars: usize,
-    grows: &[bool],
     template: &mut [Relation],
 ) -> Plan {
     let mut bound = vec![false; nvars];
@@ -452,28 +433,22 @@ fn build_plan(
         }
         // Probe-key columns: known *before* this atom runs. A CheckVar on
         // a slot this atom itself binds (a within-atom duplicate, e.g.
-        // `e(X, X)` with X fresh) has no value at probe time and must be
-        // checked during row matching instead.
-        let key_cols: Vec<usize> = ops
+        // `e(X, X)` with X fresh) has no value at probe time; the trie's
+        // spec filters it instead.
+        let keyed = ops
             .iter()
-            .enumerate()
-            .filter(|(_, op)| match op {
+            .filter(|op| match op {
                 ArgOp::CheckConst(_) => true,
                 ArgOp::CheckVar(s) => !newly.contains(s),
                 ArgOp::Bind(_) => false,
             })
-            .map(|(c, _)| c)
-            .collect();
-        let key_ops: Vec<ArgOp> = key_cols.iter().map(|&c| ops[c]).collect();
+            .count();
         let access = if is_delta {
             Access::Scan // deltas are small and unindexed: always scanned
-        } else if !ops.is_empty() && key_cols.len() == ops.len() {
+        } else if !ops.is_empty() && keyed == ops.len() {
             Access::Contains
-        } else if key_cols.is_empty() {
+        } else if keyed == 0 {
             Access::Scan
-        } else if grows[*rel as usize] {
-            let index_slot = template[*rel as usize].register_index(key_cols);
-            Access::Index { index_slot }
         } else {
             trie_access(&ops, &newly, &mut template[*rel as usize])
         };
@@ -483,35 +458,25 @@ fn build_plan(
             is_delta,
             ops,
             access,
-            key_ops,
         });
     }
     let neg_after = schedule_negs(neg, &binds, nvars);
-    // Merge-style eligibility: [delta, index-probe, ...] where every key
-    // op of the probe is a constant or a variable bound by the delta atom.
-    // The merge path skips the per-depth negation hooks, so it is only
-    // taken for negation-free rules.
+    // Merge-style eligibility: [delta, trie-probe, ...] where every key
+    // slot of the probe is bound by the delta atom. The merge path skips
+    // the per-depth negation hooks, so it is only taken for negation-free
+    // rules.
     let merge_key = match atoms.as_slice() {
-        [d, p, ..] if neg.is_empty() && d.is_delta => {
-            let delta_col_of = |slot: usize| {
-                d.ops
-                    .iter()
-                    .position(|op| matches!(op, ArgOp::Bind(s) if *s == slot))
-            };
-            match &p.access {
-                Access::Index { .. } => p
-                    .key_ops
-                    .iter()
-                    .map(|op| match op {
-                        ArgOp::CheckConst(_) => Some(usize::MAX),
-                        ArgOp::CheckVar(s) => delta_col_of(*s),
-                        ArgOp::Bind(_) => None,
-                    })
-                    .collect::<Option<Vec<usize>>>(),
-                Access::Trie { key, .. } => key.iter().map(|&s| delta_col_of(s)).collect(),
-                Access::Contains | Access::Scan => None,
-            }
-        }
+        [d, p, ..] if neg.is_empty() && d.is_delta => match &p.access {
+            Access::Trie { key, .. } => key
+                .iter()
+                .map(|&slot| {
+                    d.ops
+                        .iter()
+                        .position(|op| matches!(op, ArgOp::Bind(s) if *s == slot))
+                })
+                .collect(),
+            Access::Contains | Access::Scan => None,
+        },
         _ => None,
     };
     Plan::Binary {
@@ -591,7 +556,7 @@ fn build_wcoj(
 }
 
 /// Compiles a whole program: stratification, interning, slot assignment,
-/// planning, and index/trie registration. The program's fact store is
+/// planning, and trie registration. The program's fact store is
 /// adopted as it is: its constant table starts the compiled one (rule
 /// constants look themselves up in the same map, and only the few it
 /// lacks are appended), and its blocks become relations `0..` and are
@@ -732,21 +697,15 @@ pub(crate) fn compile<'p>(
     for (r, &si) in raw_rules.iter().zip(&rule_strata) {
         derived_in[r.head_rel as usize] = Some(si);
     }
-    // Per stratum: which relations grow while it runs.
-    let grows: Vec<Vec<bool>> = (0..strata_assignment.count)
-        .map(|si| derived_in.iter().map(|d| *d == Some(si)).collect())
-        .collect();
 
-    // Then plan each rule's modes, registering indexes and tries on the
-    // template.
+    // Then plan each rule's modes, registering tries on the template.
     let mut template: Vec<Relation> = arities.iter().map(|&a| Relation::new(a)).collect();
     let rules: Vec<CompiledRule> = raw_rules
         .into_iter()
         .zip(&rule_strata)
         .map(|(r, &si)| {
-            let grows = &grows[si];
             let delta_at: Vec<usize> = (0..r.body.len())
-                .filter(|&j| grows[r.body[j].0 as usize])
+                .filter(|&j| derived_in[r.body[j].0 as usize] == Some(si))
                 .collect();
             // WCOJ trigger: at least two join variables, each occurring in
             // at least two distinct body atoms.
@@ -806,28 +765,12 @@ pub(crate) fn compile<'p>(
                 }
             } else {
                 let naive_order = order_atoms(&r.body, None, r.nvars);
-                let naive = build_plan(
-                    &r.body,
-                    &r.neg,
-                    &naive_order,
-                    None,
-                    r.nvars,
-                    grows,
-                    &mut template,
-                );
+                let naive = build_plan(&r.body, &r.neg, &naive_order, None, r.nvars, &mut template);
                 let delta_plans = delta_at
                     .iter()
                     .map(|&j| {
                         let order = order_atoms(&r.body, Some(j), r.nvars);
-                        build_plan(
-                            &r.body,
-                            &r.neg,
-                            &order,
-                            Some(j),
-                            r.nvars,
-                            grows,
-                            &mut template,
-                        )
+                        build_plan(&r.body, &r.neg, &order, Some(j), r.nvars, &mut template)
                     })
                     .collect();
                 CompiledRule {
@@ -842,17 +785,8 @@ pub(crate) fn compile<'p>(
         .collect();
 
     let mut strata: Vec<Vec<usize>> = vec![vec![]; strata_assignment.count];
-    let mut tries: Vec<Vec<(u32, usize)>> = vec![vec![]; strata_assignment.count];
     for (i, &si) in rule_strata.iter().enumerate() {
         strata[si].push(i);
-        let rule = &rules[i];
-        for plan in std::iter::once(&rule.naive).chain(&rule.delta_plans) {
-            tries[si].extend(plan.tries());
-        }
-    }
-    for t in &mut tries {
-        t.sort_unstable();
-        t.dedup();
     }
 
     Ok(CompiledProgram {
@@ -864,7 +798,6 @@ pub(crate) fn compile<'p>(
         strata,
         fact_blocks: &store.blocks,
         facts,
-        tries,
     })
 }
 
@@ -893,7 +826,7 @@ mod tests {
 
             // Transitive closure: the base rule reads only `edge`; the
             // recursive rule gets exactly the Δpath plan, and nothing
-            // probes `path` by column 1.
+            // probes `path` (the naive plan scans it).
             let p = transitive_closure_program(&[(0, 1), (1, 2)]);
             let cp = compile(&p, mode).unwrap();
             let path = rel(&cp, "path");
@@ -903,11 +836,8 @@ mod tests {
             assert_eq!(recursive.delta_plans.len(), 1, "{mode:?}");
             assert_eq!(recursive.delta_plans[0].delta_rel(), Some(path));
             assert!(
-                cp.template[path as usize]
-                    .indexes
-                    .iter()
-                    .all(|ix| ix.cols != [1]),
-                "{mode:?}: path carries a column-1 index"
+                cp.template[path as usize].tries.is_empty(),
+                "{mode:?}: path carries a trie"
             );
 
             // A stratum-1 rule reading only stratum-0 relations (`node`,
@@ -944,18 +874,18 @@ mod tests {
             Plan::Wcoj(_) => unreachable!("binary bodies"),
         };
         // Linear recursion over a complete `edge`: the delta plan merges
-        // Δpath's column 1 against a trie of `edge` keyed on column 0,
-        // and no plan (the naive one included) needs a hash index.
+        // Δpath's column 1 against a trie of `edge` keyed on column 0, and
+        // the naive plan probes the same trie.
         let p = transitive_closure_program(&[(0, 1), (1, 2)]);
         let cp = compile(&p, JoinMode::Auto).unwrap();
-        let edge = rel(&cp, "edge") as usize;
-        assert!(cp.template.iter().all(|r| r.indexes.is_empty()));
-        assert_eq!(cp.template[edge].tries.len(), 1);
-        assert_eq!(cp.template[edge].tries[0].spec.cols, [0, 1]);
+        let edge = rel(&cp, "edge");
+        assert_eq!(cp.template[edge as usize].tries.len(), 1);
+        assert_eq!(cp.template[edge as usize].tries[0].spec.cols, [0, 1]);
         let (access, merge_key) = probe(&cp.rules[1].delta_plans[0]);
         assert_eq!(merge_key, Some(vec![1]));
         assert!(matches!(access, Access::Trie { trie_slot: 0, .. }));
-        assert_eq!(cp.tries, vec![vec![(edge as u32, 0)]]);
+        assert_eq!(cp.rules[1].naive.tries(), vec![(edge, 0)]);
+        assert_eq!(cp.rules[1].delta_plans[0].tries(), vec![(edge, 0)]);
 
         // A constant in the probe becomes a trie filter; the key is the
         // delta-bound variable alone.
@@ -977,12 +907,44 @@ mod tests {
             (&[0, 2][..], &[(1, 3)][..])
         );
 
-        // Non-linear recursion probes `path` itself, which grows within
-        // the stratum: that probe stays on the hash index.
+        // Non-linear recursion probes `t` itself, which grows within the
+        // stratum: each delta plan merges against a trie of `t`, keyed on
+        // the join column the delta binds.
         let p = parse_program("e(0, 1). t(X, Y) :- e(X, Y). t(X, Z) :- t(X, Y), t(Y, Z).").unwrap();
         let cp = compile(&p, JoinMode::Auto).unwrap();
-        for plan in &cp.rules[1].delta_plans {
-            assert!(matches!(probe(plan).0, Access::Index { .. }));
+        let t = rel(&cp, "t") as usize;
+        let plans = &cp.rules[1].delta_plans;
+        assert_eq!(plans.len(), 2);
+        for (plan, delta_col) in plans.iter().zip([1, 0]) {
+            let (access, merge_key) = probe(plan);
+            let Access::Trie { trie_slot, .. } = access else {
+                panic!("trie access expected, got {access:?}");
+            };
+            assert_eq!(merge_key, Some(vec![delta_col]));
+            // The probed `t` is keyed on the column the delta joins on.
+            let spec = &cp.template[t].tries[trie_slot].spec;
+            assert_eq!(spec.cols, [1 - delta_col, delta_col]);
         }
+
+        // Forced-binary same-generation: every keyed probe, including the
+        // naive plan's probe of the growing `sg`, reads a trie.
+        let p = crate::eval::same_generation_program(&[(0, 1), (0, 2), (1, 3), (2, 4)]);
+        let cp = compile(&p, JoinMode::Binary).unwrap();
+        let sg = rel(&cp, "sg");
+        for rule in &cp.rules {
+            for plan in std::iter::once(&rule.naive).chain(&rule.delta_plans) {
+                let Plan::Binary { atoms, .. } = plan else {
+                    unreachable!("binary mode plans binary");
+                };
+                for a in atoms.iter().filter(|a| !a.is_delta) {
+                    assert!(
+                        matches!(a.access, Access::Trie { .. } | Access::Scan),
+                        "{:?}",
+                        a.access
+                    );
+                }
+            }
+        }
+        assert!(cp.rules[1].naive.tries().iter().any(|&(r, _)| r == sg));
     }
 }

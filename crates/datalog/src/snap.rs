@@ -7,40 +7,41 @@
 //! ([`tag::DL_CONSTS`](lambda_join_core::snap::tag)) and the relations
 //! ([`tag::DL_RELS`](lambda_join_core::snap::tag)).
 //!
-//! A relation's *data* — name, arity, flat tuple column — is always
-//! stored. Its *derived* structures split by the `store_derived` flag
+//! A relation's *data* — name, arity, row count, flat tuple column — is
+//! always stored. Its membership table splits by the `store_derived` flag
 //! passed to [`IdDatabase::save`]:
 //!
-//! * **stored** — the open-addressed membership table (as occupied
-//!   `(slot, row)` pairs) and every hash index's buckets are written out
-//!   and reassembled verbatim on load: more bytes, no rebuild CPU;
-//! * **rebuilt** — only the index *column sets* are written; on load the
-//!   membership table and index maps are re-derived by replaying rows in
-//!   insertion order, which lands on byte-identical structures (the
+//! * **stored** — the open-addressed table, as its size and occupied
+//!   `(slot, row)` pairs, is reassembled verbatim on load: more bytes, no
+//!   rebuild CPU;
+//! * **rebuilt** — on load the table is re-derived by replaying rows in
+//!   insertion order, which lands on the byte-identical table (the
 //!   rebuild recipe is exactly the incremental-growth recipe).
 //!
-//! Sorted-column tries are stored as their specs in both modes and catch
-//! up lazily on their first refresh — the same staleness contract
-//! they already honour when registered after population. `figures --
-//! perf` measures both modes (`snapshot_load_ns` for stored,
+//! Nothing else is stored: an evaluated [`IdDatabase`] carries no tries
+//! (only evaluation reads them), so a loaded one needs none. Relations
+//! sections written when they also held index buckets and trie specs
+//! carried an older tag and fail with [`SnapError::SectionOrder`].
+//! `figures -- perf` measures both modes (`snapshot_load_ns` for stored,
 //! `snapshot_load_rebuild_ns` for rebuilt).
 //!
 //! Corrupt input — bit flips, truncation, a bad version, out-of-range
-//! constant ids or row indexes, an overfull membership table — is
-//! rejected with a typed [`SnapError`]; a failed load never yields a
+//! constant ids or row indexes, a membership table of any size but the
+//! one a rebuild would make, more than one row in a zero-arity relation
+//! — is rejected with a typed [`SnapError`]; a failed load never yields a
 //! partially-filled database.
 
 use std::path::Path;
 
 pub use lambda_join_core::snap::SnapError;
-use lambda_join_core::snap::{put_str, put_v64, put_zig, tag, Cur, Reader, Writer};
+use lambda_join_core::snap::{put_str, put_v64, put_zig, tag, Reader, Writer};
 
 use crate::ast::Const;
-use crate::store::{ColIndex, IdDatabase, Relation, TrieSpec, EMPTY};
+use crate::store::{IdDatabase, Relation, EMPTY};
 
 /// Serialises the database to snapshot bytes. With `store_derived`, the
-/// membership tables and hash-index buckets are stored verbatim;
-/// otherwise they are rebuilt on load.
+/// membership tables are stored verbatim; otherwise they are rebuilt on
+/// load.
 pub fn to_bytes(db: &IdDatabase, store_derived: bool) -> Vec<u8> {
     let mut w = Writer::new();
     let mut p = Vec::new();
@@ -69,24 +70,6 @@ pub fn to_bytes(db: &IdDatabase, store_derived: bool) -> Vec<u8> {
         for &v in &rel.data {
             put_v64(&mut p, u64::from(v));
         }
-        put_v64(&mut p, rel.indexes.len() as u64);
-        for ix in &rel.indexes {
-            put_v64(&mut p, ix.cols.len() as u64);
-            for &c in &ix.cols {
-                put_v64(&mut p, c as u64);
-            }
-            if store_derived {
-                let buckets = ix.snap_buckets();
-                put_v64(&mut p, buckets.len() as u64);
-                for (h, rows) in buckets {
-                    p.extend_from_slice(&h.to_le_bytes());
-                    put_v64(&mut p, rows.len() as u64);
-                    for &r in rows {
-                        put_v64(&mut p, u64::from(r));
-                    }
-                }
-            }
-        }
         if store_derived {
             let slots = rel.snap_slots();
             put_v64(&mut p, slots.len() as u64);
@@ -95,24 +78,6 @@ pub fn to_bytes(db: &IdDatabase, store_derived: bool) -> Vec<u8> {
                     put_v64(&mut p, pos as u64);
                     put_v64(&mut p, u64::from(s));
                 }
-            }
-        }
-        put_v64(&mut p, rel.tries.len() as u64);
-        for t in &rel.tries {
-            let spec = &t.spec;
-            put_v64(&mut p, spec.cols.len() as u64);
-            for &c in &spec.cols {
-                put_v64(&mut p, c as u64);
-            }
-            put_v64(&mut p, spec.consts.len() as u64);
-            for &(c, k) in &spec.consts {
-                put_v64(&mut p, c as u64);
-                put_v64(&mut p, u64::from(k));
-            }
-            put_v64(&mut p, spec.eqs.len() as u64);
-            for &(a, b) in &spec.eqs {
-                put_v64(&mut p, a as u64);
-                put_v64(&mut p, b as u64);
             }
         }
     }
@@ -148,6 +113,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<IdDatabase, SnapError> {
         let name = cur.str_()?.to_string();
         let arity = cur.vusize()?;
         let rows = cur.vusize()?;
+        if arity == 0 && rows > 1 {
+            return Err(SnapError::Malformed(
+                "zero-arity relation with several rows",
+            ));
+        }
         let n_vals = rows
             .checked_mul(arity)
             .ok_or(SnapError::Malformed("row count overflow"))?;
@@ -162,56 +132,21 @@ pub fn from_bytes(bytes: &[u8]) -> Result<IdDatabase, SnapError> {
             }
             data.push(v);
         }
-        let row_idx = |cur: &mut Cur<'_>| -> Result<u32, SnapError> {
-            let v = cur.v32()?;
-            if (v as usize) < rows {
-                Ok(v)
-            } else {
-                Err(SnapError::Malformed("row index out of range"))
-            }
-        };
-        let col = |cur: &mut Cur<'_>| -> Result<usize, SnapError> {
-            let c = cur.vusize()?;
-            if c < arity {
-                Ok(c)
-            } else {
-                Err(SnapError::Malformed("column out of range"))
-            }
-        };
-        let n_indexes = cur.count(1)?;
-        let mut indexes = Vec::with_capacity(n_indexes);
-        for _ in 0..n_indexes {
-            let n_cols = cur.count(1)?;
-            let mut cols = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                cols.push(col(&mut cur)?);
-            }
-            if store_derived {
-                let n_buckets = cur.count(9)?;
-                let mut buckets = Vec::with_capacity(n_buckets);
-                for _ in 0..n_buckets {
-                    let h = cur.u64_le()?;
-                    let n = cur.count(1)?;
-                    let mut bucket = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        bucket.push(row_idx(&mut cur)?);
-                    }
-                    buckets.push((h, bucket));
-                }
-                indexes.push(ColIndex::from_buckets(cols, buckets));
-            } else {
-                indexes.push(ColIndex::rebuild(cols, &data, arity, rows));
-            }
-        }
         let slots = if store_derived {
+            // Every writer stores the table a rebuild of `rows` rows
+            // makes; any other size is either overfull or an unbounded
+            // allocation whose probes miss rows that are present.
             let slots_len = cur.vusize()?;
-            if !slots_len.is_power_of_two() || rows * 4 >= slots_len * 3 {
+            if slots_len != Relation::natural_slot_len(rows) {
                 return Err(SnapError::Malformed("bad membership table size"));
             }
             let mut slots = vec![EMPTY; slots_len];
             for _ in 0..rows {
                 let pos = cur.vusize()?;
-                let row = row_idx(&mut cur)?;
+                let row = cur.v32()?;
+                if (row as usize) >= rows {
+                    return Err(SnapError::Malformed("row index out of range"));
+                }
                 if pos >= slots_len {
                     return Err(SnapError::Malformed("slot position out of range"));
                 }
@@ -224,38 +159,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<IdDatabase, SnapError> {
         } else {
             None
         };
-        let n_tries = cur.count(1)?;
-        let mut trie_specs = Vec::with_capacity(n_tries);
-        for _ in 0..n_tries {
-            let n_cols = cur.count(1)?;
-            let mut cols = Vec::with_capacity(n_cols);
-            for _ in 0..n_cols {
-                cols.push(col(&mut cur)?);
-            }
-            let n_consts_f = cur.count(2)?;
-            let mut spec_consts = Vec::with_capacity(n_consts_f);
-            for _ in 0..n_consts_f {
-                let c = col(&mut cur)?;
-                let k = cur.v32()?;
-                if (k as usize) >= consts.len() {
-                    return Err(SnapError::Malformed("constant id out of range"));
-                }
-                spec_consts.push((c, k));
-            }
-            let n_eqs = cur.count(2)?;
-            let mut eqs = Vec::with_capacity(n_eqs);
-            for _ in 0..n_eqs {
-                eqs.push((col(&mut cur)?, col(&mut cur)?));
-            }
-            trie_specs.push(TrieSpec {
-                cols,
-                consts: spec_consts,
-                eqs,
-            });
-        }
-        rels.push(Relation::from_parts(
-            arity, data, rows, slots, indexes, trie_specs,
-        ));
+        rels.push(Relation::from_parts(arity, data, rows, slots));
         names.push(name);
     }
     cur.expect_end()?;
@@ -343,6 +247,81 @@ mod tests {
             via_stored.to_snapshot_bytes(true),
             via_rebuilt.to_snapshot_bytes(true)
         );
+    }
+
+    /// A snapshot of one constant (`0`) and the given relations payload
+    /// under `rels_tag`, with valid checksums.
+    fn wrap(rels_tag: u16, rels: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.section(tag::DL_CONSTS, &[1, 0, 0]);
+        w.section(rels_tag, rels);
+        w.finish()
+    }
+
+    /// A relations payload holding one relation `a` of the given arity.
+    fn one_relation(store_derived: bool, arity: u64, rows: u64, rest: &[u64]) -> Vec<u8> {
+        let mut p = vec![u8::from(store_derived)];
+        put_v64(&mut p, 1);
+        put_str(&mut p, "a");
+        put_v64(&mut p, arity);
+        put_v64(&mut p, rows);
+        for &v in rest {
+            put_v64(&mut p, v);
+        }
+        p
+    }
+
+    #[test]
+    fn hand_built_relations_payload_matches_the_writer() {
+        // The relations section is name, arity, rows and data, plus the
+        // membership table in stored mode: nothing else.
+        let bytes = wrap(tag::DL_RELS, &one_relation(false, 1, 1, &[0]));
+        let (db, _) = eval_ids(&parse_program("a(0).").unwrap(), Strategy::Seminaive);
+        assert_eq!(db.to_snapshot_bytes(false), bytes);
+        let back = from_bytes(&bytes).unwrap();
+        assert!(back.contains("a", &[Const::Int(0)]));
+        assert_eq!(back.to_snapshot_bytes(true), db.to_snapshot_bytes(true));
+    }
+
+    #[test]
+    fn oversized_membership_table_is_rejected() {
+        // A checksummed file whose one-row table claims 2^24 slots: every
+        // writer stores the natural 8, so the size alone is malformed (it
+        // used to load, allocate 64 MiB, and then miss the row).
+        let bytes = wrap(tag::DL_RELS, &one_relation(true, 1, 1, &[0, 1 << 24, 0, 0]));
+        assert!(matches!(from_bytes(&bytes), Err(SnapError::Malformed(_))));
+        // A smaller, still power-of-two table is as wrong.
+        let bytes = wrap(tag::DL_RELS, &one_relation(true, 1, 1, &[0, 16, 3, 0]));
+        assert!(matches!(from_bytes(&bytes), Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn zero_arity_relation_with_several_rows_is_rejected() {
+        for store_derived in [false, true] {
+            let bytes = wrap(
+                tag::DL_RELS,
+                &one_relation(store_derived, 0, 2, &[8, 0, 0, 1, 1]),
+            );
+            assert!(
+                matches!(from_bytes(&bytes), Err(SnapError::Malformed(_))),
+                "derived={store_derived}"
+            );
+        }
+        let one = wrap(tag::DL_RELS, &one_relation(false, 0, 1, &[]));
+        assert_eq!(from_bytes(&one).unwrap().fact_count("a"), 1);
+    }
+
+    #[test]
+    fn relations_section_of_the_index_carrying_layout_fails_with_section_order() {
+        // Tag 17 held relations together with index buckets and trie
+        // specs; such a file now fails on its tag, before any decoding.
+        let bytes = wrap(17, &one_relation(false, 1, 1, &[0, 0, 0]));
+        match from_bytes(&bytes) {
+            Err(SnapError::SectionOrder { expected, found }) => {
+                assert_eq!((expected, found), (tag::DL_RELS, 17));
+            }
+            other => panic!("expected SectionOrder, got {other:?}"),
+        }
     }
 
     #[test]

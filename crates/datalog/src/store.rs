@@ -5,22 +5,18 @@
 //! module), a rule's at compile time (the private `plan` module) — so a
 //! tuple is a fixed-width run of `u32`s and a relation is one contiguous
 //! `Vec<u32>` in derivation order. Tuple equality is a word-by-word
-//! compare, membership is one probe of an open-addressed hash table of
-//! row indexes, every multi-column hash index the join plan needs is a
-//! `key-hash → row-index` map maintained **incrementally on insert** —
-//! exactly once per new fact, never rebuilt per round — and every sorted
-//! trie merges in only the rows added since its last refresh. This is
-//! the Datalog instance of the workspace-wide id-native design (DESIGN.md
-//! §3/§5/§6): trees at the API boundary, `Copy` ids everywhere the
-//! fixpoint loop runs.
+//! compare, and membership is one probe of an open-addressed hash table
+//! of row indexes. Every keyed lookup the join plans make reads a sorted
+//! trie — the store's one secondary index — which merges in only the rows
+//! added since its last refresh, and is refreshed only before a round
+//! whose plans read it. This is the Datalog instance of the
+//! workspace-wide id-native design (DESIGN.md §3/§5/§6): trees at the API
+//! boundary, `Copy` ids everywhere the fixpoint loop runs.
 //!
 //! [`IdDatabase`] is the public face: the result of
 //! [`eval_ids`](crate::eval::eval_ids), queryable without ever
 //! materialising a [`Database`](crate::eval::Database), and convertible
 //! into one at the boundary via [`IdDatabase::to_database`].
-
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ast::Const;
 
@@ -40,88 +36,6 @@ pub(crate) fn hash_cols(vals: impl IntoIterator<Item = u32>) -> u64 {
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^ (h >> 33)
-}
-
-/// A pass-through [`Hasher`] for maps whose keys are already hashes
-/// (the per-index `key-hash → rows` maps): `write_u64` *is* the hash.
-#[derive(Default)]
-pub(crate) struct PreHashed(u64);
-
-impl Hasher for PreHashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("PreHashed keys are u64 hashes");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-type PreHashedMap<V> = HashMap<u64, V, BuildHasherDefault<PreHashed>>;
-
-/// A multi-column index over one relation: maps the hash of the values at
-/// `cols` to the rows carrying those values. Buckets may mix true matches
-/// with hash collisions; probers re-verify the key columns while matching
-/// the rest of the atom, so collisions cost a failed compare, never a
-/// wrong answer.
-#[derive(Debug, Clone)]
-pub(crate) struct ColIndex {
-    /// The indexed column positions, sorted ascending.
-    pub(crate) cols: Vec<usize>,
-    map: PreHashedMap<Vec<u32>>,
-}
-
-impl ColIndex {
-    fn new(cols: Vec<usize>) -> Self {
-        ColIndex {
-            cols,
-            map: PreHashedMap::default(),
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, row_idx: u32, row: &[u32]) {
-        let h = hash_cols(self.cols.iter().map(|&c| row[c]));
-        self.map.entry(h).or_default().push(row_idx);
-    }
-
-    /// The candidate rows for a key hash (computed by the caller from the
-    /// bound values via [`hash_cols`]).
-    #[inline]
-    pub(crate) fn probe(&self, key_hash: u64) -> &[u32] {
-        self.map.get(&key_hash).map_or(&[], Vec::as_slice)
-    }
-
-    /// Snapshot view of the index buckets, sorted by key hash — the map's
-    /// own iteration order is nondeterministic, and snapshots of equal
-    /// databases must serialise to identical bytes (see [`crate::snap`]).
-    pub(crate) fn snap_buckets(&self) -> Vec<(u64, &Vec<u32>)> {
-        let mut out: Vec<_> = self.map.iter().map(|(h, v)| (*h, v)).collect();
-        out.sort_unstable_by_key(|(h, _)| *h);
-        out
-    }
-
-    /// Rebuilds an index from stored buckets (row indexes validated by
-    /// the caller).
-    pub(crate) fn from_buckets(cols: Vec<usize>, buckets: Vec<(u64, Vec<u32>)>) -> ColIndex {
-        let mut ix = ColIndex::new(cols);
-        ix.map.extend(buckets);
-        ix
-    }
-
-    /// Rebuilds an index from scratch over a relation's flat rows — the
-    /// rebuild-on-load path.
-    pub(crate) fn rebuild(cols: Vec<usize>, data: &[u32], arity: usize, rows: usize) -> ColIndex {
-        let mut ix = ColIndex::new(cols);
-        for r in 0..rows {
-            ix.add(r as u32, &data[r * arity..(r + 1) * arity]);
-        }
-        ix
-    }
 }
 
 /// How a trie projects and filters the rows of its relation: the static
@@ -170,11 +84,11 @@ impl TrieSpec {
 /// Tries are **lazily built and incrementally maintained**: inserts into
 /// the relation merely make the trie stale (`src_rows` lags the
 /// relation's row count); [`Relation::refresh_trie`] — called by the
-/// evaluator at the start of each round of a stratum that reads the trie
-/// (a leapfrog plan, or a sorted lookup or merge) — projects only the rows
+/// evaluator before each round for the tries that round's plans read (a
+/// leapfrog plan, or a sorted lookup or merge) — projects only the rows
 /// added since the last refresh, sorts that chunk, and merges it with the
 /// already-sorted bulk, so a fixpoint pays O(new · log new + total) per
-/// round instead of a full re-sort.
+/// refresh instead of a full re-sort.
 #[derive(Debug, Clone)]
 pub(crate) struct Trie {
     pub(crate) spec: TrieSpec,
@@ -455,8 +369,8 @@ pub(crate) fn gallop(keys: &[u32], mut lo: usize, v: u32) -> usize {
 
 /// One relation: a fixed arity, all tuples flat in `data` (insertion =
 /// derivation order), an open-addressed membership table of row indexes,
-/// the multi-column hash indexes registered by the join planner, and the
-/// sorted-column tries registered by the leapfrog planner.
+/// and the sorted-column tries the join planner registered — the only
+/// secondary index.
 #[derive(Debug, Clone)]
 pub(crate) struct Relation {
     pub(crate) arity: usize,
@@ -465,7 +379,6 @@ pub(crate) struct Relation {
     /// Open-addressing table of row indexes (EMPTY = free), linear probing.
     slots: Vec<u32>,
     rows: usize,
-    pub(crate) indexes: Vec<ColIndex>,
     pub(crate) tries: Vec<Trie>,
 }
 
@@ -476,14 +389,13 @@ impl Relation {
             data: Vec::new(),
             slots: vec![EMPTY; 8],
             rows: 0,
-            indexes: Vec::new(),
             tries: Vec::new(),
         }
     }
 
     /// Registers a sorted-column trie (deduplicated by spec) and returns
-    /// its slot. Unlike hash indexes, tries may be registered after rows
-    /// exist — they start empty and catch up on the first
+    /// its slot. Tries may be registered after rows exist — they start
+    /// empty and catch up on the first
     /// [`refresh_trie`](Relation::refresh_trie).
     pub(crate) fn register_trie(&mut self, spec: TrieSpec) -> usize {
         if let Some(i) = self.tries.iter().position(|t| t.spec == spec) {
@@ -504,16 +416,12 @@ impl Relation {
         }
     }
 
-    /// Registers a multi-column index (before any tuples exist, so
-    /// incremental maintenance covers every row) and returns its slot.
-    /// Indexes are deduplicated by column set.
-    pub(crate) fn register_index(&mut self, cols: Vec<usize>) -> usize {
-        debug_assert_eq!(self.rows, 0, "indexes are registered pre-population");
-        if let Some(i) = self.indexes.iter().position(|ix| ix.cols == cols) {
-            return i;
-        }
-        self.indexes.push(ColIndex::new(cols));
-        self.indexes.len() - 1
+    /// The registered trie with this spec, if it holds every row of the
+    /// relation (a trie no plan of the current round reads may lag).
+    pub(crate) fn current_trie(&self, spec: &TrieSpec) -> Option<&Trie> {
+        self.tries
+            .iter()
+            .find(|t| t.spec == *spec && t.src_rows == self.rows)
     }
 
     /// Number of tuples.
@@ -551,10 +459,10 @@ impl Relation {
         self.find_slot(row).1
     }
 
-    /// Inserts a tuple, maintaining the membership table and every
-    /// registered index; returns whether it was new. Duplicates — the
-    /// majority of derivations in fixpoint rounds — pay one probe and
-    /// touch nothing.
+    /// Inserts a tuple, maintaining the membership table; returns whether
+    /// it was new. Duplicates — the majority of derivations in fixpoint
+    /// rounds — pay one probe and touch nothing. Tries catch up on their
+    /// next refresh.
     pub(crate) fn insert(&mut self, row: &[u32]) -> bool {
         debug_assert_eq!(row.len(), self.arity);
         let (slot, present) = self.find_slot(row);
@@ -566,9 +474,6 @@ impl Relation {
         self.data.extend_from_slice(row);
         self.slots[slot] = idx;
         self.rows += 1;
-        for ix in &mut self.indexes {
-            ix.add(idx, &self.data[idx as usize * self.arity..]);
-        }
         if self.rows * 4 >= self.slots.len() * 3 {
             self.grow();
         }
@@ -634,25 +539,20 @@ impl Relation {
     /// Reassembles a relation from snapshot parts. `slots` is either the
     /// stored membership table (its occupied positions, validated by the
     /// caller against `rows`) or `None` to rebuild it from the data —
-    /// the two sides of the snapshot `store_derived` flag. Hash indexes
-    /// arrive pre-assembled the same way; tries are registered empty and
-    /// catch up lazily on their first [`Relation::refresh_trie`], exactly
-    /// like registration after population.
+    /// the two sides of the snapshot `store_derived` flag. A loaded
+    /// relation has no tries: only evaluation reads them.
     pub(crate) fn from_parts(
         arity: usize,
         data: Vec<u32>,
         rows: usize,
         slots: Option<Vec<u32>>,
-        indexes: Vec<ColIndex>,
-        trie_specs: Vec<TrieSpec>,
     ) -> Relation {
         let mut rel = Relation {
             arity,
             data,
             slots: vec![EMPTY; 8],
             rows,
-            indexes,
-            tries: trie_specs.into_iter().map(Trie::new).collect(),
+            tries: Vec::new(),
         };
         match slots {
             Some(s) => rel.slots = s,
@@ -663,7 +563,7 @@ impl Relation {
 }
 
 /// A per-round delta (or derivation buffer) for one relation: flat rows in
-/// derivation order, no membership table, no indexes — deltas are small
+/// derivation order, no membership table, no tries — deltas are small
 /// and always scanned. The explicit row count (rather than
 /// `data.len() / arity`) keeps zero-arity relations representable.
 #[derive(Debug, Clone, Default)]
@@ -791,9 +691,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn insert_dedups_and_indexes() {
+    fn insert_dedups() {
         let mut r = Relation::new(2);
-        let ix = r.register_index(vec![1]);
         assert!(r.insert(&[1, 2]));
         assert!(!r.insert(&[1, 2]));
         assert!(r.insert(&[3, 2]));
@@ -801,13 +700,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert!(r.contains(&[3, 2]));
         assert!(!r.contains(&[2, 3]));
-        let hits = r.indexes[ix].probe(hash_cols([2]));
-        let matching: Vec<&[u32]> = hits
-            .iter()
-            .map(|&i| r.row(i))
-            .filter(|row| row[1] == 2)
-            .collect();
-        assert_eq!(matching, vec![&[1, 2][..], &[3, 2][..]]);
     }
 
     #[test]

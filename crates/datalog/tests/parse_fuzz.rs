@@ -20,7 +20,7 @@ use proptest::rng::TestRng;
 /// Cases that always run, whatever the host's speed.
 const MIN_CASES: usize = 10_000;
 /// Cases past `MIN_CASES` run only while the loop is inside its budget.
-const MAX_CASES: usize = 60_000;
+const MAX_CASES: usize = 1_000_000;
 const BUDGET: Duration = Duration::from_millis(1_500);
 
 const TOKENS: &[&str] = &[
