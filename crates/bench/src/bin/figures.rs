@@ -501,9 +501,8 @@ fn perf_fig() {
 
         // --- Persistent arena snapshots (DESIGN.md §10): checkpoint this
         // 10⁵-edge TC fixpoint together with a warmed memo and time the
-        // save plus both load modes — stored (membership slots verbatim
-        // from disk) and rebuild (membership tables re-derived on load
-        // from the row data alone). The headline
+        // save and the load (the Datalog store's membership tables are
+        // rebuilt from its rows on load). The headline
         // warm-start claim — loading beats re-deriving by ≥3× — is
         // timed alternately (one re-derive, then one load, per pair) so
         // both sides sample the same host phases, and each side keeps its
@@ -516,33 +515,24 @@ fn perf_fig() {
         let _ = memo.eval_fuel(&encodings::reaches(&gm, 0), 24 * gm.edges.len());
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let dl_stored = dir.join(format!("figures-{pid}-dl-stored.snap"));
-        let dl_rebuild = dir.join(format!("figures-{pid}-dl-rebuild.snap"));
+        let dl_path = dir.join(format!("figures-{pid}-dl.snap"));
         let memo_path = dir.join(format!("figures-{pid}-memo.snap"));
         let save_ns = time_ns(|| {
-            idb.save(&dl_stored, true).expect("save stored snapshot");
+            idb.save(&dl_path, true).expect("save datalog snapshot");
             memo.save_snapshot(&memo_path).expect("save memo snapshot");
         });
-        let bytes = std::fs::metadata(&dl_stored)
-            .expect("stat dl snapshot")
-            .len()
+        let bytes = std::fs::metadata(&dl_path).expect("stat dl snapshot").len()
             + std::fs::metadata(&memo_path)
                 .expect("stat memo snapshot")
                 .len();
-        idb.save(&dl_rebuild, false).expect("save rebuild snapshot");
         let load = || {
-            let db = lambda_join_datalog::IdDatabase::load(&dl_stored).expect("load stored");
+            let db = lambda_join_datalog::IdDatabase::load(&dl_path).expect("load datalog");
             assert_eq!(db.fact_count("path"), want);
             let _ = MemoEval::load_snapshot(&memo_path).expect("load memo");
         };
         let load_ns = time_ns(load);
-        let load_rebuild_ns = time_ns(|| {
-            let db = lambda_join_datalog::IdDatabase::load(&dl_rebuild).expect("load rebuild");
-            assert_eq!(db.fact_count("path"), want);
-        });
         results.push(("snapshot_save_ns", save_ns));
         results.push(("snapshot_load_ns", load_ns));
-        results.push(("snapshot_load_rebuild_ns", load_rebuild_ns));
         results.push(("snapshot_bytes", bytes));
         const PAIRS: usize = 7;
         let once_ns = |f: &dyn Fn()| {
@@ -567,8 +557,7 @@ fn perf_fig() {
                 "snapshot load lost its edge: {rederive_min_ns} ns re-derive vs {load_min_ns} ns load ({ratio:.2}×)"
             ));
         }
-        let _ = std::fs::remove_file(&dl_stored);
-        let _ = std::fs::remove_file(&dl_rebuild);
+        let _ = std::fs::remove_file(&dl_path);
         let _ = std::fs::remove_file(&memo_path);
     }
 

@@ -72,10 +72,11 @@ pub mod tag {
     /// Datalog constant table (payload defined in `lambda-join-datalog`).
     pub const DL_CONSTS: u16 = 16;
     /// Datalog relations (payload defined in `lambda-join-datalog`).
-    /// Tag 17 held the earlier layout that also carried hash-index
-    /// buckets and trie specs; such sections now fail with
+    /// Earlier layouts carried other tags — 17 with hash-index buckets
+    /// and trie specs, 18 with varint columns and an optional stored
+    /// membership table — and such sections now fail with
     /// [`SectionOrder`](super::SnapError::SectionOrder).
-    pub const DL_RELS: u16 = 18;
+    pub const DL_RELS: u16 = 19;
 }
 
 /// Why a snapshot failed to save or load. Corrupt inputs are always
@@ -397,7 +398,7 @@ impl<'a> Reader<'a> {
             });
         }
         let len = self.cur.vusize()?;
-        if self.cur.remaining() < len + 8 {
+        if self.cur.remaining() < len.saturating_add(8) {
             return Err(SnapError::Truncated);
         }
         let payload = self.cur.bytes(len)?;
@@ -825,6 +826,21 @@ mod tests {
         assert!(matches!(
             memo_from_bytes(&w.finish()),
             Err(SnapError::SectionOrder { .. })
+        ));
+    }
+
+    #[test]
+    fn a_section_length_near_the_usize_limit_is_truncation() {
+        // The length check must not overflow (a debug build used to
+        // panic on it): the section simply cannot fit.
+        let mut bytes = Writer::new().finish();
+        bytes.extend_from_slice(&tag::INTERNER.to_le_bytes());
+        put_v64(&mut bytes, u64::MAX - 3);
+        bytes.extend_from_slice(&[0; 16]);
+        let mut r = Reader::new(&bytes).unwrap();
+        assert!(matches!(
+            r.section(tag::INTERNER),
+            Err(SnapError::Truncated)
         ));
     }
 

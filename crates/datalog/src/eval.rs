@@ -148,6 +148,7 @@ fn seal(cp: CompiledProgram<'_>, mut rels: Vec<Relation>) -> IdDatabase {
         rels,
         names: cp.rel_names,
         consts: cp.consts,
+        const_ids: cp.const_ids,
     }
 }
 

@@ -60,15 +60,21 @@ struct IdTable {
 
 impl Default for IdTable {
     fn default() -> Self {
-        IdTable {
-            slots: vec![EMPTY; 16],
-            shift: 64 - 4,
-            len: 0,
-        }
+        IdTable::sized(0)
     }
 }
 
 impl IdTable {
+    /// An empty table that holds `n` ids without growing.
+    fn sized(n: usize) -> Self {
+        let len = (n * 2 + 2).next_power_of_two().max(16);
+        IdTable {
+            slots: vec![EMPTY; len],
+            shift: 64 - len.trailing_zeros(),
+            len: 0,
+        }
+    }
+
     /// The id whose key `eq` accepts, or the free slot where it belongs.
     #[inline]
     fn find(&self, h: u64, eq: impl Fn(u32) -> bool) -> Result<u32, usize> {
@@ -123,13 +129,84 @@ pub(crate) enum ConstRef<'a> {
     Str(&'a str),
 }
 
+impl<'a> From<&'a Const> for ConstRef<'a> {
+    fn from(c: &'a Const) -> Self {
+        match c {
+            Const::Int(n) => ConstRef::Int(*n),
+            Const::Str(s) => ConstRef::Str(s),
+        }
+    }
+}
+
+/// The index of a constant table (id → constant is a position in a
+/// `Vec<Const>` the caller owns and passes in): a constant resolves to
+/// its id in one probe. The fact store interns through it, compilation
+/// extends a copy of it with the rules' constants, and the evaluated
+/// [`IdDatabase`](crate::IdDatabase) keeps that copy for
+/// [`contains`](crate::IdDatabase::contains).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ConstIndex(IdTable);
+
+impl ConstIndex {
+    /// Indexes a table read from elsewhere (a snapshot), or `None` if a
+    /// constant appears twice — two ids for one constant would make two
+    /// distinct rows decode to the same tuple — or the table has more
+    /// ids than a `u32` below [`EMPTY`] can name.
+    pub(crate) fn of_distinct(consts: &[Const]) -> Option<ConstIndex> {
+        let mut ix = IdTable::sized(consts.len());
+        for (id, c) in consts.iter().enumerate() {
+            let id = u32::try_from(id).ok().filter(|&id| id != EMPTY)?;
+            let slot = ix.find(hash_const(c), |j| consts[j as usize] == *c).err()?;
+            ix.insert(slot, id, |j| hash_const(&consts[j as usize]));
+        }
+        Some(ConstIndex(ix))
+    }
+
+    /// The id of a constant in `consts`, if it has one.
+    pub(crate) fn lookup(&self, consts: &[Const], c: &Const) -> Option<u32> {
+        self.0
+            .find(hash_const(c), |id| consts[id as usize] == *c)
+            .ok()
+    }
+
+    /// The id of a constant, appending it to `consts` if new.
+    pub(crate) fn intern(&mut self, consts: &mut Vec<Const>, c: ConstRef<'_>) -> u32 {
+        let found = match c {
+            ConstRef::Int(n) => self
+                .0
+                .find(hash_int(n), |id| consts[id as usize] == Const::Int(n)),
+            ConstRef::Str(s) => self.0.find(
+                hash_str(s, 0),
+                |id| matches!(&consts[id as usize], Const::Str(t) if t == s),
+            ),
+        };
+        match found {
+            Ok(id) => id,
+            Err(slot) => {
+                let id = u32::try_from(consts.len())
+                    .ok()
+                    .filter(|&id| id != EMPTY)
+                    .expect("constant table overflow");
+                consts.push(match c {
+                    ConstRef::Int(n) => Const::Int(n),
+                    ConstRef::Str(s) => Const::Str(s.to_string()),
+                });
+                self.0
+                    .insert(slot, id, |id| hash_const(&consts[id as usize]));
+                id
+            }
+        }
+    }
+}
+
 /// A program's ground facts: the constant table and one row block per
 /// `(predicate, arity)`, in order of first appearance.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FactStore {
-    /// Id → constant. Compilation starts its constant table from this one.
+    /// Id → constant. Compilation starts its constant table from this one
+    /// and its index from `const_ids`.
     pub(crate) consts: Vec<Const>,
-    const_ids: IdTable,
+    pub(crate) const_ids: ConstIndex,
     pub(crate) blocks: Vec<FactBlock>,
     block_ids: IdTable,
     /// The block the previous fact went to: facts arrive in runs of one
@@ -140,41 +217,7 @@ pub(crate) struct FactStore {
 impl FactStore {
     /// The id of a constant, interning it if new.
     fn intern(&mut self, c: ConstRef<'_>) -> u32 {
-        let consts = &self.consts;
-        let found = match c {
-            ConstRef::Int(n) => self
-                .const_ids
-                .find(hash_int(n), |id| consts[id as usize] == Const::Int(n)),
-            ConstRef::Str(s) => self.const_ids.find(
-                hash_str(s, 0),
-                |id| matches!(&consts[id as usize], Const::Str(t) if t == s),
-            ),
-        };
-        match found {
-            Ok(id) => id,
-            Err(slot) => {
-                let id = u32::try_from(self.consts.len())
-                    .ok()
-                    .filter(|&id| id != EMPTY)
-                    .expect("constant table overflow");
-                self.consts.push(match c {
-                    ConstRef::Int(n) => Const::Int(n),
-                    ConstRef::Str(s) => Const::Str(s.to_string()),
-                });
-                let consts = &self.consts;
-                self.const_ids
-                    .insert(slot, id, |id| hash_const(&consts[id as usize]));
-                id
-            }
-        }
-    }
-
-    /// The id of an already-interned constant.
-    pub(crate) fn lookup(&self, c: &Const) -> Option<u32> {
-        let consts = &self.consts;
-        self.const_ids
-            .find(hash_const(c), |id| consts[id as usize] == *c)
-            .ok()
+        self.const_ids.intern(&mut self.consts, c)
     }
 
     /// Appends one fact: `pred` is copied only when it starts a new block.
@@ -262,16 +305,41 @@ mod tests {
             .collect();
         for (n, &id) in (0..5_000).zip(&ids) {
             assert_eq!(s.intern(ConstRef::Int(n - 2_500)), id);
-            assert_eq!(s.lookup(&Const::Int(n - 2_500)), Some(id));
+            assert_eq!(
+                s.const_ids.lookup(&s.consts, &Const::Int(n - 2_500)),
+                Some(id)
+            );
         }
         for (n, &id) in (0..500).zip(&strs) {
-            assert_eq!(s.lookup(&Const::Str(format!("s{n}"))), Some(id));
+            assert_eq!(
+                s.const_ids.lookup(&s.consts, &Const::Str(format!("s{n}"))),
+                Some(id)
+            );
         }
         assert_eq!(s.consts.len(), 5_500);
         // An integer and a string that print alike stay distinct.
         let one = s.intern(ConstRef::Int(1));
         assert_ne!(s.intern(ConstRef::Str("1")), one);
-        assert_eq!(s.lookup(&Const::Str("absent".into())), None);
+        assert_eq!(
+            s.const_ids.lookup(&s.consts, &Const::Str("absent".into())),
+            None
+        );
+    }
+
+    #[test]
+    fn an_index_of_a_read_table_finds_every_constant_and_rejects_repeats() {
+        let consts: Vec<Const> = (0..3_000)
+            .map(Const::Int)
+            .chain((0..300).map(|n| Const::Str(format!("s{n}"))))
+            .collect();
+        let ix = ConstIndex::of_distinct(&consts).expect("distinct");
+        for (id, c) in consts.iter().enumerate() {
+            assert_eq!(ix.lookup(&consts, c), Some(id as u32));
+        }
+        assert_eq!(ix.lookup(&consts, &Const::Str("1".into())), None);
+        let mut repeated = consts;
+        repeated.push(Const::Int(7));
+        assert!(ConstIndex::of_distinct(&repeated).is_none());
     }
 
     #[test]

@@ -63,8 +63,8 @@
 use std::collections::HashMap;
 
 use crate::ast::{AtomTerm, Const, Program};
-use crate::facts::FactBlock;
-use crate::store::{DeltaRel, Relation, TrieSpec, EMPTY};
+use crate::facts::{ConstIndex, FactBlock};
+use crate::store::{DeltaRel, Relation, TrieSpec};
 use crate::strata::{stratify, StratificationError};
 
 /// How rule bodies are joined.
@@ -247,6 +247,8 @@ pub(crate) struct CompiledProgram<'p> {
     pub(crate) arities: Vec<usize>,
     /// Id → constant.
     pub(crate) consts: Vec<Const>,
+    /// Constant → id, over `consts`.
+    pub(crate) const_ids: ConstIndex,
     /// Pre-registered relations (tries already attached), cloned into
     /// the evaluator's database.
     pub(crate) template: Vec<Relation>,
@@ -557,10 +559,10 @@ fn build_wcoj(
 
 /// Compiles a whole program: stratification, interning, slot assignment,
 /// planning, and trie registration. The program's fact store is
-/// adopted as it is: its constant table starts the compiled one (rule
-/// constants look themselves up in the same map, and only the few it
-/// lacks are appended), and its blocks become relations `0..` and are
-/// read in place by the evaluator.
+/// adopted as it is: its constant table and index start the compiled
+/// ones (rule constants look themselves up in the same index, and only
+/// the few it lacks are appended), and its blocks become relations `0..`
+/// and are read in place by the evaluator.
 ///
 /// # Errors
 ///
@@ -572,20 +574,11 @@ pub(crate) fn compile<'p>(
 ) -> Result<CompiledProgram<'p>, StratificationError> {
     let strata_assignment = stratify(program)?;
     let store = &program.facts;
+    // Rule constants the fact store has not seen are appended to copies
+    // of its table and index; the evaluated database keeps both.
     let mut consts: Vec<Const> = store.consts.clone();
-    // Rule constants the fact store has not seen.
-    let mut extra_consts: HashMap<&'p Const, u32> = HashMap::new();
-    let mut const_id = |c: &'p Const, consts: &mut Vec<Const>| {
-        store.lookup(c).unwrap_or_else(|| {
-            *extra_consts.entry(c).or_insert_with(|| {
-                consts.push(c.clone());
-                u32::try_from(consts.len() - 1)
-                    .ok()
-                    .filter(|&id| id != EMPTY)
-                    .expect("constant table overflow")
-            })
-        })
-    };
+    let mut const_ids = store.const_ids.clone();
+    let mut const_id = |c: &Const, consts: &mut Vec<Const>| const_ids.intern(consts, c.into());
     // Keyed on names borrowed from the program: a name is cloned only for
     // a new relation. The fact blocks' relations come first, so relation
     // `i < blocks.len()` is block `i`.
@@ -794,6 +787,7 @@ pub(crate) fn compile<'p>(
         rel_names,
         arities,
         consts,
+        const_ids,
         template,
         strata,
         fact_blocks: &store.blocks,

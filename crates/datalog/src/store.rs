@@ -19,6 +19,7 @@
 //! into one at the boundary via [`IdDatabase::to_database`].
 
 use crate::ast::Const;
+use crate::facts::ConstIndex;
 
 /// Sentinel for an empty open-addressing slot. Interning `u32::MAX` or
 /// more distinct constants is rejected at compile time.
@@ -507,7 +508,8 @@ impl Relation {
 
     /// Rebuilds the membership table at `new_len` slots (a power of two)
     /// by re-hashing every row in insertion order — the deterministic
-    /// recipe both [`Relation::grow`] and snapshot rebuild-on-load use.
+    /// recipe [`Relation::grow`] uses and [`Relation::from_rows`] follows.
+    /// It compares no rows: those of a relation are distinct.
     fn rebuild_slots(&mut self, new_len: usize) {
         self.slots.clear();
         self.slots.resize(new_len, EMPTY);
@@ -523,7 +525,7 @@ impl Relation {
 
     /// The slot count a freshly rebuilt membership table uses for `rows`
     /// rows: the smallest power of two ≥ 8 below the 3/4 load factor.
-    pub(crate) fn natural_slot_len(rows: usize) -> usize {
+    fn natural_slot_len(rows: usize) -> usize {
         let mut n = 8usize;
         while rows * 4 >= n * 3 {
             n *= 2;
@@ -531,34 +533,52 @@ impl Relation {
         n
     }
 
-    /// Snapshot view of the membership table (see [`crate::snap`]).
-    pub(crate) fn snap_slots(&self) -> &[u32] {
-        &self.slots
-    }
-
-    /// Reassembles a relation from snapshot parts. `slots` is either the
-    /// stored membership table (its occupied positions, validated by the
-    /// caller against `rows`) or `None` to rebuild it from the data —
-    /// the two sides of the snapshot `store_derived` flag. A loaded
-    /// relation has no tries: only evaluation reads them.
-    pub(crate) fn from_parts(
-        arity: usize,
-        data: Vec<u32>,
-        rows: usize,
-        slots: Option<Vec<u32>>,
-    ) -> Relation {
-        let mut rel = Relation {
+    /// Reassembles a relation from snapshot rows, or `None` if a row
+    /// appears twice. The membership table is built at the size and with
+    /// the probe sequence of [`Relation::rebuild_slots`], so it equals a
+    /// derived relation's slot for slot, but each probe checks the rows
+    /// it passes, as [`Relation::insert`] does: evaluation never makes a
+    /// duplicate, a crafted file can. While building, a slot holds its
+    /// row index in the low bits and a fingerprint of that row's hash in
+    /// the bits above, so a probe reads a passed row only when the
+    /// fingerprints match (reading every passed row cost about a third
+    /// of a large load). A loaded relation has no tries: only evaluation
+    /// reads them.
+    ///
+    /// # Panics
+    ///
+    /// If `rows` is 2³¹ or more (the snapshot decoder rejects such counts):
+    /// the fingerprint needs at least one bit beside the row index.
+    pub(crate) fn from_rows(arity: usize, data: Vec<u32>, rows: usize) -> Option<Relation> {
+        let mut slots = vec![EMPTY; Relation::natural_slot_len(rows)];
+        let mask = slots.len() - 1;
+        let row_bits = usize::BITS - rows.leading_zeros();
+        assert!(row_bits < 32, "row count overflow");
+        // Every row index is below `rmask`, so no entry equals `EMPTY`.
+        let rmask = (1u32 << row_bits) - 1;
+        let row = |r: usize| &data[r * arity..(r + 1) * arity];
+        for r in 0..rows {
+            let h = hash_cols(row(r).iter().copied());
+            let fingerprint = (h >> 32) as u32 & !rmask;
+            let mut i = h as usize & mask;
+            while slots[i] != EMPTY {
+                if slots[i] & !rmask == fingerprint && row((slots[i] & rmask) as usize) == row(r) {
+                    return None;
+                }
+                i = (i + 1) & mask;
+            }
+            slots[i] = fingerprint | r as u32;
+        }
+        for s in &mut slots {
+            *s = if *s == EMPTY { EMPTY } else { *s & rmask };
+        }
+        Some(Relation {
             arity,
             data,
-            slots: vec![EMPTY; 8],
+            slots,
             rows,
             tries: Vec::new(),
-        };
-        match slots {
-            Some(s) => rel.slots = s,
-            None => rel.rebuild_slots(Relation::natural_slot_len(rows)),
-        }
-        rel
+        })
     }
 }
 
@@ -600,6 +620,10 @@ pub struct IdDatabase {
     pub(crate) names: Vec<String>,
     /// Id → constant.
     pub(crate) consts: Vec<Const>,
+    /// Constant → id, over `consts`: the index compilation built, or
+    /// for a loaded snapshot the one the loader built while checking
+    /// that no constant repeats.
+    pub(crate) const_ids: ConstIndex,
 }
 
 impl IdDatabase {
@@ -649,11 +673,12 @@ impl IdDatabase {
         out
     }
 
-    /// Whether a fact is present.
+    /// Whether a fact is present: one index probe per constant, then one
+    /// membership probe.
     pub fn contains(&self, pred: &str, tuple: &[Const]) -> bool {
         let ids: Option<Vec<u32>> = tuple
             .iter()
-            .map(|c| self.consts.iter().position(|k| k == c).map(|i| i as u32))
+            .map(|c| self.const_ids.lookup(&self.consts, c))
             .collect();
         let Some(ids) = ids else { return false };
         self.rels
@@ -713,6 +738,21 @@ mod tests {
             assert!(!r.insert(&[i]));
         }
         assert_eq!(r.len(), 1000);
+    }
+
+    #[test]
+    fn a_relation_from_rows_has_the_derived_membership_table() {
+        // Incremental inserts (with several doublings) and a one-shot
+        // build from the same rows place every row in the same slot.
+        let mut r = Relation::new(2);
+        for i in 0..1000u32 {
+            r.insert(&[i % 37, i / 37]);
+        }
+        let loaded = Relation::from_rows(2, r.data.clone(), r.len()).expect("distinct rows");
+        assert_eq!(loaded.slots, r.slots);
+        let mut dup = r.data.clone();
+        dup.extend_from_slice(&[5, 5]);
+        assert!(Relation::from_rows(2, dup, r.len() + 1).is_none());
     }
 
     #[test]
