@@ -174,9 +174,11 @@ impl Term {
     /// Values are variables, `⊥v`, abstractions, pairs of values, symbols,
     /// and sets of values.
     ///
-    /// Iterative: the check is called on every dispatch of the evaluation
-    /// engine, and values (streams accumulated over many fuel levels) can
-    /// nest far deeper than the OS stack allows recursion.
+    /// Iterative: values (streams accumulated over many fuel levels) can
+    /// nest far deeper than the OS stack allows recursion. The evaluation
+    /// engine runs on interned ids and reads the arena's cached value flag
+    /// instead; this tree check runs once per `engine::run` or `MemoEval`
+    /// call, on the term handed in, and in the reference evaluators.
     pub fn is_value(&self) -> bool {
         // Bounded recursion keeps the common shallow case allocation-free;
         // past the depth cap the worklist takes over (None = ran out).

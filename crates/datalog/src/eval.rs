@@ -28,8 +28,11 @@
 //! two join variables shared by at least two atoms, e.g. triangles — run
 //! a **worst-case-optimal leapfrog triejoin** ([`JoinMode::Auto`] picks
 //! per rule): one sorted trie per atom over a global variable
-//! elimination order, intersected level by level with galloping seeks,
-//! never enumerating a partial binding no atom can extend. Tries are
+//! elimination order, intersected level by level, never enumerating a
+//! partial binding no atom can extend. Every move over a sorted run —
+//! a trie lookup, a merge step, a leapfrog cursor, the final-level
+//! intersection — is the store's one `seek`, and both plan kinds emit a
+//! complete match through one head emitter. Tries are
 //! maintained incrementally: before a round, the tries its plans read —
 //! and only those — project, sort and merge in the rows derived since
 //! their last refresh. Negated premises execute as anti-join membership
@@ -45,7 +48,7 @@ use crate::ast::{Atom, Const, Program};
 use crate::plan::{
     compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojPlan,
 };
-use crate::store::{gallop, DeltaRel, Relation, Trie};
+use crate::store::{seek, DeltaRel, Relation, Trie};
 
 pub use crate::plan::JoinMode;
 pub use crate::store::IdDatabase;
@@ -223,6 +226,18 @@ fn neg_pass(cx: &Cx<'_>, checks: &[NegCheck], bindings: &[u32], scratch: &mut Ve
     })
 }
 
+/// A complete match: instantiates the rule head from `bindings` into
+/// `out` and counts one derivation — the one place either join kind
+/// emits a head.
+#[inline]
+fn emit_head(rule: &CompiledRule, bindings: &[u32], out: &mut [DeltaRel], stats: &mut EvalStats) {
+    stats.derivations += 1;
+    let o = &mut out[rule.head_rel as usize];
+    o.data
+        .extend(rule.head.iter().map(|op| op_value(op, bindings)));
+    o.rows += 1;
+}
+
 /// Nested-loop join over the remaining planned atoms; a complete match
 /// instantiates the head into `out` and counts one derivation.
 /// `neg_after` stays aligned with `atoms` (`neg_after[0]` runs on entry,
@@ -247,11 +262,7 @@ fn join(
         return;
     }
     let Some(atom) = atoms.first() else {
-        stats.derivations += 1;
-        let o = &mut out[rule.head_rel as usize];
-        o.data
-            .extend(rule.head.iter().map(|op| op_value(op, bindings)));
-        o.rows += 1;
+        emit_head(rule, bindings, out, stats);
         return;
     };
     let rest = &atoms[1..];
@@ -313,13 +324,13 @@ fn bind_trie_row(t: &Trie, r: usize, key_len: usize, binds: &[usize], bindings: 
 /// per open level holds `(cur, hi)`: the current position and the
 /// exclusive end of the parent's group. The **root frame counts in
 /// key-directory units** — the trie keeps its distinct level-0 keys in a
-/// dense sorted array, so root seeks binary-search contiguous memory and
-/// root `next` is an increment; deeper frames count in row units and all
-/// movement there is galloping (exponential probe, then binary search).
-/// A `seek` costs O(log distance) either way, which is what makes the
-/// leapfrog intersection worst-case optimal; the root directory only
-/// changes the constant, but the root is where a cursor intersects the
-/// whole relation, so that constant dominates.
+/// dense sorted array, so root seeks read contiguous memory and root
+/// `next` is an increment; deeper frames count in row units and read the
+/// level's column strided by the trie's width. Every move is one
+/// [`seek`] over that strided view, costing O(log distance), which is
+/// what makes the leapfrog intersection worst-case optimal; the root
+/// directory only changes the constant, but the root is where a cursor
+/// intersects the whole relation, so that constant dominates.
 struct TrieIter<'a> {
     data: &'a [u32],
     w: usize,
@@ -341,59 +352,28 @@ impl<'a> TrieIter<'a> {
         }
     }
 
-    /// Column of the innermost open level.
+    /// The innermost open level as `(keys, stride, cur, hi)`: key `i` of
+    /// the level is `keys[i * stride]` and the frame spans `cur..hi`. The
+    /// root views the dense directory (stride 1); deeper levels view
+    /// their column inside the row storage (stride `w`).
     #[inline]
-    fn col(&self) -> usize {
-        self.stack.len() - 1
-    }
-
-    /// First row in `[lo, hi)` whose value at `col` is `>= v` (`> v` when
-    /// `strict`). Short ranges — the leaf-adjacent runs, whose length is
-    /// a node's degree in graph workloads — scan linearly; galloping's
-    /// probe pattern only pays off once the range outgrows a cache line
-    /// or two.
-    fn gallop(&self, col: usize, mut lo: usize, hi: usize, v: u32, strict: bool) -> usize {
-        let below = |r: usize| {
-            let x = self.data[r * self.w + col];
-            if strict {
-                x <= v
-            } else {
-                x < v
-            }
-        };
-        if hi - lo <= 32 {
-            while lo < hi && below(lo) {
-                lo += 1;
-            }
-            return lo;
-        }
-        let mut step = 1usize;
-        while lo + step < hi && below(lo + step) {
-            lo += step;
-            step <<= 1;
-        }
-        let mut end = hi.min(lo + step);
-        while lo < end {
-            let mid = lo + (end - lo) / 2;
-            if below(mid) {
-                lo = mid + 1;
-            } else {
-                end = mid;
-            }
-        }
-        lo
-    }
-
-    /// End of the current key's run at the innermost level (row-unit
-    /// frames only; the root frame's runs come from the directory). At
-    /// the deepest level every run has length one — rows are distinct.
-    fn run_end(&self) -> usize {
+    fn view(&self) -> (&'a [u32], usize, usize, usize) {
         let &(cur, hi) = self.stack.last().expect("open level");
-        let col = self.col();
-        if col + 1 == self.w {
+        match self.stack.len() {
+            1 => (self.dir0, 1, cur, hi),
+            depth => (&self.data[depth - 1..], self.w, cur, hi),
+        }
+    }
+
+    /// End of the current key's run at the innermost level. Keys are
+    /// distinct in the root directory and at the deepest level (rows are
+    /// distinct), so every run there has length one.
+    fn run_end(&self) -> usize {
+        let (keys, stride, cur, hi) = self.view();
+        if self.stack.len() == 1 || self.stack.len() == self.w {
             return cur + 1;
         }
-        self.gallop(col, cur, hi, self.data[cur * self.w + col], true)
+        seek(keys, stride, cur, hi, keys[cur * stride], true)
     }
 
     /// Descends into the current key's children (or the root level).
@@ -407,10 +387,7 @@ impl<'a> TrieIter<'a> {
                     self.dir0_start[cur + 1] as usize,
                 )
             }
-            _ => {
-                let cur = self.stack.last().expect("open level").0;
-                (cur, self.run_end())
-            }
+            _ => (self.stack.last().expect("open level").0, self.run_end()),
         };
         self.stack.push(frame);
     }
@@ -427,47 +404,20 @@ impl<'a> TrieIter<'a> {
 
     #[inline]
     fn key(&self) -> u32 {
-        let &(cur, _) = self.stack.last().expect("open level");
-        if self.stack.len() == 1 {
-            self.dir0[cur]
-        } else {
-            self.data[cur * self.w + self.col()]
-        }
+        let (keys, stride, cur, _) = self.view();
+        keys[cur * stride]
     }
 
     /// Advances to the next distinct key at this level.
     fn next(&mut self) {
-        let e = if self.stack.len() == 1 {
-            self.stack[0].0 + 1
-        } else {
-            self.run_end()
-        };
+        let e = self.run_end();
         self.stack.last_mut().expect("open level").0 = e;
-    }
-
-    /// The innermost open level's remaining keys as a raw strided view:
-    /// `(keys, stride, count)` — `keys[i * stride]` is the `i`-th key.
-    /// Root frames view the dense directory (stride 1); deeper frames
-    /// view the level's column inside the row storage (stride `w`).
-    fn leaf_view(&self) -> (&[u32], usize, usize) {
-        let &(cur, hi) = self.stack.last().expect("open level");
-        if self.stack.len() == 1 {
-            (&self.dir0[cur..hi], 1, hi - cur)
-        } else {
-            let col = self.col();
-            (&self.data[cur * self.w + col..], self.w, hi - cur)
-        }
     }
 
     /// Advances to the first key `>= v` at this level.
     fn seek(&mut self, v: u32) {
-        let &(cur, hi) = self.stack.last().expect("open level");
-        let e = if self.stack.len() == 1 {
-            gallop(&self.dir0[..hi], cur, v)
-        } else {
-            self.gallop(self.col(), cur, hi, v, false)
-        };
-        self.stack.last_mut().expect("open level").0 = e;
+        let (keys, stride, cur, hi) = self.view();
+        self.stack.last_mut().expect("open level").0 = seek(keys, stride, cur, hi, v, false);
     }
 }
 
@@ -580,53 +530,36 @@ fn wcoj_level(
     out: &mut [DeltaRel],
     stats: &mut EvalStats,
 ) {
-    if level == plan.levels.len() {
-        if neg_pass(cx, &plan.neg_at[level], bindings, scratch) {
-            stats.derivations += 1;
-            let o = &mut out[rule.head_rel as usize];
-            o.data
-                .extend(rule.head.iter().map(|op| op_value(op, bindings)));
-            o.rows += 1;
-        }
-        return;
-    }
     let parts = &plan.at_level[level];
     for &a in parts {
         iters[a].open();
     }
     // A freshly opened level is never empty: the root was checked for
     // emptiness up front, and every deeper range is some parent key's
-    // (non-empty) run.
+    // (non-empty) run. A match binds the level's slot, runs the checks
+    // scheduled once it is bound, then emits the head (last level) or
+    // recurses.
+    let last = level + 1 == plan.levels.len();
     macro_rules! descend {
         ($key:expr) => {
             bindings[plan.levels[level]] = $key;
-            if level + 1 == plan.levels.len()
-                || neg_pass(cx, &plan.neg_at[level + 1], bindings, scratch)
-            {
-                wcoj_level(
-                    cx,
-                    rule,
-                    plan,
-                    level + 1,
-                    iters,
-                    order_bufs,
-                    bindings,
-                    scratch,
-                    out,
-                    stats,
-                );
-            }
-        };
-    }
-    macro_rules! emit_match {
-        ($key:expr) => {
-            bindings[plan.levels[level]] = $key;
             if neg_pass(cx, &plan.neg_at[level + 1], bindings, scratch) {
-                stats.derivations += 1;
-                let o = &mut out[rule.head_rel as usize];
-                o.data
-                    .extend(rule.head.iter().map(|op| op_value(op, bindings)));
-                o.rows += 1;
+                if last {
+                    emit_head(rule, bindings, out, stats);
+                } else {
+                    wcoj_level(
+                        cx,
+                        rule,
+                        plan,
+                        level + 1,
+                        iters,
+                        order_bufs,
+                        bindings,
+                        scratch,
+                        out,
+                        stats,
+                    );
+                }
             }
         };
     }
@@ -645,61 +578,37 @@ fn wcoj_level(
         // in place: a strided two-pointer merge for comparable run
         // lengths, probe-the-longer with galloping when skewed (a hub
         // node against an ordinary one).
-        [i0, i1] if level + 1 == plan.levels.len() => {
-            let gallop_s = |keys: &[u32], stride: usize, mut lo: usize, hi: usize, v: u32| {
-                if hi - lo <= 32 {
-                    while lo < hi && keys[lo * stride] < v {
-                        lo += 1;
-                    }
-                    return lo;
-                }
-                let mut step = 1usize;
-                while lo + step < hi && keys[(lo + step) * stride] < v {
-                    lo += step;
-                    step <<= 1;
-                }
-                let mut end = hi.min(lo + step);
-                while lo < end {
-                    let mid = lo + (end - lo) / 2;
-                    if keys[mid * stride] < v {
-                        lo = mid + 1;
-                    } else {
-                        end = mid;
-                    }
-                }
-                lo
-            };
-            let (ka, sa, na) = iters[i0].leaf_view();
-            let (kb, sb, nb) = iters[i1].leaf_view();
-            let (pk, ps, pn, qk, qs, qn) = if na <= nb {
-                (ka, sa, na, kb, sb, nb)
+        [i0, i1] if last => {
+            let (ka, sa, la, ha) = iters[i0].view();
+            let (kb, sb, lb, hb) = iters[i1].view();
+            let ((pk, ps, mut p, ph), (qk, qs, mut q, qh)) = if ha - la <= hb - lb {
+                ((ka, sa, la, ha), (kb, sb, lb, hb))
             } else {
-                (kb, sb, nb, ka, sa, na)
+                ((kb, sb, lb, hb), (ka, sa, la, ha))
             };
-            if pn * 8 < qn {
-                let mut qpos = 0usize;
-                for i in 0..pn {
-                    let v = pk[i * ps];
-                    qpos = gallop_s(qk, qs, qpos, qn, v);
-                    if qpos == qn {
+            if (ph - p) * 8 < qh - q {
+                while p < ph {
+                    let v = pk[p * ps];
+                    q = seek(qk, qs, q, qh, v, false);
+                    if q == qh {
                         break;
                     }
-                    if qk[qpos * qs] == v {
-                        emit_match!(v);
-                        qpos += 1;
+                    if qk[q * qs] == v {
+                        descend!(v);
+                        q += 1;
                     }
+                    p += 1;
                 }
             } else {
-                let (mut a, mut b) = (0usize, 0usize);
-                while a < pn && b < qn {
-                    let (x, y) = (pk[a * ps], qk[b * qs]);
+                while p < ph && q < qh {
+                    let (x, y) = (pk[p * ps], qk[q * qs]);
                     match x.cmp(&y) {
-                        std::cmp::Ordering::Less => a += 1,
-                        std::cmp::Ordering::Greater => b += 1,
+                        std::cmp::Ordering::Less => p += 1,
+                        std::cmp::Ordering::Greater => q += 1,
                         std::cmp::Ordering::Equal => {
-                            emit_match!(x);
-                            a += 1;
-                            b += 1;
+                            descend!(x);
+                            p += 1;
+                            q += 1;
                         }
                     }
                 }

@@ -49,11 +49,16 @@
 //!   whose levels are the atom's distinct variables in that order, and
 //!   registers the sorted-column trie with the template relation. The
 //!   executor then intersects the tries level by level with the classic
-//!   leapfrog search (seek/next with galloping), which is worst-case
-//!   optimal in the AGM sense — it never enumerates a partial binding
-//!   that no atom can extend. Delta plans share the same order and specs,
-//!   so database tries are registered once and reused by every mode;
-//!   the delta atom's trie is built per round from the flat delta rows.
+//!   leapfrog search (seek/next), which is worst-case optimal in the AGM
+//!   sense — it never enumerates a partial binding that no atom can
+//!   extend. Delta plans share the same order and specs, so database
+//!   tries are registered once and reused by every mode; the delta
+//!   atom's trie is built per round from the flat delta rows.
+//!
+//! Both plan kinds derive their tries' specs through one function: a
+//! binary probe ranks the atom's variables key-first, a leapfrog atom by
+//! the elimination order; constants and repeated variables become the
+//! spec's filters either way.
 //!
 //! Negated premises compile to [`NegCheck`] membership probes, scheduled
 //! at the earliest plan point where all their variables are bound
@@ -357,40 +362,46 @@ fn schedule_negs(
     neg_after
 }
 
-/// The [`Access::Trie`] path for a database atom with ops `ops`, of which
-/// the slots in `newly` are bound by the atom itself: a trie whose levels
-/// are the already-bound variables (the lookup key), then the newly
-/// bound ones, with constants and within-atom repeats as filters.
-fn trie_access(ops: &[ArgOp], newly: &[usize], rel: &mut Relation) -> Access {
+/// The [`TrieSpec`] of one body atom, and the binding slot of each of
+/// its levels. The levels are the atom's distinct variables ordered by
+/// `rank(slot)`, then by column; constants and within-atom repeats become
+/// the spec's filters. Every trie the planner registers is derived here:
+/// a binary probe ranks its key variables before the ones it binds, a
+/// leapfrog atom ranks by the rule's elimination order.
+fn trie_spec(ops: &[ArgOp], rank: impl Fn(usize) -> usize) -> (TrieSpec, Vec<usize>) {
     let (mut consts, mut eqs) = (Vec::new(), Vec::new());
-    let mut first_col: Vec<(usize, usize)> = Vec::new();
-    let (mut key, mut key_cols, mut binds, mut bind_cols) = (vec![], vec![], vec![], vec![]);
+    // (rank, column, slot) for the first occurrence of each variable.
+    let mut vars: Vec<(usize, usize, usize)> = Vec::new();
     for (col, op) in ops.iter().enumerate() {
         match *op {
             ArgOp::CheckConst(c) => consts.push((col, c)),
             ArgOp::Bind(s) | ArgOp::CheckVar(s) => {
-                if let Some(&(_, c0)) = first_col.iter().find(|(t, _)| *t == s) {
+                if let Some(&(_, c0, _)) = vars.iter().find(|v| v.2 == s) {
                     eqs.push((c0, col));
-                } else if newly.contains(&s) {
-                    first_col.push((s, col));
-                    binds.push(s);
-                    bind_cols.push(col);
                 } else {
-                    first_col.push((s, col));
-                    key.push(s);
-                    key_cols.push(col);
+                    vars.push((rank(s), col, s));
                 }
             }
         }
     }
-    key_cols.extend(bind_cols);
-    let trie_slot = rel.register_trie(TrieSpec {
-        cols: key_cols,
+    vars.sort_unstable();
+    let spec = TrieSpec {
+        cols: vars.iter().map(|v| v.1).collect(),
         consts,
         eqs,
-    });
+    };
+    (spec, vars.into_iter().map(|v| v.2).collect())
+}
+
+/// The [`Access::Trie`] path for a database atom with ops `ops`, of which
+/// the slots in `newly` are bound by the atom itself: a trie whose levels
+/// are the already-bound variables (the lookup key), then the newly
+/// bound ones.
+fn trie_access(ops: &[ArgOp], newly: &[usize], rel: &mut Relation) -> Access {
+    let (spec, slots) = trie_spec(ops, |s| usize::from(newly.contains(&s)));
+    let (key, binds) = slots.into_iter().partition(|s| !newly.contains(s));
     Access::Trie {
-        trie_slot,
+        trie_slot: rel.register_trie(spec),
         key,
         binds,
     }
@@ -504,34 +515,10 @@ fn build_wcoj(
     let mut atoms = Vec::with_capacity(raw.len());
     let mut at_level: Vec<Vec<usize>> = vec![vec![]; levels.len()];
     for (ai, (rel, shape)) in raw.iter().enumerate() {
-        let mut consts = Vec::new();
-        let mut eqs = Vec::new();
-        // (level, column) per distinct variable of the atom; the trie's
-        // levels are these columns sorted by global level.
-        let mut var_cols: Vec<(usize, usize)> = Vec::new();
-        let mut first_col: HashMap<usize, usize> = HashMap::new();
-        for (col, op) in shape.iter().enumerate() {
-            match *op {
-                ArgOp::CheckConst(c) => consts.push((col, c)),
-                ArgOp::Bind(s) | ArgOp::CheckVar(s) => {
-                    if let Some(&c0) = first_col.get(&s) {
-                        eqs.push((c0, col));
-                    } else {
-                        first_col.insert(s, col);
-                        var_cols.push((level_index[s], col));
-                    }
-                }
-            }
+        let (spec, slots) = trie_spec(shape, |s| level_index[s]);
+        for s in slots {
+            at_level[level_index[s]].push(ai);
         }
-        var_cols.sort_unstable();
-        for &(l, _) in &var_cols {
-            at_level[l].push(ai);
-        }
-        let spec = TrieSpec {
-            cols: var_cols.iter().map(|&(_, c)| c).collect(),
-            consts,
-            eqs,
-        };
         let is_delta = delta_at == Some(ai);
         let trie_slot = if is_delta {
             usize::MAX

@@ -9,7 +9,8 @@
 //! of row indexes. Every keyed lookup the join plans make reads a sorted
 //! trie — the store's one secondary index — which merges in only the rows
 //! added since its last refresh, and is refreshed only before a round
-//! whose plans read it. This is the Datalog instance of the
+//! whose plans read it. One search, `seek`, serves every sorted run
+//! the engine reads: trie lookups, merges and leapfrog cursors alike. This is the Datalog instance of the
 //! workspace-wide id-native design (DESIGN.md §3/§5/§6): trees at the API
 //! boundary, `Copy` ids everywhere the fixpoint loop runs.
 //!
@@ -17,6 +18,8 @@
 //! [`eval_ids`](crate::eval::eval_ids), queryable without ever
 //! materialising a [`Database`](crate::eval::Database), and convertible
 //! into one at the boundary via [`IdDatabase::to_database`].
+
+use std::cmp::Ordering;
 
 use crate::ast::Const;
 use crate::facts::ConstIndex;
@@ -79,8 +82,8 @@ impl TrieSpec {
 /// triejoin executor: the relation's rows projected through a [`TrieSpec`]
 /// and kept **sorted lexicographically** by level. The sorted flat layout
 /// *is* the trie — a node at depth `d` is a run of rows sharing a
-/// `d`-value prefix, and the leapfrog iterator walks runs with galloping
-/// binary search; no pointer structure is ever materialised.
+/// `d`-value prefix, and lookups and the leapfrog iterator move through
+/// runs with [`seek`]; no pointer structure is ever materialised.
 ///
 /// Tries are **lazily built and incrementally maintained**: inserts into
 /// the relation merely make the trie stale (`src_rows` lags the
@@ -88,8 +91,8 @@ impl TrieSpec {
 /// evaluator before each round for the tries that round's plans read (a
 /// leapfrog plan, or a sorted lookup or merge) — projects only the rows
 /// added since the last refresh, sorts that chunk, and merges it with the
-/// already-sorted bulk, so a fixpoint pays O(new · log new + total) per
-/// refresh instead of a full re-sort.
+/// already-sorted bulk in one pass, so a fixpoint pays
+/// O(new · log new + total) per refresh instead of a full re-sort.
 #[derive(Debug, Clone)]
 pub(crate) struct Trie {
     pub(crate) spec: TrieSpec,
@@ -99,10 +102,10 @@ pub(crate) struct Trie {
     /// Relation rows consumed at the last refresh (stale ⟺ < relation len).
     src_rows: usize,
     /// Distinct level-0 keys, sorted — a dense directory for the trie's
-    /// root level. Root-level `seek` binary-searches this contiguous
-    /// array instead of galloping over `width`-strided rows, and
-    /// root-level `next` is a plain increment; both matter because the
-    /// root is where the leapfrog intersects the whole relation.
+    /// root level. A root-level [`seek`] reads this contiguous array
+    /// (stride 1) instead of `width`-strided rows, and root-level `next`
+    /// is a plain increment; both matter because the root is where the
+    /// leapfrog intersects the whole relation.
     dir0: Vec<u32>,
     /// Start row of `dir0[i]`'s run, with a trailing `rows` sentinel
     /// (`dir0_start.len() == dir0.len() + 1`).
@@ -152,49 +155,30 @@ impl Trie {
     }
 
     /// The rows `lo..hi` whose first `key.len()` levels equal `key`.
-    /// Without a hint the root level binary-searches the key directory (a
-    /// point lookup); with one it gallops forward from `*hint` and leaves
-    /// `*hint` at the key's directory position, so a caller looking up
-    /// nondecreasing first keys (a merge) only ever moves forward. Deeper
-    /// levels binary-search inside the root key's run.
+    /// Without a hint the root key seeks the whole key directory (a point
+    /// lookup); with one it seeks forward from `*hint` and leaves `*hint`
+    /// at the key's directory position, so a caller looking up
+    /// nondecreasing first keys (a merge) only ever moves forward. Each
+    /// deeper key narrows the root key's run with two seeks, to its first
+    /// and past its last row.
     pub(crate) fn prefix_range(&self, key: &[u32], hint: Option<&mut usize>) -> (usize, usize) {
         let Some((&k0, rest)) = key.split_first() else {
             return (0, self.rows);
         };
-        let d = match hint {
-            None => self.dir0.partition_point(|&k| k < k0),
-            Some(hint) => {
-                *hint = gallop(&self.dir0, *hint, k0);
-                *hint
-            }
-        };
+        let from = hint.as_deref().copied().unwrap_or(0);
+        let d = seek(&self.dir0, 1, from, self.dir0.len(), k0, false);
+        if let Some(hint) = hint {
+            *hint = d;
+        }
         if d >= self.dir0.len() || self.dir0[d] != k0 {
             return (0, 0);
         }
         let (mut lo, mut hi) = (self.dir0_start[d] as usize, self.dir0_start[d + 1] as usize);
         let w = self.width();
         for (l, &k) in rest.iter().enumerate() {
-            let at = |r: usize| self.data[r * w + l + 1];
-            let (mut a, mut b) = (lo, hi);
-            while a < b {
-                let mid = a + (b - a) / 2;
-                if at(mid) < k {
-                    a = mid + 1;
-                } else {
-                    b = mid;
-                }
-            }
-            lo = a;
-            b = hi;
-            while a < b {
-                let mid = a + (b - a) / 2;
-                if at(mid) <= k {
-                    a = mid + 1;
-                } else {
-                    b = mid;
-                }
-            }
-            hi = a;
+            let col = &self.data[l + 1..];
+            lo = seek(col, w, lo, hi, k, false);
+            hi = seek(col, w, lo, hi, k, true);
         }
         (lo, hi)
     }
@@ -207,11 +191,12 @@ impl Trie {
         t
     }
 
-    /// Projects rows `self.src_rows..nrows` of `flat`, sorts the chunk,
-    /// and merges it into the sorted bulk (deduplicating — projections
-    /// are injective on surviving relation rows because every source
-    /// column is either kept, pinned by a constant, or tied by an
-    /// equality, so the dedup is a safety net only).
+    /// Projects rows `self.src_rows..nrows` of `flat`, sorts and
+    /// deduplicates the chunk, and merges it into the sorted bulk.
+    /// Projections are injective on surviving relation rows because every
+    /// source column is either kept, pinned by a constant, or tied by an
+    /// equality, so the dedup is a safety net only — but it lets the merge
+    /// assume two strictly sorted inputs.
     fn absorb(&mut self, flat: &[u32], arity: usize, nrows: usize) {
         let w = self.width();
         let mut chunk: Vec<u32> = Vec::new();
@@ -233,101 +218,33 @@ impl Trie {
         if new_rows == 0 {
             return;
         }
-        if w <= 2 {
-            // The common widths (one or two distinct variables per atom):
-            // pack each row into one `u64` so the sort runs on a flat
-            // primitive array instead of through a slice comparator —
-            // several times faster on the 10⁵-row tries the scale
-            // workloads refresh every round.
-            let pack = |row: &[u32]| -> u64 {
-                if w == 1 {
-                    row[0] as u64
-                } else {
-                    ((row[0] as u64) << 32) | row[1] as u64
+        let chunk = sort_rows(chunk, w);
+        // One merge of two strictly sorted row runs; a row in both is
+        // kept once, so the result is strictly sorted too.
+        let (bulk, mut i, mut j) = (&self.data, 0usize, 0usize);
+        let mut merged: Vec<u32> = Vec::with_capacity(bulk.len() + chunk.len());
+        while i < bulk.len() && j < chunk.len() {
+            let (b, c) = (&bulk[i..i + w], &chunk[j..j + w]);
+            match b.cmp(c) {
+                Ordering::Less => {
+                    merged.extend_from_slice(b);
+                    i += w;
                 }
-            };
-            let mut keys: Vec<u64> = chunk.chunks_exact(w).map(pack).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let mut merged: Vec<u32> = Vec::with_capacity(self.data.len() + chunk.len());
-            let mut nrows_out = 0usize;
-            let mut i = 0usize; // bulk row
-            let mut j = 0usize; // sorted chunk key
-            let bulk_rows = self.rows;
-            let mut push = |merged: &mut Vec<u32>, k: u64| {
-                if w == 2 {
-                    merged.push((k >> 32) as u32);
+                Ordering::Greater => {
+                    merged.extend_from_slice(c);
+                    j += w;
                 }
-                merged.push(k as u32);
-                nrows_out += 1;
-            };
-            while i < bulk_rows || j < keys.len() {
-                let bk = (i < bulk_rows).then(|| pack(&self.data[i * w..(i + 1) * w]));
-                match (bk, keys.get(j)) {
-                    (Some(b), Some(&c)) => {
-                        push(&mut merged, b.min(c));
-                        i += usize::from(b <= c);
-                        j += usize::from(c <= b);
-                    }
-                    (Some(b), None) => {
-                        push(&mut merged, b);
-                        i += 1;
-                    }
-                    (None, Some(&c)) => {
-                        push(&mut merged, c);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
+                Ordering::Equal => {
+                    merged.extend_from_slice(b);
+                    i += w;
+                    j += w;
                 }
             }
-            self.data = merged;
-            self.rows = nrows_out;
-        } else {
-            // Sort the fresh chunk by row.
-            let mut order: Vec<u32> = (0..new_rows as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let ra = &chunk[a as usize * w..(a as usize + 1) * w];
-                let rb = &chunk[b as usize * w..(b as usize + 1) * w];
-                ra.cmp(rb)
-            });
-            // Merge sorted bulk and sorted chunk into a fresh buffer.
-            let mut merged: Vec<u32> = Vec::with_capacity(self.data.len() + chunk.len());
-            let mut nrows_out = 0usize;
-            let mut i = 0usize; // bulk row
-            let mut j = 0usize; // chunk order position
-            let bulk_rows = self.rows;
-            let push = |merged: &mut Vec<u32>, nrows_out: &mut usize, row: &[u32]| {
-                let dup = *nrows_out > 0 && &merged[(*nrows_out - 1) * w..*nrows_out * w] == row;
-                if !dup {
-                    merged.extend_from_slice(row);
-                    *nrows_out += 1;
-                }
-            };
-            while i < bulk_rows || j < new_rows {
-                let take_bulk = if i >= bulk_rows {
-                    false
-                } else if j >= new_rows {
-                    true
-                } else {
-                    let rb = &self.data[i * w..(i + 1) * w];
-                    let oc = order[j] as usize;
-                    let rc = &chunk[oc * w..(oc + 1) * w];
-                    rb <= rc
-                };
-                if take_bulk {
-                    let rb = self.data[i * w..(i + 1) * w].to_vec();
-                    push(&mut merged, &mut nrows_out, &rb);
-                    i += 1;
-                } else {
-                    let oc = order[j] as usize;
-                    let rc = &chunk[oc * w..(oc + 1) * w];
-                    push(&mut merged, &mut nrows_out, rc);
-                    j += 1;
-                }
-            }
-            self.data = merged;
-            self.rows = nrows_out;
         }
+        merged.extend_from_slice(&bulk[i..]);
+        merged.extend_from_slice(&chunk[j..]);
+        self.rows = merged.len() / w;
+        self.data = merged;
         // Rebuild the root directory with one linear scan — O(rows) on a
         // contiguous array, cheap next to the merge above.
         self.dir0.clear();
@@ -343,23 +260,80 @@ impl Trie {
     }
 }
 
-/// First position at or after `lo` whose key is `>= v` in the sorted
-/// `keys` (`keys.len()` if none): exponential probing from `lo`, then
-/// binary search, so the cost is logarithmic in the distance moved.
-pub(crate) fn gallop(keys: &[u32], mut lo: usize, v: u32) -> usize {
-    let n = keys.len();
+/// Sorts `w`-wide flat rows lexicographically and drops repeats. The
+/// common widths (one or two distinct variables per atom) pack each row
+/// into one `u64` so the sort runs on a flat primitive array — several
+/// times faster than a slice comparator on the 10⁵-row tries the scale
+/// workloads refresh every round; wider rows sort an index permutation.
+fn sort_rows(rows: Vec<u32>, w: usize) -> Vec<u32> {
+    if w <= 2 {
+        let mut keys: Vec<u64> = rows
+            .chunks_exact(w)
+            .map(|r| r.iter().fold(0u64, |k, &v| (k << 32) | u64::from(v)))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let mut out = Vec::with_capacity(keys.len() * w);
+        for k in keys {
+            if w == 2 {
+                out.push((k >> 32) as u32);
+            }
+            out.push(k as u32);
+        }
+        return out;
+    }
+    let row = |i: u32| &rows[i as usize * w..(i as usize + 1) * w];
+    let mut order: Vec<u32> = (0..(rows.len() / w) as u32).collect();
+    order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    order.dedup_by(|a, b| row(*a) == row(*b));
+    let mut out = Vec::with_capacity(order.len() * w);
+    for i in order {
+        out.extend_from_slice(row(i));
+    }
+    out
+}
+
+/// The first `i` in `[lo, hi)` whose key `keys[i * stride]` is `>= v`
+/// (`> v` when `strict`), or `hi` if there is none; the keys at
+/// `lo..hi` must be sorted. Every search over a sorted run goes through
+/// here: a trie's key directory (stride 1), one level's column inside its
+/// rows (stride = the trie's width), and a leapfrog cursor's level. Short
+/// ranges — the leaf-adjacent runs, whose length is a node's degree in
+/// graph workloads — scan linearly; longer ones gallop (doubling probes,
+/// then a binary search), so the cost is logarithmic in the distance
+/// moved, which is what keeps the leapfrog worst-case optimal.
+#[inline]
+pub(crate) fn seek(
+    keys: &[u32],
+    stride: usize,
+    mut lo: usize,
+    hi: usize,
+    v: u32,
+    strict: bool,
+) -> usize {
+    let below = |i: usize| {
+        let k = keys[i * stride];
+        if strict {
+            k <= v
+        } else {
+            k < v
+        }
+    };
+    if hi - lo <= 32 {
+        while lo < hi && below(lo) {
+            lo += 1;
+        }
+        return lo;
+    }
     let mut step = 1usize;
-    while lo + step < n && keys[lo + step] < v {
+    while lo + step < hi && below(lo + step) {
         lo += step;
         step <<= 1;
     }
-    if lo < n && keys[lo] >= v {
-        return lo;
-    }
-    let mut end = n.min(lo + step);
+    let mut end = hi.min(lo + step);
     while lo < end {
         let mid = lo + (end - lo) / 2;
-        if keys[mid] < v {
+        if below(mid) {
             lo = mid + 1;
         } else {
             end = mid;
@@ -875,5 +849,144 @@ mod tests {
         assert_eq!(t.prefix_range(&[8, 1], Some(&mut hint)).0, 6);
         let (lo, hi) = t.prefix_range(&[9], Some(&mut hint));
         assert_eq!((lo, hi, hint), (0, 0, 3));
+    }
+
+    #[test]
+    fn seek_matches_a_binary_search_on_strided_views() {
+        // 1,100 keys, each value twice (10, 10, 13, 13, …), so a probe can
+        // sit below, between, on, or above them; the slots between keys
+        // hold noise a wrong stride would read.
+        let n = 1_100usize;
+        let key = |i: usize| 10 + 3 * (i / 2) as u32;
+        for stride in 1..=3usize {
+            let mut keys = vec![0u32; n * stride];
+            for (i, slot) in keys.iter_mut().enumerate() {
+                *slot = if i % stride == 0 {
+                    key(i / stride)
+                } else {
+                    u32::MAX - i as u32
+                };
+            }
+            for len in [0usize, 1, 32, 33, 1_000] {
+                for lo in [0, 7, n - len] {
+                    let hi = lo + len;
+                    let mut probes = vec![0, 9, u32::MAX, key(hi.max(1) - 1) + 1];
+                    for i in lo..hi {
+                        probes.extend([key(i), key(i) + 1]);
+                    }
+                    let view: Vec<u32> = (lo..hi).map(|i| keys[i * stride]).collect();
+                    for v in probes {
+                        for strict in [false, true] {
+                            // The reference: std's binary search with a
+                            // comparator that never answers Equal, which
+                            // ends on the first key not below `v`.
+                            let want = lo
+                                + view
+                                    .binary_search_by(|&k| {
+                                        if k < v || (strict && k == v) {
+                                            Ordering::Less
+                                        } else {
+                                            Ordering::Greater
+                                        }
+                                    })
+                                    .unwrap_err();
+                            assert_eq!(
+                                seek(&keys, stride, lo, hi, v, strict),
+                                want,
+                                "stride {stride}, {lo}..{hi}, v {v}, strict {strict}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_range_gallops_over_long_runs() {
+        // 40 root keys with 60 second-level keys each, and one to three
+        // rows per pair: every run is long enough to leave the linear scan.
+        let mut r = Relation::new(3);
+        let t = r.register_trie(plain_spec(vec![0, 1, 2]));
+        for a in 0..40u32 {
+            for b in 0..60u32 {
+                for c in 0..=(a + b) % 3 {
+                    r.insert(&[2 * a, 2 * b, c]);
+                }
+            }
+        }
+        r.refresh_trie(t);
+        let t = &r.tries[t];
+        let rows: Vec<&[u32]> = t.data().chunks_exact(3).collect();
+        let want = |key: &[u32]| {
+            let lo = rows.iter().position(|row| row.starts_with(key));
+            lo.map(|lo| {
+                (
+                    lo,
+                    lo + rows[lo..]
+                        .iter()
+                        .take_while(|row| row.starts_with(key))
+                        .count(),
+                )
+            })
+        };
+        let mut hint = 0;
+        for a in 0..81u32 {
+            for key in [vec![a], vec![a, 2 * a % 120], vec![a, 6, 1], vec![a, 121]] {
+                let got = t.prefix_range(&key, None);
+                match want(&key) {
+                    Some(range) => assert_eq!(got, range, "{key:?}"),
+                    None => assert_eq!(got.0, got.1, "{key:?}"),
+                }
+            }
+            // Nondecreasing first keys: the hinted seek agrees.
+            let got = t.prefix_range(&[a, 8], Some(&mut hint));
+            match want(&[a, 8]) {
+                Some(range) => assert_eq!(got, range),
+                None => assert_eq!(got.0, got.1),
+            }
+            assert_eq!(hint, (a as usize).div_ceil(2));
+        }
+    }
+
+    #[test]
+    fn trie_refresh_matches_a_full_sort_at_widths_one_to_four() {
+        // One arity-4 relation fed in chunks; projections of distinct rows
+        // repeat (within a chunk and across chunks), so both chunk sorts
+        // and the merge must drop repeats.
+        let specs = [vec![2], vec![3, 1], vec![0, 2, 1], vec![3, 2, 1, 0]];
+        let mut r = Relation::new(4);
+        let slots: Vec<usize> = specs
+            .iter()
+            .map(|cols| r.register_trie(plain_spec(cols.clone())))
+            .collect();
+        let mut x = 7u32;
+        for chunk in 0..6 {
+            for _ in 0..40 * chunk + 1 {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                let v = x >> 16;
+                r.insert(&[v % 5, v % 7, v % 3, (v / 7) % 4]);
+            }
+            for (cols, &t) in specs.iter().zip(&slots) {
+                r.refresh_trie(t);
+                let mut want: Vec<Vec<u32>> = (0..r.len() as u32)
+                    .map(|i| cols.iter().map(|&c| r.row(i)[c]).collect())
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                let trie = &r.tries[t];
+                assert_eq!(trie.data(), want.concat(), "width {}", cols.len());
+                assert_eq!(trie.len(), want.len());
+                let mut dir0: Vec<u32> = want.iter().map(|row| row[0]).collect();
+                dir0.dedup();
+                let starts: Vec<u32> = dir0
+                    .iter()
+                    .map(|&k| want.iter().position(|row| row[0] == k).unwrap() as u32)
+                    .chain([want.len() as u32])
+                    .collect();
+                assert_eq!(trie.dir0(), dir0);
+                assert_eq!(trie.dir0_start(), starts);
+            }
+        }
     }
 }

@@ -3,24 +3,27 @@
 //!
 //! Bit flips and truncations of a whole file mostly die on a section
 //! checksum (`snap_props` covers those). This suite goes past the
-//! checksums: a fixed-seed loop takes the relations payloads of real
-//! evaluated stores, mutates them (bit flips, byte overwrites,
-//! truncation, deletion, duplication and splicing of byte ranges,
-//! inserted varints up to `u64::MAX`) and re-wraps them through
-//! `snap::Writer`, so every section checksum is valid and the relations
-//! decoder itself must decide. The property: `from_bytes` returns a typed
+//! checksums: fixed-seed loops take the constants or the relations
+//! payload of real evaluated stores, mutate it (bit flips, byte
+//! overwrites, truncation, deletion, duplication and splicing of byte
+//! ranges, inserted varints up to `u64::MAX`; for constants also a copy
+//! of one whole entry inserted at another entry boundary, with the count
+//! raised to match) and re-wrap both payloads through `snap::Writer`, so
+//! every section checksum is valid and the decoders themselves must
+//! decide. The property: `from_bytes` returns a typed
 //! `SnapError`, or `Ok` with a store whose `rows`, `fact_count`,
 //! `contains`, `to_database` and re-serialisation all run without a
 //! panic and agree — every row it holds is found by `contains`, each
 //! predicate's `fact_count` equals its distinct tuples in `to_database`,
-//! and the re-serialised bytes load back to the same bytes. Relations
+//! and the re-serialised bytes load back to the same bytes. A repeated
+//! constant must always be rejected. Relations
 //! sections under the retired tags 17 and 18 must fail with
 //! `SectionOrder`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use lambda_join_core::snap::{put_v64, tag, Reader, Writer};
+use lambda_join_core::snap::{put_v64, tag, Cur, Reader, Writer};
 use lambda_join_datalog::ast::cst;
 use lambda_join_datalog::eval::{eval_ids, Strategy};
 use lambda_join_datalog::snap::SnapError;
@@ -116,6 +119,32 @@ fn mutate(rng: &mut TestRng, p: &mut Vec<u8>) {
     }
 }
 
+/// The structure-aware constants mutation: parses the payload into its
+/// count and entries, copies one entry to another entry boundary, and
+/// re-encodes the count one higher — a well-formed table with one
+/// constant twice.
+fn duplicate_entry(rng: &mut TestRng, p: &[u8]) -> Vec<u8> {
+    let mut cur = Cur::new(p);
+    let n = cur.count(1).expect("a written constants payload");
+    let mut bounds = vec![p.len() - cur.remaining()];
+    for _ in 0..n {
+        match cur.u8().expect("variant") {
+            0 => drop(cur.zig().expect("int")),
+            _ => drop(cur.str_().expect("string")),
+        }
+        bounds.push(p.len() - cur.remaining());
+    }
+    let from = rng.below(n as u64) as usize;
+    let entry = &p[bounds[from]..bounds[from + 1]];
+    let at = bounds[rng.below(n as u64 + 1) as usize];
+    let mut out = Vec::new();
+    put_v64(&mut out, n as u64 + 1);
+    out.extend_from_slice(&p[bounds[0]..at]);
+    out.extend_from_slice(entry);
+    out.extend_from_slice(&p[at..]);
+    out
+}
+
 /// Drives every query of a loaded store and its re-serialisation.
 fn exercise(db: &IdDatabase) {
     let mut absent = vec![Const::Int(-1)];
@@ -191,6 +220,33 @@ fn checksummed_mutations_of_relations_payloads_never_panic() {
         let mut p = rels.clone();
         mutate(&mut rng, &mut p);
         check(&wrap(consts, tag::DL_RELS, &p), &format!("case {cases}"));
+        cases += 1;
+    }
+    assert!(cases >= MIN_CASES);
+}
+
+#[test]
+fn checksummed_mutations_of_constants_payloads_never_panic() {
+    let mut rng = TestRng::new(0xC025_7A27);
+    let seeds = seeds();
+    let start = Instant::now();
+    let mut cases = 0usize;
+    while cases < MIN_CASES || (cases < MAX_CASES && start.elapsed() < BUDGET) {
+        let (consts, rels) = &seeds[rng.below(seeds.len() as u64) as usize];
+        if rng.below(4) == 0 {
+            let bytes = wrap(&duplicate_entry(&mut rng, consts), tag::DL_RELS, rels);
+            assert!(
+                matches!(
+                    IdDatabase::from_snapshot_bytes(&bytes),
+                    Err(SnapError::Malformed(_))
+                ),
+                "case {cases}: a repeated constant loads"
+            );
+        } else {
+            let mut p = consts.clone();
+            mutate(&mut rng, &mut p);
+            check(&wrap(&p, tag::DL_RELS, rels), &format!("case {cases}"));
+        }
         cases += 1;
     }
     assert!(cases >= MIN_CASES);
