@@ -9,7 +9,12 @@
 //! instantiation. Only relations the current stratum derives have a
 //! delta: a stratum's facts are loaded before its first (naive) round.
 //! They agree on the model (property-tested); the work gap is measured
-//! in the bench suite.
+//! in the bench suite. A round's joins write their derivations into
+//! per-relation buffers, and the round's merge inserts each buffer into
+//! its relation as one batch. Relations are append-only, so the facts a
+//! merge found new are the relation's suffix past the row count taken
+//! just before it: the next round reads that suffix in place as its
+//! delta.
 //!
 //! # The id-native engine
 //!
@@ -48,7 +53,7 @@ use crate::ast::{Atom, Const, Program};
 use crate::plan::{
     compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojPlan,
 };
-use crate::store::{seek, DeltaRel, Relation, Trie};
+use crate::store::{seek, Derived, Relation, Trie};
 
 pub use crate::plan::JoinMode;
 pub use crate::store::IdDatabase;
@@ -155,8 +160,10 @@ fn seal(cp: CompiledProgram<'_>, mut rels: Vec<Relation>) -> IdDatabase {
     }
 }
 
-/// Shared read-side context for one round's joins: the compiled program,
-/// the database relations, and (for seminaive plans) the round's delta.
+/// Shared read-side context for one round's joins: the database
+/// relations and (for seminaive plans) the row marks that
+/// delimit the round's delta — relations are append-only, so relation
+/// `r`'s delta is its suffix from row `marks[r]`, read in place.
 ///
 /// `delta_tries` caches the tries leapfrog plans build over the delta:
 /// the delta plans of one rule (and often of several rules) project the
@@ -165,24 +172,46 @@ fn seal(cp: CompiledProgram<'_>, mut rels: Vec<Relation>) -> IdDatabase {
 /// one round, which is exactly the delta's lifetime — no invalidation
 /// logic needed.
 struct Cx<'a> {
-    prog: &'a CompiledProgram<'a>,
     db: &'a [Relation],
-    delta: Option<&'a [DeltaRel]>,
+    marks: Option<&'a [usize]>,
     delta_tries: std::cell::RefCell<Vec<(u32, Trie)>>,
 }
 
-impl Cx<'_> {
-    fn new<'a>(
-        prog: &'a CompiledProgram<'a>,
-        db: &'a [Relation],
-        delta: Option<&'a [DeltaRel]>,
-    ) -> Cx<'a> {
+impl<'a> Cx<'a> {
+    fn new(db: &'a [Relation], marks: Option<&'a [usize]>) -> Self {
         Cx {
-            prog,
             db,
-            delta,
+            marks,
             delta_tries: std::cell::RefCell::new(Vec::new()),
         }
+    }
+
+    /// Relation `rel`'s delta this round: the rows the last merge
+    /// appended to it.
+    fn delta(&self, rel: u32) -> Delta<'a> {
+        let mark = self.marks.expect("delta atom outside a seminaive round")[rel as usize];
+        let r = &self.db[rel as usize];
+        Delta {
+            data: &r.data[mark * r.arity..],
+            rows: r.len() - mark,
+            arity: r.arity,
+        }
+    }
+}
+
+/// One relation's delta, borrowed in place from the relation's suffix.
+/// The explicit row count keeps zero-arity relations representable.
+#[derive(Clone, Copy)]
+struct Delta<'a> {
+    data: &'a [u32],
+    rows: usize,
+    arity: usize,
+}
+
+impl<'a> Delta<'a> {
+    #[inline]
+    fn row(&self, i: usize) -> &'a [u32] {
+        &self.data[i * self.arity..(i + 1) * self.arity]
     }
 }
 
@@ -230,7 +259,7 @@ fn neg_pass(cx: &Cx<'_>, checks: &[NegCheck], bindings: &[u32], scratch: &mut Ve
 /// `out` and counts one derivation — the one place either join kind
 /// emits a head.
 #[inline]
-fn emit_head(rule: &CompiledRule, bindings: &[u32], out: &mut [DeltaRel], stats: &mut EvalStats) {
+fn emit_head(rule: &CompiledRule, bindings: &[u32], out: &mut [Derived], stats: &mut EvalStats) {
     stats.derivations += 1;
     let o = &mut out[rule.head_rel as usize];
     o.data
@@ -255,7 +284,7 @@ fn join(
     rule: &CompiledRule,
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
-    out: &mut [DeltaRel],
+    out: &mut [Derived],
     stats: &mut EvalStats,
 ) {
     if !neg_pass(cx, &neg_after[0], bindings, scratch) {
@@ -268,10 +297,9 @@ fn join(
     let rest = &atoms[1..];
     let negs = &neg_after[1..];
     if atom.is_delta {
-        let d = &cx.delta.expect("delta atom outside a seminaive round")[atom.rel as usize];
-        let arity = cx.prog.arities[atom.rel as usize];
+        let d = cx.delta(atom.rel);
         for i in 0..d.rows {
-            if match_row(&atom.ops, d.row(i, arity), bindings) {
+            if match_row(&atom.ops, d.row(i), bindings) {
                 join(cx, rest, negs, rule, bindings, scratch, out, stats);
             }
         }
@@ -417,7 +445,14 @@ impl<'a> TrieIter<'a> {
     /// Advances to the first key `>= v` at this level.
     fn seek(&mut self, v: u32) {
         let (keys, stride, cur, hi) = self.view();
-        self.stack.last_mut().expect("open level").0 = seek(keys, stride, cur, hi, v, false);
+        let to = seek(keys, stride, cur, hi, v, false);
+        // The leapfrog's progress: a seek past the current key moves the
+        // cursor (or ends the level), so a broken seek fails, not spins.
+        debug_assert!(
+            to == hi || to > cur || keys[cur * stride] >= v,
+            "seek to {v} stuck at {cur}"
+        );
+        self.stack.last_mut().expect("open level").0 = to;
     }
 }
 
@@ -430,7 +465,7 @@ fn run_wcoj(
     plan: &WcojPlan,
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
-    out: &mut [DeltaRel],
+    out: &mut [Derived],
     stats: &mut EvalStats,
 ) {
     if !neg_pass(cx, &plan.neg_at[0], bindings, scratch) {
@@ -444,9 +479,8 @@ fn run_wcoj(
     // tries, so a trie only the round-0 naive plan read lags and is
     // skipped.
     let db_substitute = |a: &crate::plan::WcojAtom| {
-        let d = &cx.delta.expect("delta atom outside a seminaive round")[a.rel as usize];
         let rel = &cx.db[a.rel as usize];
-        if d.rows == rel.len() {
+        if cx.delta(a.rel).rows == rel.len() {
             rel.current_trie(&a.spec)
         } else {
             None
@@ -461,14 +495,8 @@ fn run_wcoj(
             if db_substitute(a).is_none()
                 && !cache.iter().any(|(r, t)| *r == a.rel && t.spec == a.spec)
             {
-                let d = &cx.delta.expect("delta atom outside a seminaive round")[a.rel as usize];
-                let t = Trie::build(
-                    a.spec.clone(),
-                    &d.data,
-                    cx.prog.arities[a.rel as usize],
-                    d.rows,
-                );
-                cache.push((a.rel, t));
+                let d = cx.delta(a.rel);
+                cache.push((a.rel, Trie::build(a.spec.clone(), d.data, d.arity, d.rows)));
             }
         }
     }
@@ -527,7 +555,7 @@ fn wcoj_level(
     order_bufs: &mut [Vec<usize>],
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
-    out: &mut [DeltaRel],
+    out: &mut [Derived],
     stats: &mut EvalStats,
 ) {
     let parts = &plan.at_level[level];
@@ -588,8 +616,12 @@ fn wcoj_level(
             };
             if (ph - p) * 8 < qh - q {
                 while p < ph {
-                    let v = pk[p * ps];
+                    let (v, from) = (pk[p * ps], q);
                     q = seek(qk, qs, q, qh, v, false);
+                    debug_assert!(
+                        q == qh || q > from || qk[from * qs] >= v,
+                        "seek to {v} stuck at {from}"
+                    );
                     if q == qh {
                         break;
                     }
@@ -684,7 +716,7 @@ fn run_plan(
     plan: &Plan,
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
-    out: &mut [DeltaRel],
+    out: &mut [Derived],
     stats: &mut EvalStats,
 ) {
     let (atoms, merge_key, neg_after) = match plan {
@@ -698,20 +730,19 @@ fn run_plan(
             neg_after,
         } => (atoms, merge_key, neg_after),
     };
-    if let (Some(merge_key), Some(delta)) = (merge_key, cx.delta) {
+    if let (Some(merge_key), Some(_)) = (merge_key, cx.marks) {
         let datom = &atoms[0];
-        let d = &delta[datom.rel as usize];
+        let d = cx.delta(datom.rel);
         if d.rows == 0 {
             return;
         }
-        let arity = cx.prog.arities[datom.rel as usize];
         let order: Vec<u32> = if let [c] = merge_key[..] {
             // One key column (the transitive-closure shape): sort packed
             // `(key << 32) | row` scalars, several times faster than the
             // indirect row comparator.
             let mut packed: Vec<u64> = d
                 .data
-                .chunks_exact(arity)
+                .chunks_exact(d.arity)
                 .enumerate()
                 .map(|(i, row)| (u64::from(row[c]) << 32) | i as u64)
                 .collect();
@@ -720,8 +751,8 @@ fn run_plan(
         } else {
             let mut order: Vec<u32> = (0..d.rows as u32).collect();
             order.sort_unstable_by(|&a, &b| {
-                let ra = d.row(a as usize, arity);
-                let rb = d.row(b as usize, arity);
+                let ra = d.row(a as usize);
+                let rb = d.row(b as usize);
                 merge_key
                     .iter()
                     .map(|&c| ra[c])
@@ -744,12 +775,12 @@ fn run_plan(
         let mut key: Vec<u32> = Vec::with_capacity(merge_key.len());
         let mut run = 0usize;
         while run < order.len() {
-            let first = d.row(order[run] as usize, arity);
+            let first = d.row(order[run] as usize);
             let mut end = run + 1;
             while end < order.len()
                 && merge_key
                     .iter()
-                    .all(|&c| d.row(order[end] as usize, arity)[c] == first[c])
+                    .all(|&c| d.row(order[end] as usize)[c] == first[c])
             {
                 end += 1;
             }
@@ -759,7 +790,7 @@ fn run_plan(
             let (lo, hi) = t.prefix_range(&key, Some(&mut hint));
             if lo < hi {
                 for &di in &order[run..end] {
-                    if match_row(&datom.ops, d.row(di as usize, arity), bindings) {
+                    if match_row(&datom.ops, d.row(di as usize), bindings) {
                         for r in lo..hi {
                             bind_trie_row(t, r, key.len(), binds, bindings);
                             join(cx, rest, rest_neg, rule, bindings, scratch, out, stats);
@@ -774,29 +805,22 @@ fn run_plan(
     join(cx, atoms, neg_after, rule, bindings, scratch, out, stats);
 }
 
-/// Inserts every buffered derivation into the database; genuinely new
-/// facts are appended to `next_delta` (when given). Returns whether
+/// Inserts every buffered derivation into the database, one batch per
+/// relation. The genuinely new facts land at the end of their relation,
+/// which is where the next round reads its delta. Returns whether
 /// anything was new.
-fn merge_out(
-    cp: &CompiledProgram<'_>,
-    db: &mut [Relation],
-    out: &[DeltaRel],
-    mut next_delta: Option<&mut [DeltaRel]>,
-) -> bool {
+fn merge_out(db: &mut [Relation], out: &[Derived]) -> bool {
     let mut changed = false;
-    for (rel, o) in out.iter().enumerate() {
-        let arity = cp.arities[rel];
-        for i in 0..o.rows {
-            let row = o.row(i, arity);
-            if db[rel].insert(row) {
-                changed = true;
-                if let Some(d) = next_delta.as_deref_mut() {
-                    d[rel].push(row);
-                }
-            }
-        }
+    for (rel, o) in db.iter_mut().zip(out) {
+        changed |= rel.insert_batch(&o.data, o.rows) > 0;
     }
     changed
+}
+
+/// Each relation's row count: the marks from which the rows a merge is
+/// about to append will read as the next round's delta.
+fn row_marks(db: &[Relation]) -> Vec<usize> {
+    db.iter().map(Relation::len).collect()
 }
 
 /// Brings the database tries `plans` read up to date — called before a
@@ -823,7 +847,7 @@ fn binding_frame(cp: &CompiledProgram<'_>) -> Vec<u32> {
 /// Appends the stratum's fact blocks to a naive round's output, counted
 /// as one derivation per fact. (Seminaive evaluation inserts the blocks
 /// once, in `stratum_round0`.)
-fn fire_facts(cp: &CompiledProgram<'_>, si: usize, out: &mut [DeltaRel], stats: &mut EvalStats) {
+fn fire_facts(cp: &CompiledProgram<'_>, si: usize, out: &mut [Derived], stats: &mut EvalStats) {
     for &rel in &cp.facts[si] {
         let b = &cp.fact_blocks[rel as usize];
         let o = &mut out[rel as usize];
@@ -842,9 +866,9 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
         loop {
             stats.rounds += 1;
             refresh_tries(naive_plans(cp, si), &mut db);
-            let mut out = cp.fresh_delta();
+            let mut out = cp.fresh_derived();
             fire_facts(cp, si, &mut out, &mut stats);
-            let cx = Cx::new(cp, &db, None);
+            let cx = Cx::new(&db, None);
             for &ri in stratum {
                 let rule = &cp.rules[ri];
                 run_plan(
@@ -857,7 +881,7 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
                     &mut stats,
                 );
             }
-            if !merge_out(cp, &mut db, &out, None) {
+            if !merge_out(&mut db, &out) {
                 break;
             }
         }
@@ -869,8 +893,9 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
 /// blocks are inserted into the database first, then every rule of the
 /// stratum fires naively against it. Every relation the stratum does not
 /// derive is therefore complete before any rule fires, which is what lets
-/// the planner give delta plans only to same-stratum body atoms; the
-/// returned delta holds only rule-derived rows.
+/// the planner give delta plans only to same-stratum body atoms. Returns
+/// the row marks taken after the facts loaded, so the first delta holds
+/// only rule-derived rows.
 fn stratum_round0(
     cp: &CompiledProgram<'_>,
     si: usize,
@@ -878,7 +903,7 @@ fn stratum_round0(
     stats: &mut EvalStats,
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
-) -> Vec<DeltaRel> {
+) -> Vec<usize> {
     stats.rounds += 1;
     for &rel in &cp.facts[si] {
         let b = &cp.fact_blocks[rel as usize];
@@ -886,17 +911,15 @@ fn stratum_round0(
         stats.derivations += b.rows;
     }
     refresh_tries(naive_plans(cp, si), db);
-    let mut out = cp.fresh_delta();
-    {
-        let cx = Cx::new(cp, db, None);
-        for &ri in &cp.strata[si] {
-            let rule = &cp.rules[ri];
-            run_plan(&cx, rule, &rule.naive, bindings, scratch, &mut out, stats);
-        }
+    let mut out = cp.fresh_derived();
+    let cx = Cx::new(db, None);
+    for &ri in &cp.strata[si] {
+        let rule = &cp.rules[ri];
+        run_plan(&cx, rule, &rule.naive, bindings, scratch, &mut out, stats);
     }
-    let mut delta = cp.fresh_delta();
-    merge_out(cp, db, &out, Some(&mut delta));
-    delta
+    let marks = row_marks(db);
+    merge_out(db, &out);
+    marks
 }
 
 fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
@@ -905,8 +928,8 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut bindings = binding_frame(cp);
     let mut scratch = Vec::new();
     for (si, stratum) in cp.strata.iter().enumerate() {
-        let mut delta = stratum_round0(cp, si, &mut db, &mut stats, &mut bindings, &mut scratch);
-        while delta.iter().any(|d| d.rows > 0) {
+        let mut marks = stratum_round0(cp, si, &mut db, &mut stats, &mut bindings, &mut scratch);
+        while db.iter().zip(&marks).any(|(r, &m)| r.len() > m) {
             stats.rounds += 1;
             // Fire every seminaive plan whose delta relation is non-empty
             // this round.
@@ -917,13 +940,13 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
                     rule.delta_plans.iter().map(move |plan| (rule, plan))
                 })
                 .filter(|(_, plan)| {
-                    let dr = plan.delta_rel().expect("delta plans read a delta");
-                    delta[dr as usize].rows > 0
+                    let dr = plan.delta_rel().expect("delta plans read a delta") as usize;
+                    db[dr].len() > marks[dr]
                 })
                 .collect();
             refresh_tries(firing.iter().map(|&(_, plan)| plan), &mut db);
-            let mut out = cp.fresh_delta();
-            let cx = Cx::new(cp, &db, Some(&delta));
+            let mut out = cp.fresh_derived();
+            let cx = Cx::new(&db, Some(&marks));
             for &(rule, plan) in &firing {
                 run_plan(
                     &cx,
@@ -935,9 +958,8 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
                     &mut stats,
                 );
             }
-            let mut next = cp.fresh_delta();
-            merge_out(cp, &mut db, &out, Some(&mut next));
-            delta = next;
+            marks = row_marks(&db);
+            merge_out(&mut db, &out);
         }
     }
     (db, stats)
@@ -1093,6 +1115,30 @@ mod tests {
             semi_stats.derivations < naive_stats.derivations,
             "seminaive {semi_stats:?} vs naive {naive_stats:?}"
         );
+    }
+
+    #[test]
+    fn seminaive_closure_of_a_chain_forest_does_closed_form_work() {
+        // C chains of L edges: round k derives the paths of length k + 1,
+        // so the fixpoint takes L + 1 rounds and C·L fact loads, C·L base
+        // derivations and C·(L−1 + … + 0) recursive ones.
+        for (c, l) in [(1, 1), (1, 7), (5, 3), (40, 12), (3, 40)] {
+            let edges: Vec<(i64, i64)> = (0..c)
+                .flat_map(|ch| (0..l).map(move |i| (ch * (l + 1) + i, ch * (l + 1) + i + 1)))
+                .collect();
+            let p = transitive_closure_program(&edges);
+            let (c, l) = (c as usize, l as usize);
+            for mode in [JoinMode::Auto, JoinMode::Binary] {
+                let (db, stats) = eval_ids_mode(&p, Strategy::Seminaive, mode);
+                assert_eq!(db.fact_count("path"), c * l * (l + 1) / 2);
+                assert_eq!(stats.rounds, l + 1, "{c}×{l} {mode:?}");
+                assert_eq!(
+                    stats.derivations,
+                    c * l + c * l * (l + 1) / 2,
+                    "{c}×{l} {mode:?}"
+                );
+            }
+        }
     }
 
     #[test]

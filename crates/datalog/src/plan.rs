@@ -69,7 +69,7 @@ use std::collections::HashMap;
 
 use crate::ast::{AtomTerm, Const, Program};
 use crate::facts::{ConstIndex, FactBlock};
-use crate::store::{DeltaRel, Relation, TrieSpec};
+use crate::store::{Derived, Relation, TrieSpec};
 use crate::strata::{stratify, StratificationError};
 
 /// How rule bodies are joined.
@@ -248,8 +248,6 @@ pub(crate) struct CompiledProgram<'p> {
     pub(crate) rules: Vec<CompiledRule>,
     /// Relation id → predicate name (one relation per name *and* arity).
     pub(crate) rel_names: Vec<String>,
-    /// Relation id → arity.
-    pub(crate) arities: Vec<usize>,
     /// Id → constant.
     pub(crate) consts: Vec<Const>,
     /// Constant → id, over `consts`.
@@ -275,9 +273,9 @@ impl CompiledProgram<'_> {
         self.template.clone()
     }
 
-    /// Fresh per-relation delta buffers (flat rows, no tries).
-    pub(crate) fn fresh_delta(&self) -> Vec<DeltaRel> {
-        vec![DeltaRel::default(); self.template.len()]
+    /// Fresh, empty per-relation derivation buffers.
+    pub(crate) fn fresh_derived(&self) -> Vec<Derived> {
+        vec![Derived::default(); self.template.len()]
     }
 }
 
@@ -772,7 +770,6 @@ pub(crate) fn compile<'p>(
     Ok(CompiledProgram {
         rules,
         rel_names,
-        arities,
         consts,
         const_ids,
         template,

@@ -140,8 +140,8 @@ pub fn from_bytes(bytes: &[u8]) -> Result<IdDatabase, SnapError> {
         if !seen.insert((name, arity)) {
             return Err(SnapError::Malformed("repeated relation"));
         }
-        // Row indexes are `u32`s below 2^31: the load rebuild keeps a
-        // hash fingerprint beside each index (`Relation::from_rows`).
+        // Row indexes are `u32`s: a membership slot holds one under a
+        // hash fingerprint (`Relation::from_rows`).
         if rows >= 1 << 31 {
             return Err(SnapError::Malformed("row count overflow"));
         }

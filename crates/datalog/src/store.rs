@@ -4,15 +4,20 @@
 //! `u32` id — a fact's when it is parsed or built (the private `facts`
 //! module), a rule's at compile time (the private `plan` module) — so a
 //! tuple is a fixed-width run of `u32`s and a relation is one contiguous
-//! `Vec<u32>` in derivation order. Tuple equality is a word-by-word
-//! compare, and membership is one probe of an open-addressed hash table
-//! of row indexes. Every keyed lookup the join plans make reads a sorted
-//! trie — the store's one secondary index — which merges in only the rows
-//! added since its last refresh, and is refreshed only before a round
-//! whose plans read it. One search, `seek`, serves every sorted run
-//! the engine reads: trie lookups, merges and leapfrog cursors alike. This is the Datalog instance of the
-//! workspace-wide id-native design (DESIGN.md §3/§5/§6): trees at the API
-//! boundary, `Copy` ids everywhere the fixpoint loop runs.
+//! `Vec<u32>` in derivation order, only ever appended to. Tuple equality
+//! is a word-by-word compare, and membership is one probe of an
+//! open-addressed hash table whose slots keep a hash fingerprint beside
+//! each row index, so a probe reads a stored row only when the
+//! fingerprints match. Rows go in by the batch: the batch is hashed
+//! first, and each probe reads a later row's home slot early. Every
+//! keyed lookup the join plans make reads a sorted trie — the store's
+//! one secondary index — which merges in only the rows added since its
+//! last refresh, and is refreshed only before a round whose plans read
+//! it. One search, `seek`, serves every sorted run the engine reads:
+//! trie lookups, merges and leapfrog cursors alike. This is the Datalog
+//! instance of the workspace-wide id-native design (DESIGN.md
+//! §3/§5/§6): trees at the API boundary, `Copy` ids everywhere the
+//! fixpoint loop runs.
 //!
 //! [`IdDatabase`] is the public face: the result of
 //! [`eval_ids`](crate::eval::eval_ids), queryable without ever
@@ -342,16 +347,59 @@ pub(crate) fn seek(
     lo
 }
 
+/// Rows [`Relation::insert_batch`] hashes ahead of the one it probes:
+/// the home slot of the row this far ahead is read early, so its cache
+/// miss overlaps the probes in between.
+const PROBE_AHEAD: usize = 8;
+
+/// The fingerprint a membership slot keeps above its row index: the bits
+/// of the row's hash above `mask`, taken from the half of the hash that
+/// does not pick the home slot.
+#[inline]
+fn fingerprint(h: u64, mask: usize) -> u32 {
+    (h >> 32) as u32 & !(mask as u32)
+}
+
+/// The one membership probe: walks `row`'s linear-probing sequence (its
+/// hash is `h`) through `slots` and returns `Ok` with the slot holding an
+/// equal row of `data`, or `Err` with the empty slot that ends the
+/// sequence. A slot holds a row index in its low `log2(slots.len())` bits
+/// and a [`fingerprint`] in the bits above, so a probe reads a passed row
+/// (a random read into `data`) only when the fingerprints match. A table
+/// stays below 3/4 full, so a row index never has every index bit set
+/// and no entry equals [`EMPTY`].
+#[inline]
+fn probe(slots: &[u32], data: &[u32], arity: usize, h: u64, row: &[u32]) -> Result<usize, usize> {
+    let mask = slots.len() - 1;
+    let fp = fingerprint(h, mask);
+    let mut i = h as usize & mask;
+    loop {
+        let s = slots[i];
+        if s == EMPTY {
+            return Err(i);
+        }
+        if s & !(mask as u32) == fp {
+            let r = (s as usize & mask) * arity;
+            if &data[r..r + arity] == row {
+                return Ok(i);
+            }
+        }
+        i = (i + 1) & mask;
+    }
+}
+
 /// One relation: a fixed arity, all tuples flat in `data` (insertion =
-/// derivation order), an open-addressed membership table of row indexes,
-/// and the sorted-column tries the join planner registered — the only
-/// secondary index.
+/// derivation order), an open-addressed membership table of fingerprinted
+/// row indexes, and the sorted-column tries the join planner registered —
+/// the only secondary index. Rows are only ever appended, so the rows a
+/// merge added are the relation's suffix from the row count before it.
 #[derive(Debug, Clone)]
 pub(crate) struct Relation {
     pub(crate) arity: usize,
     /// Rows back to back: row `i` is `data[i*arity .. (i+1)*arity]`.
     pub(crate) data: Vec<u32>,
-    /// Open-addressing table of row indexes (EMPTY = free), linear probing.
+    /// Open-addressing table (EMPTY = free), linear probing; each entry
+    /// is a row index under a hash fingerprint (see [`probe`]).
     slots: Vec<u32>,
     rows: usize,
     pub(crate) tries: Vec<Trie>,
@@ -412,47 +460,41 @@ impl Relation {
         &self.data[i as usize * a..(i as usize + 1) * a]
     }
 
-    #[inline]
-    fn find_slot(&self, row: &[u32]) -> (usize, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = hash_cols(row.iter().copied()) as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == EMPTY {
-                return (i, false);
-            }
-            if self.row(s) == row {
-                return (i, true);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Whether the tuple is present — one hash, then word compares.
+    /// Whether the tuple is present — one hash, then one probe.
     #[inline]
     pub(crate) fn contains(&self, row: &[u32]) -> bool {
-        self.find_slot(row).1
+        let h = hash_cols(row.iter().copied());
+        probe(&self.slots, &self.data, self.arity, h, row).is_ok()
     }
 
-    /// Inserts a tuple, maintaining the membership table; returns whether
-    /// it was new. Duplicates — the majority of derivations in fixpoint
-    /// rounds — pay one probe and touch nothing. Tries catch up on their
-    /// next refresh.
-    pub(crate) fn insert(&mut self, row: &[u32]) -> bool {
-        debug_assert_eq!(row.len(), self.arity);
-        let (slot, present) = self.find_slot(row);
-        if present {
-            return false;
+    /// Inserts `rows` flat rows in order and returns how many were new;
+    /// the new ones, in batch order, are the relation's suffix. Duplicates
+    /// — the majority of derivations in fixpoint rounds — pay one probe
+    /// and touch nothing. The whole batch is hashed first, so each probe
+    /// can read the home slot [`PROBE_AHEAD`] rows ahead early. Tries
+    /// catch up on their next refresh.
+    pub(crate) fn insert_batch(&mut self, data: &[u32], rows: usize) -> usize {
+        let a = self.arity;
+        debug_assert_eq!(data.len(), rows * a);
+        let before = self.rows;
+        let hashes: Vec<u64> = (0..rows)
+            .map(|i| hash_cols(data[i * a..(i + 1) * a].iter().copied()))
+            .collect();
+        for (i, &h) in hashes.iter().enumerate() {
+            if let Some(&ahead) = hashes.get(i + PROBE_AHEAD) {
+                std::hint::black_box(self.slots[ahead as usize & (self.slots.len() - 1)]);
+            }
+            let row = &data[i * a..(i + 1) * a];
+            if let Err(slot) = probe(&self.slots, &self.data, a, h, row) {
+                self.slots[slot] = fingerprint(h, self.slots.len() - 1) | self.rows as u32;
+                self.data.extend_from_slice(row);
+                self.rows += 1;
+                if self.rows * 4 >= self.slots.len() * 3 {
+                    self.grow();
+                }
+            }
         }
-        let idx = self.rows as u32;
-        assert!(idx != EMPTY, "relation overflow");
-        self.data.extend_from_slice(row);
-        self.slots[slot] = idx;
-        self.rows += 1;
-        if self.rows * 4 >= self.slots.len() * 3 {
-            self.grow();
-        }
-        true
+        self.rows - before
     }
 
     /// Inserts `rows` flat rows (a fact block) in order. The membership
@@ -466,9 +508,7 @@ impl Relation {
             self.rebuild_slots(want);
         }
         self.data.reserve(data.len());
-        for i in 0..rows {
-            self.insert(&data[i * self.arity..(i + 1) * self.arity]);
-        }
+        self.insert_batch(data, rows);
         let fit = Relation::natural_slot_len(self.rows);
         if fit < self.slots.len() {
             self.rebuild_slots(fit);
@@ -481,20 +521,29 @@ impl Relation {
     }
 
     /// Rebuilds the membership table at `new_len` slots (a power of two)
-    /// by re-hashing every row in insertion order — the deterministic
-    /// recipe [`Relation::grow`] uses and [`Relation::from_rows`] follows.
-    /// It compares no rows: those of a relation are distinct.
-    fn rebuild_slots(&mut self, new_len: usize) {
+    /// by probing every row in insertion order — the deterministic recipe
+    /// [`Relation::grow`] and [`Relation::from_rows`] share, and the slot
+    /// each row then takes is the one incremental inserts gave it. Returns
+    /// `false` if some row repeats an earlier one (never for a derived
+    /// relation; a crafted snapshot can hold one).
+    ///
+    /// # Panics
+    ///
+    /// If `new_len` exceeds 2³², past which row indexes outgrow a `u32`.
+    fn rebuild_slots(&mut self, new_len: usize) -> bool {
+        assert!(new_len as u64 <= 1 << 32, "relation overflow");
         self.slots.clear();
         self.slots.resize(new_len, EMPTY);
-        let mask = new_len - 1;
-        for r in 0..self.rows as u32 {
-            let mut i = hash_cols(self.row(r).iter().copied()) as usize & mask;
-            while self.slots[i] != EMPTY {
-                i = (i + 1) & mask;
+        let (a, mask) = (self.arity, new_len - 1);
+        for r in 0..self.rows {
+            let row = &self.data[r * a..(r + 1) * a];
+            let h = hash_cols(row.iter().copied());
+            match probe(&self.slots, &self.data, a, h, row) {
+                Ok(_) => return false,
+                Err(slot) => self.slots[slot] = fingerprint(h, mask) | r as u32,
             }
-            self.slots[i] = r;
         }
+        true
     }
 
     /// The slot count a freshly rebuilt membership table uses for `rows`
@@ -508,77 +557,32 @@ impl Relation {
     }
 
     /// Reassembles a relation from snapshot rows, or `None` if a row
-    /// appears twice. The membership table is built at the size and with
-    /// the probe sequence of [`Relation::rebuild_slots`], so it equals a
-    /// derived relation's slot for slot, but each probe checks the rows
-    /// it passes, as [`Relation::insert`] does: evaluation never makes a
-    /// duplicate, a crafted file can. While building, a slot holds its
-    /// row index in the low bits and a fingerprint of that row's hash in
-    /// the bits above, so a probe reads a passed row only when the
-    /// fingerprints match (reading every passed row cost about a third
-    /// of a large load). A loaded relation has no tries: only evaluation
-    /// reads them.
-    ///
-    /// # Panics
-    ///
-    /// If `rows` is 2³¹ or more (the snapshot decoder rejects such counts):
-    /// the fingerprint needs at least one bit beside the row index.
+    /// appears twice. The membership table is one
+    /// [`rebuild_slots`](Relation::rebuild_slots) at the size a derived
+    /// relation of `rows` rows has, so it equals a derived relation's slot
+    /// for slot. A loaded relation has no tries: only evaluation reads
+    /// them.
     pub(crate) fn from_rows(arity: usize, data: Vec<u32>, rows: usize) -> Option<Relation> {
-        let mut slots = vec![EMPTY; Relation::natural_slot_len(rows)];
-        let mask = slots.len() - 1;
-        let row_bits = usize::BITS - rows.leading_zeros();
-        assert!(row_bits < 32, "row count overflow");
-        // Every row index is below `rmask`, so no entry equals `EMPTY`.
-        let rmask = (1u32 << row_bits) - 1;
-        let row = |r: usize| &data[r * arity..(r + 1) * arity];
-        for r in 0..rows {
-            let h = hash_cols(row(r).iter().copied());
-            let fingerprint = (h >> 32) as u32 & !rmask;
-            let mut i = h as usize & mask;
-            while slots[i] != EMPTY {
-                if slots[i] & !rmask == fingerprint && row((slots[i] & rmask) as usize) == row(r) {
-                    return None;
-                }
-                i = (i + 1) & mask;
-            }
-            slots[i] = fingerprint | r as u32;
-        }
-        for s in &mut slots {
-            *s = if *s == EMPTY { EMPTY } else { *s & rmask };
-        }
-        Some(Relation {
+        let mut rel = Relation {
             arity,
             data,
-            slots,
+            slots: Vec::new(),
             rows,
             tries: Vec::new(),
-        })
+        };
+        rel.rebuild_slots(Relation::natural_slot_len(rows))
+            .then_some(rel)
     }
 }
 
-/// A per-round delta (or derivation buffer) for one relation: flat rows in
-/// derivation order, no membership table, no tries — deltas are small
-/// and always scanned. The explicit row count (rather than
+/// A derivation buffer for one relation: the rows a round's joins derived
+/// for it, flat and in derivation order, repeats included, until the
+/// round's merge inserts them. The explicit row count (rather than
 /// `data.len() / arity`) keeps zero-arity relations representable.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct DeltaRel {
+pub(crate) struct Derived {
     pub(crate) data: Vec<u32>,
     pub(crate) rows: usize,
-}
-
-impl DeltaRel {
-    /// Row `i` as a column slice (the caller supplies the arity).
-    #[inline]
-    pub(crate) fn row(&self, i: usize, arity: usize) -> &[u32] {
-        &self.data[i * arity..(i + 1) * arity]
-    }
-
-    /// Appends a row.
-    #[inline]
-    pub(crate) fn push(&mut self, row: &[u32]) {
-        self.data.extend_from_slice(row);
-        self.rows += 1;
-    }
 }
 
 /// The id-native result of evaluation: flat relations plus the symbol
@@ -689,13 +693,18 @@ impl IdDatabase {
 mod tests {
     use super::*;
 
+    /// Inserts one row through the batch path; returns whether it was new.
+    fn insert(r: &mut Relation, row: &[u32]) -> bool {
+        r.insert_batch(row, 1) == 1
+    }
+
     #[test]
     fn insert_dedups() {
         let mut r = Relation::new(2);
-        assert!(r.insert(&[1, 2]));
-        assert!(!r.insert(&[1, 2]));
-        assert!(r.insert(&[3, 2]));
-        assert!(r.insert(&[1, 4]));
+        assert!(insert(&mut r, &[1, 2]));
+        assert!(!insert(&mut r, &[1, 2]));
+        assert!(insert(&mut r, &[3, 2]));
+        assert!(insert(&mut r, &[1, 4]));
         assert_eq!(r.len(), 3);
         assert!(r.contains(&[3, 2]));
         assert!(!r.contains(&[2, 3]));
@@ -705,25 +714,91 @@ mod tests {
     fn growth_preserves_membership() {
         let mut r = Relation::new(1);
         for i in 0..1000u32 {
-            assert!(r.insert(&[i]));
+            assert!(insert(&mut r, &[i]));
         }
         for i in 0..1000u32 {
             assert!(r.contains(&[i]), "{i} lost after growth");
-            assert!(!r.insert(&[i]));
+            assert!(!insert(&mut r, &[i]));
         }
         assert_eq!(r.len(), 1000);
     }
 
     #[test]
-    fn a_relation_from_rows_has_the_derived_membership_table() {
-        // Incremental inserts (with several doublings) and a one-shot
-        // build from the same rows place every row in the same slot.
+    fn insert_batch_appends_exactly_the_new_rows_in_order() {
         let mut r = Relation::new(2);
-        for i in 0..1000u32 {
-            r.insert(&[i % 37, i / 37]);
+        r.insert_batch(&[1, 1, 2, 2, 3, 3], 3);
+        // Repeats of stored rows and repeats inside the batch.
+        let batch = [4, 4, 1, 1, 5, 5, 4, 4, 2, 2, 6, 6, 5, 5, 6, 6, 7, 7];
+        assert_eq!(r.insert_batch(&batch, 9), 4);
+        assert_eq!(r.data[6..], [4, 4, 5, 5, 6, 6, 7, 7]);
+        assert_eq!(r.len(), 7);
+        assert_eq!(r.insert_batch(&batch, 9), 0);
+        assert_eq!(r.insert_batch(&[], 0), 0);
+        // A longer batch than the probe-ahead distance, through two
+        // doublings, against a reference set.
+        let mut seen: std::collections::HashSet<Vec<u32>> =
+            r.data.chunks_exact(2).map(<[u32]>::to_vec).collect();
+        let mut batch = Vec::new();
+        let mut x = 11u32;
+        for _ in 0..60 {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            batch.extend([(x >> 16) % 6, (x >> 20) % 5 + 3]);
         }
-        let loaded = Relation::from_rows(2, r.data.clone(), r.len()).expect("distinct rows");
-        assert_eq!(loaded.slots, r.slots);
+        let want: Vec<u32> = batch
+            .chunks_exact(2)
+            .filter(|row| seen.insert(row.to_vec()))
+            .flatten()
+            .copied()
+            .collect();
+        let before = r.data.len();
+        assert_eq!(r.insert_batch(&batch, 60), want.len() / 2);
+        assert_eq!(r.data[before..], want);
+        for row in batch.chunks_exact(2) {
+            assert!(r.contains(row));
+        }
+    }
+
+    #[test]
+    fn rows_sharing_a_home_slot_are_told_apart() {
+        // Rows whose hashes agree in their low six bits share one home
+        // slot at every table size up to 64; 40 of them grow the table to
+        // exactly 64 slots, one long probe run.
+        let home = |row: &[u32]| hash_cols(row.iter().copied()) & 63;
+        let want = home(&[0, 0]);
+        let mut same: Vec<[u32; 2]> = (0..200u32)
+            .flat_map(|a| (0..200u32).map(move |b| [a, b]))
+            .filter(|row| home(row) == want)
+            .take(60)
+            .collect();
+        assert_eq!(same.len(), 60);
+        let absent = same.split_off(40);
+        let mut r = Relation::new(2);
+        assert_eq!(r.insert_batch(&same.concat(), 40), 40);
+        assert_eq!(r.slots.len(), 64);
+        for row in &same {
+            assert!(r.contains(row), "{row:?} lost");
+        }
+        for row in &absent {
+            assert!(!r.contains(row), "{row:?} found");
+        }
+    }
+
+    #[test]
+    fn a_relation_from_rows_has_the_derived_membership_table() {
+        // After every doubling up to 2^12 slots, a one-shot build from the
+        // rows inserted so far places every row in the slot incremental
+        // inserts gave it.
+        let mut r = Relation::new(2);
+        let mut i = 0u32;
+        while r.slots.len() < 1 << 12 {
+            let len = r.slots.len();
+            insert(&mut r, &[i % 37, i / 37]);
+            i += 1;
+            if r.slots.len() != len {
+                let loaded = Relation::from_rows(2, r.data.clone(), r.len()).expect("distinct");
+                assert_eq!(loaded.slots, r.slots, "{} rows", r.len());
+            }
+        }
         let mut dup = r.data.clone();
         dup.extend_from_slice(&[5, 5]);
         assert!(Relation::from_rows(2, dup, r.len() + 1).is_none());
@@ -732,8 +807,8 @@ mod tests {
     #[test]
     fn zero_arity_relation_holds_one_tuple() {
         let mut r = Relation::new(0);
-        assert!(r.insert(&[]));
-        assert!(!r.insert(&[]));
+        assert!(insert(&mut r, &[]));
+        assert!(!insert(&mut r, &[]));
         assert!(r.contains(&[]));
         assert_eq!(r.len(), 1);
     }
@@ -751,7 +826,7 @@ mod tests {
         let mut r = Relation::new(2);
         let t = r.register_trie(plain_spec(vec![1, 0]));
         for row in [[3, 1], [1, 2], [2, 1], [1, 9], [0, 2]] {
-            r.insert(&row);
+            insert(&mut r, &row);
         }
         r.refresh_trie(t);
         // Levels are (col 1, col 0): sorted lexicographically on that.
@@ -770,12 +845,12 @@ mod tests {
         let mut r = Relation::new(2);
         let t = r.register_trie(plain_spec(vec![0, 1]));
         for row in [[5, 0], [1, 1], [3, 3]] {
-            r.insert(&row);
+            insert(&mut r, &row);
         }
         r.refresh_trie(t);
         assert_eq!(r.tries[t].data(), &[1, 1, 3, 3, 5, 0]);
         for row in [[2, 2], [5, 0], [0, 9], [4, 4]] {
-            r.insert(&row); // [5,0] is a duplicate: relation rejects it
+            insert(&mut r, &row); // [5,0] is a duplicate: relation rejects it
         }
         r.refresh_trie(t);
         let fresh = Trie::build(plain_spec(vec![0, 1]), &r.data, 2, r.len());
@@ -797,7 +872,7 @@ mod tests {
         let mut r = Relation::new(3);
         let t = r.register_trie(spec);
         for row in [[7, 4, 4], [7, 2, 3], [6, 1, 1], [7, 1, 1]] {
-            r.insert(&row);
+            insert(&mut r, &row);
         }
         r.refresh_trie(t);
         assert_eq!(r.tries[t].data(), &[1, 4]);
@@ -806,8 +881,8 @@ mod tests {
     #[test]
     fn trie_registration_after_population_catches_up() {
         let mut r = Relation::new(1);
-        r.insert(&[9]);
-        r.insert(&[4]);
+        insert(&mut r, &[9]);
+        insert(&mut r, &[4]);
         let t = r.register_trie(plain_spec(vec![0]));
         r.refresh_trie(t);
         assert_eq!(r.tries[t].data(), &[4, 9]);
@@ -826,7 +901,7 @@ mod tests {
             [8, 0, 0],
             [2, 7, 7],
         ] {
-            r.insert(&row);
+            insert(&mut r, &row);
         }
         r.refresh_trie(t);
         let t = &r.tries[t];
@@ -911,7 +986,7 @@ mod tests {
         for a in 0..40u32 {
             for b in 0..60u32 {
                 for c in 0..=(a + b) % 3 {
-                    r.insert(&[2 * a, 2 * b, c]);
+                    insert(&mut r, &[2 * a, 2 * b, c]);
                 }
             }
         }
@@ -965,7 +1040,7 @@ mod tests {
             for _ in 0..40 * chunk + 1 {
                 x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
                 let v = x >> 16;
-                r.insert(&[v % 5, v % 7, v % 3, (v / 7) % 4]);
+                insert(&mut r, &[v % 5, v % 7, v % 3, (v / 7) % 4]);
             }
             for (cols, &t) in specs.iter().zip(&slots) {
                 r.refresh_trie(t);
