@@ -53,7 +53,7 @@ use crate::ast::{Atom, Const, Program};
 use crate::plan::{
     compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojPlan,
 };
-use crate::store::{seek, Derived, Relation, Trie};
+use crate::store::{seek, Derived, KeySort, Relation, Trie};
 
 pub use crate::plan::JoinMode;
 pub use crate::store::IdDatabase;
@@ -706,16 +706,19 @@ fn wcoj_level(
     }
 }
 
-/// Runs one plan. Merge-eligible seminaive binary plans sort the delta by
-/// the downstream probe key and seek the probed trie forward once per
-/// distinct key run; other binary plans go straight to the nested-loop
-/// join; leapfrog plans run the triejoin.
+/// Runs one plan. Merge-eligible seminaive binary plans order the delta
+/// by the downstream probe key with `sort`, the store's radix sort (ties
+/// in delta row order), and seek the probed trie forward once per
+/// distinct key run of the sorted keys; other binary plans go straight
+/// to the nested-loop join; leapfrog plans run the triejoin.
+#[allow(clippy::too_many_arguments)]
 fn run_plan(
     cx: &Cx<'_>,
     rule: &CompiledRule,
     plan: &Plan,
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
+    sort: &mut KeySort,
     out: &mut [Derived],
     stats: &mut EvalStats,
 ) {
@@ -733,33 +736,7 @@ fn run_plan(
     if let (Some(merge_key), Some(_)) = (merge_key, cx.marks) {
         let datom = &atoms[0];
         let d = cx.delta(datom.rel);
-        if d.rows == 0 {
-            return;
-        }
-        let order: Vec<u32> = if let [c] = merge_key[..] {
-            // One key column (the transitive-closure shape): sort packed
-            // `(key << 32) | row` scalars, several times faster than the
-            // indirect row comparator.
-            let mut packed: Vec<u64> = d
-                .data
-                .chunks_exact(d.arity)
-                .enumerate()
-                .map(|(i, row)| (u64::from(row[c]) << 32) | i as u64)
-                .collect();
-            packed.sort_unstable();
-            packed.into_iter().map(|p| p as u32).collect()
-        } else {
-            let mut order: Vec<u32> = (0..d.rows as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let ra = d.row(a as usize);
-                let rb = d.row(b as usize);
-                merge_key
-                    .iter()
-                    .map(|&c| ra[c])
-                    .cmp(merge_key.iter().map(|&c| rb[c]))
-            });
-            order
-        };
+        sort.sort(d.data, d.arity, d.rows, merge_key);
         let patom = &atoms[1];
         let Access::Trie {
             trie_slot,
@@ -771,28 +748,23 @@ fn run_plan(
         };
         let t = &cx.db[patom.rel as usize].tries[trie_slot];
         let (rest, rest_neg) = (&atoms[2..], &neg_after[2..]);
+        let (order, w) = (sort.order(), merge_key.len());
+        let key_at = |i: usize| &sort.keys()[i * w..(i + 1) * w];
         let mut hint = 0usize;
-        let mut key: Vec<u32> = Vec::with_capacity(merge_key.len());
         let mut run = 0usize;
         while run < order.len() {
-            let first = d.row(order[run] as usize);
+            let key = key_at(run);
             let mut end = run + 1;
-            while end < order.len()
-                && merge_key
-                    .iter()
-                    .all(|&c| d.row(order[end] as usize)[c] == first[c])
-            {
+            while end < order.len() && key_at(end).iter().eq(key) {
                 end += 1;
             }
             // Each run's matches are one contiguous range of trie rows.
-            key.clear();
-            key.extend(merge_key.iter().map(|&dc| first[dc]));
-            let (lo, hi) = t.prefix_range(&key, Some(&mut hint));
+            let (lo, hi) = t.prefix_range(key, Some(&mut hint));
             if lo < hi {
                 for &di in &order[run..end] {
                     if match_row(&datom.ops, d.row(di as usize), bindings) {
                         for r in lo..hi {
-                            bind_trie_row(t, r, key.len(), binds, bindings);
+                            bind_trie_row(t, r, w, binds, bindings);
                             join(cx, rest, rest_neg, rule, bindings, scratch, out, stats);
                         }
                     }
@@ -862,6 +834,7 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut stats = EvalStats::default();
     let mut bindings = binding_frame(cp);
     let mut scratch = Vec::new();
+    let mut sort = KeySort::default();
     for (si, stratum) in cp.strata.iter().enumerate() {
         loop {
             stats.rounds += 1;
@@ -877,6 +850,7 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
                     &rule.naive,
                     &mut bindings,
                     &mut scratch,
+                    &mut sort,
                     &mut out,
                     &mut stats,
                 );
@@ -903,6 +877,7 @@ fn stratum_round0(
     stats: &mut EvalStats,
     bindings: &mut [u32],
     scratch: &mut Vec<u32>,
+    sort: &mut KeySort,
 ) -> Vec<usize> {
     stats.rounds += 1;
     for &rel in &cp.facts[si] {
@@ -915,7 +890,16 @@ fn stratum_round0(
     let cx = Cx::new(db, None);
     for &ri in &cp.strata[si] {
         let rule = &cp.rules[ri];
-        run_plan(&cx, rule, &rule.naive, bindings, scratch, &mut out, stats);
+        run_plan(
+            &cx,
+            rule,
+            &rule.naive,
+            bindings,
+            scratch,
+            sort,
+            &mut out,
+            stats,
+        );
     }
     let marks = row_marks(db);
     merge_out(db, &out);
@@ -927,8 +911,18 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut stats = EvalStats::default();
     let mut bindings = binding_frame(cp);
     let mut scratch = Vec::new();
+    // The merge plans' sort buffers, reused by every plan and round.
+    let mut sort = KeySort::default();
     for (si, stratum) in cp.strata.iter().enumerate() {
-        let mut marks = stratum_round0(cp, si, &mut db, &mut stats, &mut bindings, &mut scratch);
+        let mut marks = stratum_round0(
+            cp,
+            si,
+            &mut db,
+            &mut stats,
+            &mut bindings,
+            &mut scratch,
+            &mut sort,
+        );
         while db.iter().zip(&marks).any(|(r, &m)| r.len() > m) {
             stats.rounds += 1;
             // Fire every seminaive plan whose delta relation is non-empty
@@ -954,6 +948,7 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
                     plan,
                     &mut bindings,
                     &mut scratch,
+                    &mut sort,
                     &mut out,
                     &mut stats,
                 );
@@ -1121,10 +1116,15 @@ mod tests {
     fn seminaive_closure_of_a_chain_forest_does_closed_form_work() {
         // C chains of L edges: round k derives the paths of length k + 1,
         // so the fixpoint takes L + 1 rounds and C·L fact loads, C·L base
-        // derivations and C·(L−1 + … + 0) recursive ones.
-        for (c, l) in [(1, 1), (1, 7), (5, 3), (40, 12), (3, 40)] {
-            let edges: Vec<(i64, i64)> = (0..c)
-                .flat_map(|ch| (0..l).map(move |i| (ch * (l + 1) + i, ch * (l + 1) + i + 1)))
+        // derivations and C·(L−1 + … + 0) recursive ones. Edges are listed
+        // last position first, so constant ids (given in order of first
+        // appearance) do not follow the chains and every delta arrives out
+        // of key order. The 17,000×3 forest has more than 2¹⁶ nodes, so its
+        // merge keys take a third radix pass.
+        for (c, l) in [(1, 1), (1, 7), (5, 3), (40, 12), (3, 40), (17_000, 3)] {
+            let edges: Vec<(i64, i64)> = (0..l)
+                .rev()
+                .flat_map(|i| (0..c).map(move |ch| (ch * (l + 1) + i, ch * (l + 1) + i + 1)))
                 .collect();
             let p = transitive_closure_program(&edges);
             let (c, l) = (c as usize, l as usize);
@@ -1139,6 +1139,45 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn merge_emits_equal_key_delta_rows_in_delta_row_order() {
+        // Δt holds three (X, Y) keys, 40 rows each, interleaved and with
+        // scrambled W. The second rule's merge plan (key columns X, Y)
+        // must emit u's rows in key order, equal keys in Δt's row order.
+        let mut p = Program::new();
+        for i in 0..120i64 {
+            let k = i % 3;
+            p.fact(Atom::new("s", vec![cst(k), cst(10 + k), cst(i * 37 % 120)]));
+        }
+        for k in 0..3 {
+            p.fact(Atom::new("hop", vec![cst(k), cst(10 + k), cst(500 + k)]));
+        }
+        p.rule(
+            Atom::new("t", vec![var("X"), var("Y"), var("W")]),
+            vec![Atom::new("s", vec![var("X"), var("Y"), var("W")])],
+        );
+        p.rule(
+            Atom::new("u", vec![var("W"), var("Z")]),
+            vec![
+                Atom::new("t", vec![var("X"), var("Y"), var("W")]),
+                Atom::new("hop", vec![var("X"), var("Y"), var("Z")]),
+            ],
+        );
+        let (db, _) = eval_ids_mode(&p, Strategy::Seminaive, JoinMode::Binary);
+        let rel = |name: &str| &db.rels[db.names.iter().position(|n| n == name).unwrap()];
+        let (t, hop) = (rel("t"), rel("hop"));
+        let mut delta: Vec<&[u32]> = t.data.chunks_exact(3).collect();
+        delta.sort_by_key(|row| (row[0], row[1]));
+        let want: Vec<u32> = delta
+            .iter()
+            .flat_map(|row| {
+                let h = hop.data.chunks_exact(3).find(|h| h[..2] == row[..2]);
+                [row[2], h.unwrap()[2]]
+            })
+            .collect();
+        assert_eq!(rel("u").data, want);
     }
 
     #[test]

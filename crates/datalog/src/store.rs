@@ -14,7 +14,8 @@
 //! one secondary index — which merges in only the rows added since its
 //! last refresh, and is refreshed only before a round whose plans read
 //! it. One search, `seek`, serves every sorted run the engine reads:
-//! trie lookups, merges and leapfrog cursors alike. This is the Datalog
+//! trie lookups, merges and leapfrog cursors alike; one radix sort,
+//! `KeySort`, orders every merge's delta. This is the Datalog
 //! instance of the workspace-wide id-native design (DESIGN.md
 //! §3/§5/§6): trees at the API boundary, `Copy` ids everywhere the
 //! fixpoint loop runs.
@@ -345,6 +346,105 @@ pub(crate) fn seek(
         }
     }
     lo
+}
+
+/// The merge join's one ordering of a delta: a stable LSD radix sort of
+/// row indexes by key columns. Keys are constant ids, dense below the
+/// constant count, so only their low bytes vary and a pass per varying
+/// byte replaces a comparison sort. The buffers persist between sorts:
+/// one value serves every plan and round of an evaluation.
+#[derive(Debug, Default)]
+pub(crate) struct KeySort {
+    /// `(key << 32) | row` pairs, keyed by the column being sorted.
+    pairs: Vec<u64>,
+    /// The scatter target of a pass, swapped with `pairs` after it.
+    spare: Vec<u64>,
+    /// Row indexes in key order.
+    order: Vec<u32>,
+    /// Key tuples in key order, one value per key column each.
+    keys: Vec<u32>,
+}
+
+impl KeySort {
+    /// Orders rows `0..rows` of `data` (`arity` values each) by their
+    /// values at `cols`, lexicographically, equal keys in row order.
+    /// Columns sort last first, each by its bytes low to high, and a
+    /// byte takes a pass only where some key's differs — where it is
+    /// set in the keys' OR and clear in their AND — so 2¹⁶ constants
+    /// cost at most two passes per column. A column whose keys are already in
+    /// order takes none: a delta derived by an earlier merge often
+    /// arrives sorted. The result is [`KeySort::order`] and
+    /// [`KeySort::keys`].
+    pub(crate) fn sort(&mut self, data: &[u32], arity: usize, rows: usize, cols: &[usize]) {
+        self.pairs.clear();
+        self.pairs.extend(0..rows as u64);
+        for &c in cols.iter().rev() {
+            let (mut or, mut and) = (0u32, u32::MAX);
+            let (mut prev, mut in_order) = (0u32, true);
+            for p in &mut self.pairs {
+                let row = *p as u32;
+                let k = data[row as usize * arity + c];
+                *p = (u64::from(k) << 32) | u64::from(row);
+                (or, and) = (or | k, and & k);
+                in_order &= prev <= k;
+                prev = k;
+            }
+            if in_order {
+                continue;
+            }
+            for shift in [32, 40, 48, 56] {
+                if (or & !and) >> (shift - 32) & 0xff != 0 {
+                    self.pass(shift);
+                }
+            }
+        }
+        self.order.clear();
+        self.order.extend(self.pairs.iter().map(|&p| p as u32));
+        // The pairs carry the first key column; later ones are read from
+        // the rows once, here, so key runs compare contiguous keys. A
+        // probe keyed by constants alone has no key column: its delta is
+        // one run.
+        self.keys.clear();
+        if let Some((_, later)) = cols.split_first() {
+            for &p in &self.pairs {
+                let row = (p as u32) as usize * arity;
+                self.keys.push((p >> 32) as u32);
+                self.keys.extend(later.iter().map(|&c| data[row + c]));
+            }
+        }
+    }
+
+    /// One counting-sort pass of `pairs` on the byte at bit `shift`;
+    /// pairs with equal bytes keep their order.
+    fn pass(&mut self, shift: u32) {
+        let mut next = [0u32; 256];
+        for &p in &self.pairs {
+            next[(p >> shift) as u8 as usize] += 1;
+        }
+        let mut sum = 0;
+        for start in &mut next {
+            let count = *start;
+            *start = sum;
+            sum += count;
+        }
+        self.spare.resize(self.pairs.len(), 0);
+        for &p in &self.pairs {
+            let byte = (p >> shift) as u8 as usize;
+            self.spare[next[byte] as usize] = p;
+            next[byte] += 1;
+        }
+        std::mem::swap(&mut self.pairs, &mut self.spare);
+    }
+
+    /// The sorted row indexes.
+    pub(crate) fn order(&self) -> &[u32] {
+        &self.order
+    }
+
+    /// The key tuple of each sorted row, back to back.
+    pub(crate) fn keys(&self) -> &[u32] {
+        &self.keys
+    }
 }
 
 /// Rows [`Relation::insert_batch`] hashes ahead of the one it probes:
@@ -1062,6 +1162,68 @@ mod tests {
                 assert_eq!(trie.dir0(), dir0);
                 assert_eq!(trie.dir0_start(), starts);
             }
+        }
+    }
+
+    #[test]
+    fn key_sort_is_a_stable_sort_by_the_key_columns() {
+        // Arity-3 rows whose columns draw from pools of 24 values with
+        // 1–4 significant bytes (every byte varies, and keys repeat, so
+        // ties are common) plus 0, and `u32::MAX - 1` in the 4-byte
+        // pools. For keys of 0–3 columns the order must be the stable
+        // sort's, ties in row order.
+        // One `KeySort` serves every case, as one serves an evaluation.
+        let mut x = 5u32;
+        let mut rand = move || {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            x.rotate_left(15)
+        };
+        let mut sort = KeySort::default();
+        let mut check = |data: &[u32], cols: &[usize]| {
+            let mut want: Vec<u32> = (0..(data.len() / 3) as u32).collect();
+            let key =
+                |r: u32| -> Vec<u32> { cols.iter().map(|&c| data[r as usize * 3 + c]).collect() };
+            want.sort_by_key(|&r| key(r));
+            sort.sort(data, 3, data.len() / 3, cols);
+            assert_eq!(sort.order(), want, "cols {cols:?}, {} rows", data.len() / 3);
+            let keys: Vec<u32> = want.iter().flat_map(|&r| key(r)).collect();
+            assert_eq!(sort.keys(), keys);
+        };
+        for bytes in [[1, 1, 1], [2, 1, 3], [3, 4, 2], [4, 2, 1]] {
+            let pools: Vec<Vec<u32>> = bytes
+                .iter()
+                .map(|&b| {
+                    let mut pool: Vec<u32> = (0..24).map(|_| rand() >> (32 - 8 * b)).collect();
+                    pool.push(0);
+                    if b == 4 {
+                        pool.push(u32::MAX - 1);
+                    }
+                    pool
+                })
+                .collect();
+            for rows in [0usize, 1, 2, 700, 3000] {
+                let data: Vec<u32> = (0..rows * 3)
+                    .map(|i| {
+                        let pool = &pools[i % 3];
+                        pool[rand() as usize % pool.len()]
+                    })
+                    .collect();
+                for cols in [&[][..], &[0], &[2], &[1, 2], &[2, 0], &[2, 0, 1]] {
+                    check(&data, cols);
+                }
+            }
+        }
+        // All-equal keys keep row order whatever the value.
+        for v in [0, 7, 0x1234_5678, u32::MAX - 1] {
+            let mut data = vec![v; 3 * 500];
+            data.iter_mut()
+                .skip(1)
+                .step_by(3)
+                .enumerate()
+                .for_each(|(i, d)| *d = i as u32);
+            check(&data, &[0]);
+            check(&data, &[2, 0]);
+            check(&data, &[1, 0]);
         }
     }
 }

@@ -14,7 +14,8 @@
 //!   where the planner would pick a triejoin, against a brute-force
 //!   closure computed here, and against a non-linear formulation whose
 //!   probe stays on the hash index. The graphs carry self-loops, duplicate
-//!   edges, a constant in the probe key and a two-level probe key.
+//!   edges, a constant in the probe key and two-level probe keys, one of
+//!   them two delta columns in order.
 
 use std::collections::BTreeSet;
 
@@ -286,6 +287,50 @@ proptest! {
         }
         // `c` is cyclic: Auto runs the triejoin, Binary the merge.
         prop_assert!(rows_by_mode.windows(2).all(|w| w[0] == w[1]));
+        let (_, auto) = eval_ids_mode(&p, DlStrategy::Seminaive, JoinMode::Auto);
+        let (_, binary) = eval_ids_mode(&p, DlStrategy::Seminaive, JoinMode::Binary);
+        prop_assert_eq!(auto, binary);
+    }
+
+    /// A merge keyed by two delta columns: `r`'s delta plan probes `hop`
+    /// by (X, Y), both bound by Δr. Forced binary joins run that merge;
+    /// Auto runs the triejoin (two shared join variables). Both must
+    /// equal naive evaluation and a brute-force closure.
+    #[test]
+    fn two_column_merge_key_matches_every_oracle(
+        edges in prop::collection::vec((0i64..8, 0i64..8), 0..24),
+        hops in prop::collection::vec((0i64..8, 0i64..8, 0i64..8), 0..40),
+    ) {
+        let mut p = parse_program("r(X, Y) :- e(X, Y).\nr(X, Z) :- r(X, Y), hop(X, Y, Z).\n")
+            .unwrap();
+        for &(a, b) in &edges {
+            p.fact(Atom::new("e", vec![cst(a), cst(b)]));
+        }
+        for &(a, b, c) in hops.iter().chain(&hops[..hops.len() / 3]) {
+            // The first third of the hops arrive twice.
+            p.fact(Atom::new("hop", vec![cst(a), cst(b), cst(c)]));
+        }
+        let mut r: BTreeSet<(i64, i64)> = edges.iter().copied().collect();
+        loop {
+            let next: Vec<(i64, i64)> = r
+                .iter()
+                .flat_map(|&(x, y)| {
+                    hops.iter()
+                        .filter(move |&&(a, b, _)| (a, b) == (x, y))
+                        .map(move |&(_, _, z)| (x, z))
+                })
+                .filter(|pair| !r.contains(pair))
+                .collect();
+            if next.is_empty() {
+                break;
+            }
+            r.extend(next);
+        }
+        let want: BTreeSet<Vec<i64>> = r.into_iter().map(|(a, b)| vec![a, b]).collect();
+        for (strategy, mode) in MODES {
+            let (db, _) = eval_ids_mode(&p, strategy, mode);
+            prop_assert_eq!(&int_rows(&db, "r"), &want, "{:?} {:?}", strategy, mode);
+        }
         let (_, auto) = eval_ids_mode(&p, DlStrategy::Seminaive, JoinMode::Auto);
         let (_, binary) = eval_ids_mode(&p, DlStrategy::Seminaive, JoinMode::Binary);
         prop_assert_eq!(auto, binary);
