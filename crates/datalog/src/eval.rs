@@ -9,12 +9,14 @@
 //! instantiation. Only relations the current stratum derives have a
 //! delta: a stratum's facts are loaded before its first (naive) round.
 //! They agree on the model (property-tested); the work gap is measured
-//! in the bench suite. A round's joins write their derivations into
-//! per-relation buffers, and the round's merge inserts each buffer into
-//! its relation as one batch. Relations are append-only, so the facts a
-//! merge found new are the relation's suffix past the row count taken
-//! just before it: the next round reads that suffix in place as its
-//! delta.
+//! in the bench suite. Both strategies are stratum loops over one
+//! `round` function, the only place a round runs: it refreshes the tries
+//! its plans read, builds their delta tries, runs the plans over one
+//! `Frame` of bindings and per-relation derivation buffers, and merges
+//! each buffer into its relation as one batch. Relations are
+//! append-only, so the facts a merge found new are the relation's suffix
+//! past the row count taken just before it: the next round reads that
+//! suffix in place as its delta.
 //!
 //! # The id-native engine
 //!
@@ -37,11 +39,12 @@
 //! partial binding no atom can extend. Every move over a sorted run —
 //! a trie lookup, a merge step, a leapfrog cursor, the final-level
 //! intersection — is the store's one `seek`, and both plan kinds emit a
-//! complete match through one head emitter. Tries are
-//! maintained incrementally: before a round, the tries its plans read —
-//! and only those — project, sort and merge in the rows derived since
-//! their last refresh. Negated premises execute as anti-join membership
-//! probes at the earliest plan point where their variables are bound. Decoded,
+//! complete match through one head emitter. Tries are maintained
+//! incrementally: before a round, the tries its plans read — and only
+//! those — project, sort and merge in the rows derived since their last
+//! refresh, and the leapfrog delta tries are built once per relation and
+//! spec. Negated premises execute as anti-join membership probes at the
+//! earliest plan point where their variables are bound. Decoded,
 //! tree-shaped results ([`Database`]) are materialised only at the API
 //! boundary; [`eval_ids`] skips even that, which is what the
 //! 10⁵–10⁶-fact benchmarks run. DESIGN.md §6–§7 document the layout, the
@@ -51,7 +54,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::ast::{Atom, Const, Program};
 use crate::plan::{
-    compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojPlan,
+    compile, Access, ArgOp, CompiledProgram, CompiledRule, NegCheck, Plan, PlannedAtom, WcojAtom,
+    WcojPlan,
 };
 use crate::store::{seek, Derived, KeySort, Relation, Trie};
 
@@ -161,29 +165,45 @@ fn seal(cp: CompiledProgram<'_>, mut rels: Vec<Relation>) -> IdDatabase {
 }
 
 /// Shared read-side context for one round's joins: the database
-/// relations and (for seminaive plans) the row marks that
-/// delimit the round's delta — relations are append-only, so relation
-/// `r`'s delta is its suffix from row `marks[r]`, read in place.
+/// relations, the row marks that delimit a seminaive round's delta —
+/// relations are append-only, so relation `r`'s delta is its suffix from
+/// row `marks[r]`, read in place — and the tries the round's leapfrog
+/// plans read over that delta.
 ///
-/// `delta_tries` caches the tries leapfrog plans build over the delta:
-/// the delta plans of one rule (and often of several rules) project the
-/// same delta relation through identical specs, so without the cache a
-/// round sorts the same delta once per plan. A `Cx` lives for exactly
-/// one round, which is exactly the delta's lifetime — no invalidation
-/// logic needed.
+/// [`Cx::new`] builds every delta trie before any plan runs, once per
+/// `(relation, spec)`: the delta plans of one rule (and often of several
+/// rules) project the same delta relation through identical specs. A `Cx`
+/// lives for exactly one round, which is exactly the delta's lifetime —
+/// no invalidation logic needed.
 struct Cx<'a> {
     db: &'a [Relation],
     marks: Option<&'a [usize]>,
-    delta_tries: std::cell::RefCell<Vec<(u32, Trie)>>,
+    delta_tries: Vec<(u32, Trie)>,
 }
 
 impl<'a> Cx<'a> {
-    fn new(db: &'a [Relation], marks: Option<&'a [usize]>) -> Self {
-        Cx {
+    /// The context of a round running `plans`, its delta tries built.
+    fn new(
+        db: &'a [Relation],
+        marks: Option<&'a [usize]>,
+        plans: &[(&CompiledRule, &Plan)],
+    ) -> Self {
+        let mut cx = Cx {
             db,
             marks,
-            delta_tries: std::cell::RefCell::new(Vec::new()),
+            delta_tries: Vec::new(),
+        };
+        for (_, plan) in plans {
+            let Plan::Wcoj(wp) = plan else { continue };
+            for a in wp.atoms.iter().filter(|a| a.is_delta) {
+                if cx.delta_trie(a).is_none() {
+                    let d = cx.delta(a.rel);
+                    let t = Trie::build(a.spec.clone(), d.data, d.arity, d.rows);
+                    cx.delta_tries.push((a.rel, t));
+                }
+            }
         }
+        cx
     }
 
     /// Relation `rel`'s delta this round: the rows the last merge
@@ -195,6 +215,52 @@ impl<'a> Cx<'a> {
             data: &r.data[mark * r.arity..],
             rows: r.len() - mark,
             arity: r.arity,
+        }
+    }
+
+    /// The trie leapfrog delta atom `a` reads this round, once built.
+    /// When the delta IS the whole relation (round 1 for a relation whose
+    /// every row was rule-derived in round 0, e.g. `sg` after its base
+    /// rule), a current database trie with the same spec already holds
+    /// exactly the delta's projection and stands in for it. Only the
+    /// plans a round runs refresh their tries, so a trie that only the
+    /// round-0 naive plan read lags and is passed over.
+    fn delta_trie(&self, a: &WcojAtom) -> Option<&Trie> {
+        let rel = &self.db[a.rel as usize];
+        if self.delta(a.rel).rows == rel.len() {
+            if let Some(t) = rel.current_trie(&a.spec) {
+                return Some(t);
+            }
+        }
+        self.delta_tries
+            .iter()
+            .find(|(r, t)| *r == a.rel && t.spec == a.spec)
+            .map(|(_, t)| t)
+    }
+}
+
+/// The mutable state every join writes: the binding slots, a key
+/// scratch buffer, the round's per-relation derivation buffers and the
+/// running statistics. One frame serves a whole evaluation.
+///
+/// Backtracking needs no trail: a slot is written by exactly one `Bind`
+/// on any plan path and only read (`CheckVar`, negation, head emission)
+/// strictly after that bind executes, so stale values left by
+/// backtracking are never observed.
+struct Frame {
+    bindings: Vec<u32>,
+    scratch: Vec<u32>,
+    out: Vec<Derived>,
+    stats: EvalStats,
+}
+
+impl Frame {
+    fn new(cp: &CompiledProgram<'_>) -> Self {
+        Frame {
+            bindings: vec![0; cp.rules.iter().map(|r| r.nvars).max().unwrap_or(0)],
+            scratch: Vec::new(),
+            out: cp.fresh_derived(),
+            stats: EvalStats::default(),
         }
     }
 }
@@ -247,51 +313,43 @@ fn op_value(op: &ArgOp, bindings: &[u32]) -> u32 {
 /// Anti-join: every negated premise scheduled at this point must be
 /// absent from the (stratification-complete) database.
 #[inline]
-fn neg_pass(cx: &Cx<'_>, checks: &[NegCheck], bindings: &[u32], scratch: &mut Vec<u32>) -> bool {
+fn neg_pass(cx: &Cx<'_>, checks: &[NegCheck], f: &mut Frame) -> bool {
     checks.iter().all(|c| {
-        scratch.clear();
-        scratch.extend(c.ops.iter().map(|op| op_value(op, bindings)));
-        !cx.db[c.rel as usize].contains(scratch)
+        f.scratch.clear();
+        f.scratch
+            .extend(c.ops.iter().map(|op| op_value(op, &f.bindings)));
+        !cx.db[c.rel as usize].contains(&f.scratch)
     })
 }
 
-/// A complete match: instantiates the rule head from `bindings` into
-/// `out` and counts one derivation — the one place either join kind
-/// emits a head.
+/// A complete match: instantiates the rule head from the bindings into
+/// the round's output and counts one derivation — the one place either
+/// join kind emits a head.
 #[inline]
-fn emit_head(rule: &CompiledRule, bindings: &[u32], out: &mut [Derived], stats: &mut EvalStats) {
-    stats.derivations += 1;
-    let o = &mut out[rule.head_rel as usize];
+fn emit_head(rule: &CompiledRule, f: &mut Frame) {
+    f.stats.derivations += 1;
+    let o = &mut f.out[rule.head_rel as usize];
     o.data
-        .extend(rule.head.iter().map(|op| op_value(op, bindings)));
+        .extend(rule.head.iter().map(|op| op_value(op, &f.bindings)));
     o.rows += 1;
 }
 
 /// Nested-loop join over the remaining planned atoms; a complete match
-/// instantiates the head into `out` and counts one derivation.
-/// `neg_after` stays aligned with `atoms` (`neg_after[0]` runs on entry,
-/// i.e. once the atoms before this call have all matched).
-///
-/// Backtracking needs no trail: a slot is written by exactly one `Bind`
-/// on any plan path and only read (`CheckVar`, negation, head emission)
-/// strictly after that bind executes, so stale values left by
-/// backtracking are never observed.
-#[allow(clippy::too_many_arguments)]
+/// instantiates the head. `neg_after` stays aligned with `atoms`
+/// (`neg_after[0]` runs on entry, i.e. once the atoms before this call
+/// have all matched).
 fn join(
     cx: &Cx<'_>,
     atoms: &[PlannedAtom],
     neg_after: &[Vec<NegCheck>],
     rule: &CompiledRule,
-    bindings: &mut [u32],
-    scratch: &mut Vec<u32>,
-    out: &mut [Derived],
-    stats: &mut EvalStats,
+    f: &mut Frame,
 ) {
-    if !neg_pass(cx, &neg_after[0], bindings, scratch) {
+    if !neg_pass(cx, &neg_after[0], f) {
         return;
     }
     let Some(atom) = atoms.first() else {
-        emit_head(rule, bindings, out, stats);
+        emit_head(rule, f);
         return;
     };
     let rest = &atoms[1..];
@@ -299,8 +357,8 @@ fn join(
     if atom.is_delta {
         let d = cx.delta(atom.rel);
         for i in 0..d.rows {
-            if match_row(&atom.ops, d.row(i), bindings) {
-                join(cx, rest, negs, rule, bindings, scratch, out, stats);
+            if match_row(&atom.ops, d.row(i), &mut f.bindings) {
+                join(cx, rest, negs, rule, f);
             }
         }
         return;
@@ -308,10 +366,11 @@ fn join(
     let rel = &cx.db[atom.rel as usize];
     match atom.access {
         Access::Contains => {
-            scratch.clear();
-            scratch.extend(atom.ops.iter().map(|op| op_value(op, bindings)));
-            if rel.contains(scratch) {
-                join(cx, rest, negs, rule, bindings, scratch, out, stats);
+            f.scratch.clear();
+            f.scratch
+                .extend(atom.ops.iter().map(|op| op_value(op, &f.bindings)));
+            if rel.contains(&f.scratch) {
+                join(cx, rest, negs, rule, f);
             }
         }
         Access::Trie {
@@ -319,19 +378,19 @@ fn join(
             ref key,
             ref binds,
         } => {
-            scratch.clear();
-            scratch.extend(key.iter().map(|&s| bindings[s]));
+            f.scratch.clear();
+            f.scratch.extend(key.iter().map(|&s| f.bindings[s]));
             let t = &rel.tries[trie_slot];
-            let (lo, hi) = t.prefix_range(scratch, None);
+            let (lo, hi) = t.prefix_range(&f.scratch, None);
             for r in lo..hi {
-                bind_trie_row(t, r, key.len(), binds, bindings);
-                join(cx, rest, negs, rule, bindings, scratch, out, stats);
+                bind_trie_row(t, r, key.len(), binds, &mut f.bindings);
+                join(cx, rest, negs, rule, f);
             }
         }
         Access::Scan => {
             for i in 0..rel.len() as u32 {
-                if match_row(&atom.ops, rel.row(i), bindings) {
-                    join(cx, rest, negs, rule, bindings, scratch, out, stats);
+                if match_row(&atom.ops, rel.row(i), &mut f.bindings) {
+                    join(cx, rest, negs, rule, f);
                 }
             }
         }
@@ -456,63 +515,19 @@ impl<'a> TrieIter<'a> {
     }
 }
 
-/// Runs one leapfrog plan: builds the delta atom's trie from the round's
-/// flat delta rows (database tries were refreshed at round start), then
-/// recursively intersects all participating tries level by level.
-fn run_wcoj(
-    cx: &Cx<'_>,
-    rule: &CompiledRule,
-    plan: &WcojPlan,
-    bindings: &mut [u32],
-    scratch: &mut Vec<u32>,
-    out: &mut [Derived],
-    stats: &mut EvalStats,
-) {
-    if !neg_pass(cx, &plan.neg_at[0], bindings, scratch) {
+/// Runs one leapfrog plan: recursively intersects its tries — the
+/// database's, refreshed at round start, and the round's delta tries —
+/// level by level.
+fn run_wcoj(cx: &Cx<'_>, rule: &CompiledRule, plan: &WcojPlan, f: &mut Frame) {
+    if !neg_pass(cx, &plan.neg_at[0], f) {
         return;
     }
-    // When the round's delta IS the whole relation (round 1 for a
-    // relation whose every row was rule-derived in round 0, e.g. `sg`
-    // after its base rule), a current database trie with the same spec
-    // already holds exactly the delta's projection — reuse it instead of
-    // re-sorting the world. Only plans that run this round refresh their
-    // tries, so a trie only the round-0 naive plan read lags and is
-    // skipped.
-    let db_substitute = |a: &crate::plan::WcojAtom| {
-        let rel = &cx.db[a.rel as usize];
-        if cx.delta(a.rel).rows == rel.len() {
-            rel.current_trie(&a.spec)
-        } else {
-            None
-        }
-    };
-    // Build any missing delta tries into the round cache first, then take
-    // shared references — sibling delta plans with the same (relation,
-    // spec) reuse the sort instead of repeating it.
-    {
-        let mut cache = cx.delta_tries.borrow_mut();
-        for a in plan.atoms.iter().filter(|a| a.is_delta) {
-            if db_substitute(a).is_none()
-                && !cache.iter().any(|(r, t)| *r == a.rel && t.spec == a.spec)
-            {
-                let d = cx.delta(a.rel);
-                cache.push((a.rel, Trie::build(a.spec.clone(), d.data, d.arity, d.rows)));
-            }
-        }
-    }
-    let cache = cx.delta_tries.borrow();
     let mut iters: Vec<TrieIter<'_>> = plan
         .atoms
         .iter()
         .map(|a| {
             TrieIter::new(if a.is_delta {
-                db_substitute(a).unwrap_or_else(|| {
-                    &cache
-                        .iter()
-                        .find(|(r, t)| *r == a.rel && t.spec == a.spec)
-                        .expect("delta trie built above")
-                        .1
-                })
+                cx.delta_trie(a).expect("the round builds its delta tries")
             } else {
                 &cx.db[a.rel as usize].tries[a.trie_slot]
             })
@@ -524,18 +539,7 @@ fn run_wcoj(
         return;
     }
     let mut order_bufs: Vec<Vec<usize>> = vec![Vec::new(); plan.levels.len()];
-    wcoj_level(
-        cx,
-        rule,
-        plan,
-        0,
-        &mut iters,
-        &mut order_bufs,
-        bindings,
-        scratch,
-        out,
-        stats,
-    );
+    wcoj_level(cx, rule, plan, 0, &mut iters, &mut order_bufs, f);
 }
 
 /// One level of the leapfrog search: open every participating trie at
@@ -545,7 +549,6 @@ fn run_wcoj(
 /// recurse. A complete assignment instantiates the head — the same set
 /// of assignments the binary plan enumerates, so derivation counts are
 /// identical across join modes.
-#[allow(clippy::too_many_arguments)]
 fn wcoj_level(
     cx: &Cx<'_>,
     rule: &CompiledRule,
@@ -553,10 +556,7 @@ fn wcoj_level(
     level: usize,
     iters: &mut [TrieIter<'_>],
     order_bufs: &mut [Vec<usize>],
-    bindings: &mut [u32],
-    scratch: &mut Vec<u32>,
-    out: &mut [Derived],
-    stats: &mut EvalStats,
+    f: &mut Frame,
 ) {
     let parts = &plan.at_level[level];
     for &a in parts {
@@ -570,23 +570,12 @@ fn wcoj_level(
     let last = level + 1 == plan.levels.len();
     macro_rules! descend {
         ($key:expr) => {
-            bindings[plan.levels[level]] = $key;
-            if neg_pass(cx, &plan.neg_at[level + 1], bindings, scratch) {
+            f.bindings[plan.levels[level]] = $key;
+            if neg_pass(cx, &plan.neg_at[level + 1], f) {
                 if last {
-                    emit_head(rule, bindings, out, stats);
+                    emit_head(rule, f);
                 } else {
-                    wcoj_level(
-                        cx,
-                        rule,
-                        plan,
-                        level + 1,
-                        iters,
-                        order_bufs,
-                        bindings,
-                        scratch,
-                        out,
-                        stats,
-                    );
+                    wcoj_level(cx, rule, plan, level + 1, iters, order_bufs, f);
                 }
             }
         };
@@ -711,20 +700,10 @@ fn wcoj_level(
 /// in delta row order), and seek the probed trie forward once per
 /// distinct key run of the sorted keys; other binary plans go straight
 /// to the nested-loop join; leapfrog plans run the triejoin.
-#[allow(clippy::too_many_arguments)]
-fn run_plan(
-    cx: &Cx<'_>,
-    rule: &CompiledRule,
-    plan: &Plan,
-    bindings: &mut [u32],
-    scratch: &mut Vec<u32>,
-    sort: &mut KeySort,
-    out: &mut [Derived],
-    stats: &mut EvalStats,
-) {
+fn run_plan(cx: &Cx<'_>, rule: &CompiledRule, plan: &Plan, sort: &mut KeySort, f: &mut Frame) {
     let (atoms, merge_key, neg_after) = match plan {
         Plan::Wcoj(wp) => {
-            run_wcoj(cx, rule, wp, bindings, scratch, out, stats);
+            run_wcoj(cx, rule, wp, f);
             return;
         }
         Plan::Binary {
@@ -762,10 +741,10 @@ fn run_plan(
             let (lo, hi) = t.prefix_range(key, Some(&mut hint));
             if lo < hi {
                 for &di in &order[run..end] {
-                    if match_row(&datom.ops, d.row(di as usize), bindings) {
+                    if match_row(&datom.ops, d.row(di as usize), &mut f.bindings) {
                         for r in lo..hi {
-                            bind_trie_row(t, r, w, binds, bindings);
-                            join(cx, rest, rest_neg, rule, bindings, scratch, out, stats);
+                            bind_trie_row(t, r, w, binds, &mut f.bindings);
+                            join(cx, rest, rest_neg, rule, f);
                         }
                     }
                 }
@@ -774,159 +753,105 @@ fn run_plan(
         }
         return;
     }
-    join(cx, atoms, neg_after, rule, bindings, scratch, out, stats);
+    join(cx, atoms, neg_after, rule, f);
 }
 
-/// Inserts every buffered derivation into the database, one batch per
-/// relation. The genuinely new facts land at the end of their relation,
-/// which is where the next round reads its delta. Returns whether
-/// anything was new.
-fn merge_out(db: &mut [Relation], out: &[Derived]) -> bool {
-    let mut changed = false;
-    for (rel, o) in db.iter_mut().zip(out) {
-        changed |= rel.insert_batch(&o.data, o.rows) > 0;
-    }
-    changed
-}
-
-/// Each relation's row count: the marks from which the rows a merge is
-/// about to append will read as the next round's delta.
-fn row_marks(db: &[Relation]) -> Vec<usize> {
-    db.iter().map(Relation::len).collect()
-}
-
-/// Brings the database tries `plans` read up to date — called before a
-/// round with exactly the plans that round runs, so leapfrog plans,
-/// sorted lookups and merges read current data and no other trie is
-/// re-merged.
-fn refresh_tries<'a>(plans: impl IntoIterator<Item = &'a Plan>, db: &mut [Relation]) {
-    for plan in plans {
+/// Runs one round of `plans` — naive when `marks` is `None`, otherwise
+/// seminaive over each relation's rows past `marks` — and merges its
+/// derivations, after any the caller already buffered in `frame.out`,
+/// into `db`: the one place derivations enter the database.
+///
+/// First the database tries the plans read — and only those — project,
+/// sort and merge in the rows derived since their last refresh, so
+/// lookups, merges and leapfrog plans read current data and no other
+/// trie is re-merged; then [`Cx::new`] builds the round's delta tries.
+/// The merge inserts each relation's buffer as one batch; the genuinely
+/// new facts land at the end of their relation. Returns the row counts
+/// from before the merge: the rows past them are the next round's delta.
+fn round(
+    db: &mut [Relation],
+    plans: &[(&CompiledRule, &Plan)],
+    marks: Option<&[usize]>,
+    sort: &mut KeySort,
+    frame: &mut Frame,
+) -> Vec<usize> {
+    frame.stats.rounds += 1;
+    for (_, plan) in plans {
         for (rel, t) in plan.tries() {
             db[rel as usize].refresh_trie(t);
         }
     }
+    let cx = Cx::new(db, marks, plans);
+    for &(rule, plan) in plans {
+        run_plan(&cx, rule, plan, sort, frame);
+    }
+    // The delta tries go before the merge grows the relations.
+    drop(cx);
+    let marks = db.iter().map(Relation::len).collect();
+    for (rel, o) in db.iter_mut().zip(&mut frame.out) {
+        let o = std::mem::take(o);
+        rel.insert_batch(&o.data, o.rows);
+    }
+    marks
+}
+
+/// Whether the last round's merge appended anything past `marks`.
+fn grew(db: &[Relation], marks: &[usize]) -> bool {
+    db.iter().zip(marks).any(|(r, &m)| r.len() > m)
 }
 
 /// The naive plans of a stratum's rules.
-fn naive_plans<'a>(cp: &'a CompiledProgram<'_>, si: usize) -> impl Iterator<Item = &'a Plan> {
-    cp.strata[si].iter().map(|&ri| &cp.rules[ri].naive)
+fn naive_plans<'a>(cp: &'a CompiledProgram<'_>, si: usize) -> Vec<(&'a CompiledRule, &'a Plan)> {
+    let rules = cp.strata[si].iter().map(|&ri| &cp.rules[ri]);
+    rules.map(|rule| (rule, &rule.naive)).collect()
 }
 
-fn binding_frame(cp: &CompiledProgram<'_>) -> Vec<u32> {
-    vec![0; cp.rules.iter().map(|r| r.nvars).max().unwrap_or(0)]
-}
-
-/// Appends the stratum's fact blocks to a naive round's output, counted
-/// as one derivation per fact. (Seminaive evaluation inserts the blocks
-/// once, in `stratum_round0`.)
-fn fire_facts(cp: &CompiledProgram<'_>, si: usize, out: &mut [Derived], stats: &mut EvalStats) {
-    for &rel in &cp.facts[si] {
-        let b = &cp.fact_blocks[rel as usize];
-        let o = &mut out[rel as usize];
-        o.data.extend_from_slice(&b.data);
-        o.rows += b.rows;
-        stats.derivations += b.rows;
-    }
-}
-
+/// Naive evaluation: every round of a stratum re-fires its fact blocks,
+/// counted as one derivation per fact, and every rule naively, until a
+/// round adds nothing.
 fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
-    let mut stats = EvalStats::default();
-    let mut bindings = binding_frame(cp);
-    let mut scratch = Vec::new();
+    let mut frame = Frame::new(cp);
     let mut sort = KeySort::default();
-    for (si, stratum) in cp.strata.iter().enumerate() {
+    for si in 0..cp.strata.len() {
+        let plans = naive_plans(cp, si);
         loop {
-            stats.rounds += 1;
-            refresh_tries(naive_plans(cp, si), &mut db);
-            let mut out = cp.fresh_derived();
-            fire_facts(cp, si, &mut out, &mut stats);
-            let cx = Cx::new(&db, None);
-            for &ri in stratum {
-                let rule = &cp.rules[ri];
-                run_plan(
-                    &cx,
-                    rule,
-                    &rule.naive,
-                    &mut bindings,
-                    &mut scratch,
-                    &mut sort,
-                    &mut out,
-                    &mut stats,
-                );
+            for &rel in &cp.facts[si] {
+                let b = &cp.fact_blocks[rel as usize];
+                let o = &mut frame.out[rel as usize];
+                o.data.extend_from_slice(&b.data);
+                o.rows += b.rows;
+                frame.stats.derivations += b.rows;
             }
-            if !merge_out(&mut db, &out) {
+            let marks = round(&mut db, &plans, None, &mut sort, &mut frame);
+            if !grew(&db, &marks) {
                 break;
             }
         }
     }
-    (db, stats)
+    (db, frame.stats)
 }
 
-/// Round 0 of one stratum's seminaive fixpoint: the stratum's fact
-/// blocks are inserted into the database first, then every rule of the
-/// stratum fires naively against it. Every relation the stratum does not
-/// derive is therefore complete before any rule fires, which is what lets
-/// the planner give delta plans only to same-stratum body atoms. Returns
-/// the row marks taken after the facts loaded, so the first delta holds
-/// only rule-derived rows.
-fn stratum_round0(
-    cp: &CompiledProgram<'_>,
-    si: usize,
-    db: &mut [Relation],
-    stats: &mut EvalStats,
-    bindings: &mut [u32],
-    scratch: &mut Vec<u32>,
-    sort: &mut KeySort,
-) -> Vec<usize> {
-    stats.rounds += 1;
-    for &rel in &cp.facts[si] {
-        let b = &cp.fact_blocks[rel as usize];
-        db[rel as usize].load(&b.data, b.rows);
-        stats.derivations += b.rows;
-    }
-    refresh_tries(naive_plans(cp, si), db);
-    let mut out = cp.fresh_derived();
-    let cx = Cx::new(db, None);
-    for &ri in &cp.strata[si] {
-        let rule = &cp.rules[ri];
-        run_plan(
-            &cx,
-            rule,
-            &rule.naive,
-            bindings,
-            scratch,
-            sort,
-            &mut out,
-            stats,
-        );
-    }
-    let marks = row_marks(db);
-    merge_out(db, &out);
-    marks
-}
-
+/// Seminaive evaluation. A stratum's fact blocks load into the database
+/// first, then round 0 fires every rule of the stratum naively: every
+/// relation the stratum does not derive is therefore complete before any
+/// rule fires, which is what lets the planner give delta plans only to
+/// same-stratum body atoms. Round 0's marks are taken after the facts
+/// loaded, so the first delta holds only rule-derived rows; each later
+/// round fires the delta plans whose delta is non-empty.
 fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
-    let mut stats = EvalStats::default();
-    let mut bindings = binding_frame(cp);
-    let mut scratch = Vec::new();
+    let mut frame = Frame::new(cp);
     // The merge plans' sort buffers, reused by every plan and round.
     let mut sort = KeySort::default();
     for (si, stratum) in cp.strata.iter().enumerate() {
-        let mut marks = stratum_round0(
-            cp,
-            si,
-            &mut db,
-            &mut stats,
-            &mut bindings,
-            &mut scratch,
-            &mut sort,
-        );
-        while db.iter().zip(&marks).any(|(r, &m)| r.len() > m) {
-            stats.rounds += 1;
-            // Fire every seminaive plan whose delta relation is non-empty
-            // this round.
+        for &rel in &cp.facts[si] {
+            let b = &cp.fact_blocks[rel as usize];
+            db[rel as usize].load(&b.data, b.rows);
+            frame.stats.derivations += b.rows;
+        }
+        let mut marks = round(&mut db, &naive_plans(cp, si), None, &mut sort, &mut frame);
+        while grew(&db, &marks) {
             let firing: Vec<(&CompiledRule, &Plan)> = stratum
                 .iter()
                 .flat_map(|&ri| {
@@ -938,26 +863,10 @@ fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
                     db[dr].len() > marks[dr]
                 })
                 .collect();
-            refresh_tries(firing.iter().map(|&(_, plan)| plan), &mut db);
-            let mut out = cp.fresh_derived();
-            let cx = Cx::new(&db, Some(&marks));
-            for &(rule, plan) in &firing {
-                run_plan(
-                    &cx,
-                    rule,
-                    plan,
-                    &mut bindings,
-                    &mut scratch,
-                    &mut sort,
-                    &mut out,
-                    &mut stats,
-                );
-            }
-            marks = row_marks(&db);
-            merge_out(&mut db, &out);
+            marks = round(&mut db, &firing, Some(&marks), &mut sort, &mut frame);
         }
     }
-    (db, stats)
+    (db, frame.stats)
 }
 
 /// Convenience: the tuples of a predicate, or empty.

@@ -54,6 +54,9 @@ enum LineEvent {
 /// Reads newline-delimited lines with byte caps and per-line deadlines.
 struct LineReader {
     buf: Vec<u8>,
+    /// How much of `buf` is known to hold no newline, so each pass scans
+    /// only the bytes that arrived since the last one.
+    scanned: usize,
     /// When the currently-accumulating partial line started.
     line_started: Option<Instant>,
     last_byte: Instant,
@@ -63,6 +66,7 @@ impl LineReader {
     fn new() -> LineReader {
         LineReader {
             buf: Vec::new(),
+            scanned: 0,
             line_started: None,
             last_byte: Instant::now(),
         }
@@ -76,6 +80,7 @@ impl LineReader {
         }
         let line = String::from_utf8_lossy(&self.buf).into_owned();
         self.buf = rest;
+        self.scanned = 0;
         if self.buf.is_empty() {
             self.line_started = None;
         } else {
@@ -87,12 +92,15 @@ impl LineReader {
     fn next_line(&mut self, stream: &mut TcpStream, state: &ServerState) -> LineEvent {
         let cfg = &state.cfg;
         loop {
-            if let Some(i) = self.buf.iter().position(|&b| b == b'\n') {
+            let unscanned = &self.buf[self.scanned..];
+            if let Some(i) = unscanned.iter().position(|&b| b == b'\n') {
+                let i = self.scanned + i;
                 if i > cfg.max_line_bytes {
                     return LineEvent::TooLong;
                 }
                 return LineEvent::Line(self.take_line(i));
             }
+            self.scanned = self.buf.len();
             if state.shutdown.load(Ordering::Acquire) {
                 return LineEvent::Shutdown;
             }

@@ -287,6 +287,40 @@ fn oversized_frames_are_rejected_with_too_large() {
 }
 
 #[test]
+fn split_and_coalesced_request_lines_each_get_one_reply() {
+    let _cpu = shared_cpu();
+    const CAP: usize = 1 << 16;
+    let cfg = ServerConfig {
+        max_line_bytes: CAP,
+        ..ServerConfig::default()
+    };
+    let handle = serve(cfg).unwrap();
+    let mut client = Client::connect(&handle);
+    // A line one byte under the cap, in 256 small writes: the reader
+    // finds its newline once, however many reads the line took.
+    let head = "eval fuel=8 \"{1}";
+    let line = format!("{head}{}\"\n", " ".repeat(CAP - 2 - head.len()));
+    assert_eq!(line.len(), CAP);
+    for chunk in line.as_bytes().chunks(CAP / 256) {
+        client.conn.write_all(chunk).expect("send chunk");
+    }
+    let r = client.recv();
+    assert_eq!(r.str_of("result"), Some("{1}"), "{r:?}");
+    // Two requests in one write get one reply each, in order.
+    client
+        .conn
+        .write_all(b"eval fuel=8 \"{2}\"\neval fuel=8 \"{3}\"\n")
+        .expect("send pair");
+    for want in ["{2}", "{3}"] {
+        let r = client.recv();
+        assert_eq!(r.str_of("result"), Some(want), "{r:?}");
+    }
+    // Nothing else is queued: the next reply answers the next request.
+    assert_eq!(client.round_trip("ping").kind(), Some("pong"));
+    assert!(handle.stop());
+}
+
+#[test]
 fn mid_stream_disconnects_leave_the_server_live() {
     let _cpu = shared_cpu();
     let cfg = ServerConfig {
