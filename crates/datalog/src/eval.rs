@@ -13,10 +13,22 @@
 //! `round` function, the only place a round runs: it refreshes the tries
 //! its plans read, builds their delta tries, runs the plans over one
 //! `Frame` of bindings and per-relation derivation buffers, and merges
-//! each buffer into its relation as one batch. Relations are
-//! append-only, so the facts a merge found new are the relation's suffix
-//! past the row count taken just before it: the next round reads that
-//! suffix in place as its delta.
+//! each buffer into its relation as one batch, emptying it in place so
+//! the next round reuses its capacity. Relations are append-only, so the
+//! facts a merge found new are the relation's suffix past the row count
+//! taken just before it: the next round reads that suffix in place as
+//! its delta.
+//!
+//! A leapfrog plan whose root level is wide (at least
+//! `SPLIT_MIN_ROOT_KEYS` keys in every level-0 trie) runs on up to
+//! [`pool::default_workers`] threads: the root keys split into
+//! contiguous chunks of about equal row counts, eight per worker, each
+//! searched in a frame of its own by whichever thread claims it next,
+//! and the chunk outputs join the round's buffers in chunk order. The
+//! chunks cover ascending, disjoint key ranges, so rows, derivation
+//! order and [`EvalStats`] are the one-thread search's, whatever the
+//! schedule (the `parallel_props` tests). Narrower plans, and every
+//! binary plan, run on the calling thread.
 //!
 //! # The id-native engine
 //!
@@ -51,6 +63,10 @@
 //! planner, the triejoin, and the measured speedups.
 //!
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
+use std::sync::Mutex;
+
+use lambda_join_core::pool;
 
 use crate::ast::{Atom, Const, Program};
 use crate::plan::{
@@ -137,12 +153,60 @@ pub fn eval_ids_mode(
     strategy: Strategy,
     mode: JoinMode,
 ) -> (IdDatabase, EvalStats) {
+    eval_ids_split(program, strategy, mode, Split::host())
+}
+
+/// [`eval_ids_mode`] with an explicit [`Split`] — how the determinism
+/// tests vary the worker count.
+pub(crate) fn eval_ids_split(
+    program: &Program,
+    strategy: Strategy,
+    mode: JoinMode,
+    split: Split,
+) -> (IdDatabase, EvalStats) {
     let cp = compile_or_panic(program, mode);
     let (rels, stats) = match strategy {
-        Strategy::Naive => eval_naive_ids(&cp),
-        Strategy::Seminaive => eval_seminaive_ids(&cp),
+        Strategy::Naive => eval_naive_ids(&cp, split),
+        Strategy::Seminaive => eval_seminaive_ids(&cp, split),
     };
     (seal(cp, rels), stats)
+}
+
+/// Root keys a leapfrog plan's narrowest level-0 trie needs before the
+/// plan splits across threads; narrower plans run inline. A split costs a
+/// thread start per extra worker (30–50 µs), and a narrow root seldom
+/// holds the work to repay it. The bound is conservative, not tuned: the
+/// `datalog_batch` triangles plan has 3,125 root keys and spends about
+/// 6 µs on each.
+pub(crate) const SPLIT_MIN_ROOT_KEYS: usize = 1024;
+
+/// Root chunks per worker when a plan splits. Chunks hold about equal
+/// row counts, but a root key's work grows faster than its rows (a hub's
+/// neighbours are hubs too), so the workers claim many chunks each,
+/// which evens out the skew that a static one-chunk-per-worker split
+/// leaves.
+const CHUNKS_PER_WORKER: usize = 8;
+
+/// How a large leapfrog plan's root level splits across threads: into
+/// [`CHUNKS_PER_WORKER`] chunks per worker once its narrowest level-0
+/// trie holds `min_root_keys` root keys, or not at all with one worker.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Split {
+    /// The worker count, or `None` for [`pool::default_workers`] — asked
+    /// only once a plan is wide enough to split, since the query reads
+    /// the process's affinity and cgroup limits (about 15 µs).
+    pub(crate) workers: Option<usize>,
+    pub(crate) min_root_keys: usize,
+}
+
+impl Split {
+    /// The production split: the host's parallelism.
+    fn host() -> Self {
+        Split {
+            workers: None,
+            min_root_keys: SPLIT_MIN_ROOT_KEYS,
+        }
+    }
 }
 
 fn compile_or_panic(program: &Program, mode: JoinMode) -> CompiledProgram<'_> {
@@ -241,7 +305,10 @@ impl<'a> Cx<'a> {
 
 /// The mutable state every join writes: the binding slots, a key
 /// scratch buffer, the round's per-relation derivation buffers and the
-/// running statistics. One frame serves a whole evaluation.
+/// running statistics. One frame serves a whole evaluation; a split
+/// leapfrog plan runs each root chunk in a frame of its own, kept in
+/// `chunks` so that their buffers, like the main frame's, keep their
+/// capacity from plan to plan and round to round.
 ///
 /// Backtracking needs no trail: a slot is written by exactly one `Bind`
 /// on any plan path and only read (`CheckVar`, negation, head emission)
@@ -252,15 +319,31 @@ struct Frame {
     scratch: Vec<u32>,
     out: Vec<Derived>,
     stats: EvalStats,
+    split: Split,
+    chunks: Vec<Frame>,
 }
 
 impl Frame {
-    fn new(cp: &CompiledProgram<'_>) -> Self {
+    fn new(cp: &CompiledProgram<'_>, split: Split) -> Self {
         Frame {
             bindings: vec![0; cp.rules.iter().map(|r| r.nvars).max().unwrap_or(0)],
             scratch: Vec::new(),
             out: cp.fresh_derived(),
             stats: EvalStats::default(),
+            split,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// An empty frame shaped like this one, for one root chunk.
+    fn chunk(&self) -> Frame {
+        Frame {
+            bindings: vec![0; self.bindings.len()],
+            scratch: Vec::new(),
+            out: vec![Derived::default(); self.out.len()],
+            stats: EvalStats::default(),
+            split: self.split,
+            chunks: Vec::new(),
         }
     }
 }
@@ -417,14 +500,24 @@ fn bind_trie_row(t: &Trie, r: usize, key_len: usize, binds: &[usize], bindings: 
 /// [`seek`] over that strided view, costing O(log distance), which is
 /// what makes the leapfrog intersection worst-case optimal; the root
 /// directory only changes the constant, but the root is where a cursor
-/// intersects the whole relation, so that constant dominates.
+/// intersects the whole relation, so that constant dominates. A cursor
+/// that carries level 0 of a split plan is clamped to its chunk's root
+/// keys: its root frame opens on just their directory positions.
 struct TrieIter<'a> {
     data: &'a [u32],
     w: usize,
-    rows: usize,
     dir0: &'a [u32],
     dir0_start: &'a [u32],
+    clamp: Option<RootKeys>,
     stack: Vec<(usize, usize)>,
+}
+
+/// One chunk of a split plan's root level: the root keys `from..to`,
+/// unbounded above when `to` is `None`.
+#[derive(Clone, Copy)]
+struct RootKeys {
+    from: u32,
+    to: Option<u32>,
 }
 
 impl<'a> TrieIter<'a> {
@@ -432,9 +525,9 @@ impl<'a> TrieIter<'a> {
         TrieIter {
             data: t.data(),
             w: t.width(),
-            rows: t.len(),
             dir0: t.dir0(),
             dir0_start: t.dir0_start(),
+            clamp: None,
             stack: Vec::new(),
         }
     }
@@ -463,11 +556,17 @@ impl<'a> TrieIter<'a> {
         seek(keys, stride, cur, hi, keys[cur * stride], true)
     }
 
-    /// Descends into the current key's children (or the root level).
+    /// Descends into the current key's children (or the root level, or
+    /// the clamped part of it).
     fn open(&mut self) {
-        let frame = match self.stack.len() {
-            0 => (0, self.dir0.len()),
-            1 => {
+        let frame = match (self.stack.len(), self.clamp) {
+            (0, None) => (0, self.dir0.len()),
+            (0, Some(RootKeys { from, to })) => {
+                let n = self.dir0.len();
+                let lo = seek(self.dir0, 1, 0, n, from, false);
+                (lo, to.map_or(n, |to| seek(self.dir0, 1, lo, n, to, false)))
+            }
+            (1, _) => {
                 let cur = self.stack[0].0;
                 (
                     self.dir0_start[cur] as usize,
@@ -518,25 +617,152 @@ impl<'a> TrieIter<'a> {
 /// Runs one leapfrog plan: recursively intersects its tries — the
 /// database's, refreshed at round start, and the round's delta tries —
 /// level by level.
+///
+/// The root level runs as the contiguous chunks [`root_chunks`] picks:
+/// one covering every key unless the plan is wide enough to split. One
+/// chunk runs inline in `f`. Several run in
+/// frames of their own on up to `workers` threads — the caller's and
+/// scoped ones — each claiming the next unclaimed chunk until none is
+/// left; then the chunks' outputs and derivation counts join `f` in
+/// chunk order. The chunks cover ascending, disjoint key ranges, so this
+/// is exactly the sequential search's output, whatever the schedule.
 fn run_wcoj(cx: &Cx<'_>, rule: &CompiledRule, plan: &WcojPlan, f: &mut Frame) {
     if !neg_pass(cx, &plan.neg_at[0], f) {
         return;
     }
-    let mut iters: Vec<TrieIter<'_>> = plan
+    let tries: Vec<&Trie> = plan
         .atoms
         .iter()
         .map(|a| {
-            TrieIter::new(if a.is_delta {
+            if a.is_delta {
                 cx.delta_trie(a).expect("the round builds its delta tries")
             } else {
                 &cx.db[a.rel as usize].tries[a.trie_slot]
-            })
+            }
         })
         .collect();
     // An empty trie (including a fully-ground atom whose fact is absent)
     // annihilates the whole join.
-    if iters.iter().any(|i| i.rows == 0) {
+    if tries.iter().any(|t| t.len() == 0) {
         return;
+    }
+    let (lead, bounds, workers) = root_chunks(plan, &tries, f.split);
+    if bounds.len() == 1 {
+        wcoj_chunk(cx, rule, plan, &tries, None, f);
+        return;
+    }
+    let roots: Vec<RootKeys> = bounds
+        .iter()
+        .map(|b| RootKeys {
+            from: lead.dir0()[b.start],
+            to: lead.dir0().get(b.end).copied(),
+        })
+        .collect();
+    let head = rule.head_rel as usize;
+    let mut frames = std::mem::take(&mut f.chunks);
+    while frames.len() < roots.len() {
+        frames.push(f.chunk());
+    }
+    for cf in &mut frames {
+        // Allocated here, a chunk's buffer comes from the caller's malloc
+        // arena and grows there, whichever thread fills it.
+        cf.out[head].data.reserve(1024);
+    }
+    let queue = Mutex::new(frames.iter_mut().zip(&roots));
+    let work = || loop {
+        let next = queue
+            .lock()
+            .expect("the queue is locked only to take a chunk, which cannot panic")
+            .next();
+        let Some((cf, &root)) = next else { break };
+        wcoj_chunk(cx, rule, plan, &tries, Some(root), cf);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(roots.len()) {
+            s.spawn(work);
+        }
+        work();
+    });
+    for cf in &mut frames[..roots.len()] {
+        // `append` empties the chunk's buffer but keeps its capacity.
+        let (o, co) = (&mut f.out[head], &mut cf.out[head]);
+        o.data.append(&mut co.data);
+        o.rows += std::mem::take(&mut co.rows);
+        f.stats.derivations += std::mem::take(&mut cf.stats.derivations);
+    }
+    f.chunks = frames;
+}
+
+/// How a leapfrog plan over `tries` runs its root level: the lead trie,
+/// the ranges of its root-key positions that make the chunks, and the
+/// workers that search them. The lead is the level-0 trie with the
+/// fewest root keys, since every root match is one of its keys: in a
+/// delta plan that is usually the delta, however wide the relations it
+/// joins, so a round with a small delta stays inline. The root is one
+/// chunk on one worker unless `split` has several workers and the lead
+/// at least `min_root_keys` keys.
+fn root_chunks<'t>(
+    plan: &WcojPlan,
+    tries: &[&'t Trie],
+    split: Split,
+) -> (&'t Trie, Vec<Range<usize>>, usize) {
+    let lead = plan.at_level[0]
+        .iter()
+        .map(|&a| tries[a])
+        .min_by_key(|t| t.dir0().len())
+        .expect("every level has a trie");
+    let workers = if lead.dir0().len() < split.min_root_keys {
+        1
+    } else {
+        split.workers.unwrap_or_else(pool::default_workers)
+    };
+    let chunks = if workers > 1 {
+        CHUNKS_PER_WORKER * workers
+    } else {
+        1
+    };
+    (lead, chunk_bounds(lead.dir0_start(), chunks), workers)
+}
+
+/// Splits a root level — `dir0_start` holds each root key's first row
+/// plus a trailing row count — into at most `n` contiguous, non-empty
+/// ranges of key positions that cover every key once, in order. Cut `c`
+/// falls before the first key whose rows start at or past `c / n` of the
+/// rows, so a range holds at most `rows / n` rows before its last key,
+/// and a hub key, whatever its size, ends its range.
+fn chunk_bounds(dir0_start: &[u32], n: usize) -> Vec<Range<usize>> {
+    let keys = dir0_start.len() - 1;
+    let rows = dir0_start[keys] as usize;
+    let mut out = Vec::with_capacity(n);
+    let mut start = 0;
+    for c in 1..=n {
+        let end = if c == n {
+            keys
+        } else {
+            dir0_start[..keys].partition_point(|&s| (s as usize) * n < rows * c)
+        };
+        if end > start {
+            out.push(start..end);
+            start = end;
+        }
+    }
+    out
+}
+
+/// Runs one root chunk of a leapfrog plan over `tries` into `f`: the
+/// cursors that carry level 0 clamped to `root`, or the whole root level
+/// when `root` is `None`.
+fn wcoj_chunk(
+    cx: &Cx<'_>,
+    rule: &CompiledRule,
+    plan: &WcojPlan,
+    tries: &[&Trie],
+    root: Option<RootKeys>,
+    f: &mut Frame,
+) {
+    let mut iters: Vec<TrieIter<'_>> = tries.iter().map(|t| TrieIter::new(t)).collect();
+    for &a in &plan.at_level[0] {
+        iters[a].clamp = root;
     }
     let mut order_bufs: Vec<Vec<usize>> = vec![Vec::new(); plan.levels.len()];
     wcoj_level(cx, rule, plan, 0, &mut iters, &mut order_bufs, f);
@@ -562,11 +788,16 @@ fn wcoj_level(
     for &a in parts {
         iters[a].open();
     }
-    // A freshly opened level is never empty: the root was checked for
-    // emptiness up front, and every deeper range is some parent key's
-    // (non-empty) run. A match binds the level's slot, runs the checks
-    // scheduled once it is bound, then emits the head (last level) or
-    // recurses.
+    // A clamped root level can be empty, which ends the chunk. A deeper
+    // level never is: its range is some parent key's (non-empty) run. A
+    // match binds the level's slot, runs the checks scheduled once it is
+    // bound, then emits the head (last level) or recurses.
+    if level == 0 && parts.iter().any(|&a| iters[a].at_end()) {
+        for &a in parts {
+            iters[a].up();
+        }
+        return;
+    }
     let last = level + 1 == plan.levels.len();
     macro_rules! descend {
         ($key:expr) => {
@@ -789,8 +1020,10 @@ fn round(
     drop(cx);
     let marks = db.iter().map(Relation::len).collect();
     for (rel, o) in db.iter_mut().zip(&mut frame.out) {
-        let o = std::mem::take(o);
         rel.insert_batch(&o.data, o.rows);
+        // Emptied in place: the next round refills it without regrowing.
+        o.data.clear();
+        o.rows = 0;
     }
     marks
 }
@@ -809,9 +1042,9 @@ fn naive_plans<'a>(cp: &'a CompiledProgram<'_>, si: usize) -> Vec<(&'a CompiledR
 /// Naive evaluation: every round of a stratum re-fires its fact blocks,
 /// counted as one derivation per fact, and every rule naively, until a
 /// round adds nothing.
-fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
+fn eval_naive_ids(cp: &CompiledProgram<'_>, split: Split) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
-    let mut frame = Frame::new(cp);
+    let mut frame = Frame::new(cp, split);
     let mut sort = KeySort::default();
     for si in 0..cp.strata.len() {
         let plans = naive_plans(cp, si);
@@ -839,9 +1072,9 @@ fn eval_naive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
 /// same-stratum body atoms. Round 0's marks are taken after the facts
 /// loaded, so the first delta holds only rule-derived rows; each later
 /// round fires the delta plans whose delta is non-empty.
-fn eval_seminaive_ids(cp: &CompiledProgram<'_>) -> (Vec<Relation>, EvalStats) {
+fn eval_seminaive_ids(cp: &CompiledProgram<'_>, split: Split) -> (Vec<Relation>, EvalStats) {
     let mut db = cp.fresh_store();
-    let mut frame = Frame::new(cp);
+    let mut frame = Frame::new(cp, split);
     // The merge plans' sort buffers, reused by every plan and round.
     let mut sort = KeySort::default();
     for (si, stratum) in cp.strata.iter().enumerate() {
@@ -1087,6 +1320,98 @@ mod tests {
             })
             .collect();
         assert_eq!(rel("u").data, want);
+    }
+
+    /// The root directory of a two-column trie over `edges`.
+    fn root_of(edges: &[(u32, u32)]) -> Trie {
+        let spec = crate::store::TrieSpec {
+            cols: vec![0, 1],
+            consts: vec![],
+            eqs: vec![],
+        };
+        let flat: Vec<u32> = edges.iter().flat_map(|&(a, b)| [a, b]).collect();
+        Trie::build(spec, &flat, 2, edges.len())
+    }
+
+    #[test]
+    fn chunk_bounds_cover_the_root_directory_once_in_order() {
+        // 300 keys of 2 rows each, with a hub of 400 rows at key 0 and
+        // another of 200 in the middle.
+        let mut hubs: Vec<(u32, u32)> = (0..400).map(|i| (0, i)).collect();
+        hubs.extend((1..300).flat_map(|k| [(k, 0), (k, 1)]));
+        hubs.extend((2..200).map(|i| (150, i)));
+        let hubs = root_of(&hubs);
+        let even = root_of(&(0..100).map(|k| (k, k)).collect::<Vec<_>>());
+        let single = root_of(&[(7, 1), (7, 2), (7, 3)]);
+        let few = root_of(&[
+            (1, 1),
+            (1, 2),
+            (1, 3),
+            (2, 1),
+            (3, 1),
+            (3, 2),
+            (3, 3),
+            (3, 4),
+        ]);
+        for (t, n) in [
+            (&hubs, 16),
+            (&even, 16),
+            (&even, 1),
+            (&single, 16),
+            (&few, 16),
+        ] {
+            let (starts, keys) = (t.dir0_start(), t.dir0().len());
+            let bounds = chunk_bounds(starts, n);
+            assert!(!bounds.is_empty() && bounds.len() <= n.min(keys));
+            assert_eq!(bounds[0].start, 0);
+            assert_eq!(bounds[bounds.len() - 1].end, keys);
+            assert!(bounds.iter().all(|b| b.start < b.end));
+            assert!(bounds.windows(2).all(|w| w[0].end == w[1].start));
+            // Before its last key, a chunk holds at most its share of
+            // the rows; the last key may be a hub of any size.
+            let before_last = |b: &Range<usize>| (starts[b.end - 1] - starts[b.start]) as usize;
+            assert!(bounds.iter().all(|b| before_last(b) <= t.len().div_ceil(n)));
+        }
+        // A hub ends its chunk, and the light keys after it spread over
+        // the other chunks.
+        let bounds = chunk_bounds(hubs.dir0_start(), 16);
+        assert_eq!(bounds[0], 0..1);
+        assert!(bounds.iter().any(|b| b.end == 151));
+        assert!(bounds.len() >= 8);
+        assert_eq!(chunk_bounds(even.dir0_start(), 16).len(), 16);
+        assert_eq!(chunk_bounds(even.dir0_start(), 1), vec![0..100]);
+        assert_eq!(chunk_bounds(single.dir0_start(), 16), vec![0..1]);
+        assert_eq!(chunk_bounds(few.dir0_start(), 16), vec![0..1, 1..2, 2..3]);
+    }
+
+    #[test]
+    fn a_delta_plan_splits_on_its_delta_not_its_wide_base() {
+        // sg's delta plan `par(P,X), sg(P,Q)Δ, par(Q,Y)` has `P` at level
+        // 0, shared by the base `par` (listed first) and the delta.
+        let p = same_generation_program(&[(0, 1)]);
+        let cp = compile(&p, JoinMode::Auto).unwrap();
+        let plan = cp.rules.iter().flat_map(|r| &r.delta_plans);
+        let Some(Plan::Wcoj(plan)) = plan.last() else {
+            panic!("sg's recursive rule runs a leapfrog delta plan")
+        };
+        assert!(!plan.atoms[plan.at_level[0][0]].is_delta);
+        assert!(plan.at_level[0].iter().any(|&a| plan.atoms[a].is_delta));
+        let wide = root_of(&(0..2000).map(|k| (k, k)).collect::<Vec<_>>());
+        let narrow = root_of(&[(5, 1), (9, 2), (9, 3)]);
+        let split = Split {
+            workers: Some(2),
+            min_root_keys: SPLIT_MIN_ROOT_KEYS,
+        };
+        let tries: Vec<&Trie> = (plan.atoms.iter())
+            .map(|a| if a.is_delta { &narrow } else { &wide })
+            .collect();
+        let (lead, bounds, workers) = root_chunks(plan, &tries, split);
+        assert!(std::ptr::eq(lead, &narrow));
+        assert_eq!((bounds.len(), workers), (1, 1));
+        // A delta as wide as the base splits, 8 chunks per worker.
+        let tries = vec![&wide; plan.atoms.len()];
+        let (_, bounds, workers) = root_chunks(plan, &tries, split);
+        assert_eq!((bounds.len(), workers), (16, 2));
     }
 
     #[test]

@@ -70,3 +70,7 @@ pub use eval::{eval, eval_ids, Database, EvalStats, JoinMode, Strategy};
 pub use parser::parse_program;
 pub use store::IdDatabase;
 pub use strata::{stratify, Strata, StratificationError};
+
+#[cfg(test)]
+#[path = "../tests/parallel/props.rs"]
+mod parallel_props;
