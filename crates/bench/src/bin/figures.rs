@@ -716,6 +716,31 @@ fn perf_fig() {
         results.push(("cluster_kv_partition_heal", heal.steps));
     }
 
+    // The client half of a 2PC round trip: `FlatReply::parse` on the §4
+    // two-phase commit's fuel-16 reply, built with `Obj` the way the
+    // server builds it (a `fuel_exhausted` error carrying the partial
+    // observation, about 24 KB with a thousand escapes).
+    {
+        use lambda_join_core::display::pretty;
+        use lambda_join_runtime::server::protocol::{json_escape, ErrorCode, FlatReply, Obj};
+
+        let obs = pretty(&MemoEval::new().eval_fuel(&encodings::two_phase_commit(), 16));
+        let mut o = Obj::kind("err");
+        o.push_str("code", ErrorCode::FuelExhausted.as_str())
+            .push_str("msg", "fuel ran out; result is the partial observation")
+            .push_escaped("result", &json_escape(&obs))
+            .push_num("fuel", 16);
+        let line = o.into_line();
+        let reply = FlatReply::parse(&line).expect("the 2PC reply parses");
+        assert_eq!(reply.str_of("result"), Some(obs.as_str()));
+        results.push((
+            "protocol_decode_tpc_reply",
+            time_ns(|| {
+                std::hint::black_box(FlatReply::parse(&line).is_ok());
+            }),
+        ));
+    }
+
     // --- `lambdav serve` (DESIGN.md §9): end-to-end service numbers from
     // an in-process server — wire protocol, admission, budgets, and the
     // shared warm memo all on the measured path. Latencies are whole

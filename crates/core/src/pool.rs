@@ -18,16 +18,21 @@
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The default worker bound: the machine's available parallelism (1 when
-/// it cannot be determined).
+/// it cannot be determined). The OS is asked once per process, since the
+/// query reads the process's affinity and cgroup limits (about 15 µs);
+/// later calls read the cached answer.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Splits `len` items into at most `workers` contiguous chunk ranges of

@@ -192,10 +192,8 @@ const CHUNKS_PER_WORKER: usize = 8;
 /// trie holds `min_root_keys` root keys, or not at all with one worker.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Split {
-    /// The worker count, or `None` for [`pool::default_workers`] — asked
-    /// only once a plan is wide enough to split, since the query reads
-    /// the process's affinity and cgroup limits (about 15 µs).
-    pub(crate) workers: Option<usize>,
+    /// The worker count.
+    pub(crate) workers: usize,
     pub(crate) min_root_keys: usize,
 }
 
@@ -203,7 +201,7 @@ impl Split {
     /// The production split: the host's parallelism.
     fn host() -> Self {
         Split {
-            workers: None,
+            workers: pool::default_workers(),
             min_root_keys: SPLIT_MIN_ROOT_KEYS,
         }
     }
@@ -714,7 +712,7 @@ fn root_chunks<'t>(
     let workers = if lead.dir0().len() < split.min_root_keys {
         1
     } else {
-        split.workers.unwrap_or_else(pool::default_workers)
+        split.workers
     };
     let chunks = if workers > 1 {
         CHUNKS_PER_WORKER * workers
@@ -1399,7 +1397,7 @@ mod tests {
         let wide = root_of(&(0..2000).map(|k| (k, k)).collect::<Vec<_>>());
         let narrow = root_of(&[(5, 1), (9, 2), (9, 3)]);
         let split = Split {
-            workers: Some(2),
+            workers: 2,
             min_root_keys: SPLIT_MIN_ROOT_KEYS,
         };
         let tries: Vec<&Trie> = (plan.atoms.iter())

@@ -59,7 +59,7 @@ fn outcome(p: &Program, strategy: DlStrategy, split: Split) -> Outcome {
 fn assert_worker_count_invisible(p: &Program, min_root_keys: usize) {
     for strategy in [DlStrategy::Seminaive, DlStrategy::Naive] {
         let split = |workers| Split {
-            workers: Some(workers),
+            workers,
             min_root_keys,
         };
         let want = outcome(p, strategy, split(1));

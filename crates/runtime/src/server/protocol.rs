@@ -260,43 +260,115 @@ fn json_escape_into(out: &mut String, s: &str) {
 
 /// Parses a JSON string starting at the leading `"` of `s`; returns the
 /// decoded contents and the remainder after the closing quote.
+///
+/// The decoder copies runs whole. A first scan finds the closing quote,
+/// so the output is allocated once, sized from the string's own span
+/// rather than the rest of the line. The decode then scans the span for
+/// the next `\` or raw control byte, copies the run before it with one
+/// `push_str`, and decodes the escape from its bytes. Both are ASCII, so
+/// every run ends on a `char` boundary.
 pub fn json_unquote(s: &str) -> Result<(String, &str), String> {
     let rest = s
         .strip_prefix('"')
         .ok_or_else(|| "expected opening quote".to_string())?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &rest[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'b')) => out.push('\u{8}'),
-                Some((_, 'f')) => out.push('\u{c}'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let (_, h) = chars.next().ok_or("truncated \\u escape")?;
-                        code = code * 16 + h.to_digit(16).ok_or("bad hex in \\u escape")?;
-                    }
-                    // Surrogates are not produced by our own escaper;
-                    // reject rather than mis-decode.
-                    let c = char::from_u32(code).ok_or("\\u escape is not a scalar value")?;
-                    out.push(c);
-                }
-                Some((_, other)) => return Err(format!("unknown escape \\{other}")),
-                None => return Err("truncated escape".into()),
-            },
-            c if (c as u32) < 0x20 => return Err("raw control character in string".into()),
-            c => out.push(c),
+    let bytes = rest.as_bytes();
+    let end = string_span(rest);
+    // Every escape decodes to fewer bytes than it spans.
+    let mut out = String::with_capacity(end);
+    let mut run = 0;
+    let mut i = 0;
+    while let Some(at) = find_escape_or_control(&bytes[..end], i) {
+        out.push_str(&rest[run..at]);
+        if bytes[at] != b'\\' {
+            return Err("raw control character in string".into());
         }
+        // An escape reads past `end` only when it is malformed: a quote
+        // at `end` is never escaped, and it is not a hex digit.
+        let (decoded, len) = match bytes.get(at + 1) {
+            // These escapes decode to the escaped byte itself: start the
+            // next run there instead of pushing it.
+            Some(b'"' | b'\\' | b'/') => {
+                run = at + 1;
+                i = at + 2;
+                continue;
+            }
+            Some(b'n') => ('\n', 2),
+            Some(b'r') => ('\r', 2),
+            Some(b't') => ('\t', 2),
+            Some(b'b') => ('\u{8}', 2),
+            Some(b'f') => ('\u{c}', 2),
+            Some(b'u') => {
+                let mut code = 0u32;
+                for k in at + 2..at + 6 {
+                    let h = bytes.get(k).ok_or("truncated \\u escape")?;
+                    code =
+                        code * 16 + char::from(*h).to_digit(16).ok_or("bad hex in \\u escape")?;
+                }
+                // Surrogates are not produced by our own escaper;
+                // reject rather than mis-decode.
+                let c = char::from_u32(code).ok_or("\\u escape is not a scalar value")?;
+                (c, 6)
+            }
+            Some(_) => {
+                let other = rest[at + 1..].chars().next().unwrap_or_default();
+                return Err(format!("unknown escape \\{other}"));
+            }
+            None => return Err("truncated escape".into()),
+        };
+        out.push(decoded);
+        run = at + len;
+        i = run;
     }
-    Err("unterminated string".into())
+    out.push_str(&rest[run..end]);
+    match rest.get(end + 1..) {
+        Some(after) => Ok((out, after)),
+        None => Err("unterminated string".into()),
+    }
+}
+
+/// The byte offset of the quote that closes a JSON string body, or the
+/// body's length when none does: the first `"` after an even run of
+/// backslashes, since each `\` escapes the byte after it. The decoder
+/// pairs escapes the same way except that `\u` takes four more bytes,
+/// none of them `"` or `\` unless the escape is malformed, so the two
+/// agree up to the first malformed escape, where the decoder errs.
+fn string_span(body: &str) -> usize {
+    let bytes = body.as_bytes();
+    let mut from = 0;
+    while let Some(q) = body[from..].find('"') {
+        let at = from + q;
+        let backslashes = bytes[..at]
+            .iter()
+            .rev()
+            .take_while(|&&b| b == b'\\')
+            .count();
+        if backslashes % 2 == 0 {
+            return at;
+        }
+        from = at + 1;
+    }
+    bytes.len()
+}
+
+/// The index of the first `\` or control byte (below 0x20) at or after
+/// `from`. Eight bytes are tested at a time: a `\` is a zero byte of
+/// `w ^ 0x5c…`, and `(v - n…) & !v & 0x80…` flags the bytes of `v` below
+/// `n`. A borrow can flag bytes only above a true hit, so the lowest
+/// flag is exact.
+fn find_escape_or_control(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let below = |v: u64, n: u8| v.wrapping_sub(ONES * u64::from(n)) & !v;
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let hits = (below(w ^ (ONES * u64::from(b'\\')), 1) | below(w, 0x20)) & (ONES << 7);
+        if hits != 0 {
+            return Some(i + hits.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    let tail = bytes.get(i..)?;
+    Some(i + tail.iter().position(|&b| b == b'\\' || b < 0x20)?)
 }
 
 /// An incremental flat-JSON-object writer (insertion order preserved).
@@ -401,7 +473,9 @@ pub enum Scalar {
 
 /// A parsed reply line: a flat JSON object. This is the *client* half of
 /// the protocol — the load generator and chaos suite use it to check every
-/// byte the server emits is well-formed.
+/// byte the server emits is well-formed. Keys and string values decode
+/// through [`json_unquote`], which copies unescaped runs whole, so a long
+/// `result` costs a scan plus one copy per run between escapes.
 #[derive(Debug, Clone, Default)]
 pub struct FlatReply {
     fields: Vec<(String, Scalar)>,
